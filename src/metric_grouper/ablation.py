@@ -9,19 +9,13 @@ where an entropy drop counts as improvement.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .clustering import cluster_corpus
 from .errors import ConfigError
-from .evaluation import entropy as entropy_score
-from .evaluation import purity as purity_score
+from .evaluation import score_runs
 from .network import MetricNetwork, train
 
 REFERENCE_KEY = "ap:0:raw"
-
-THREADS_ENV = "METRIC_GROUPER_THREADS"
 
 
 @dataclass(frozen=True)
@@ -60,25 +54,15 @@ def parse_combos(text):
     return [Combo.parse(part) for part in text.split(",") if part.strip()]
 
 
-def max_threads():
-    """Worker cap from the environment; defaults to serial execution."""
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
 def run_ablation(corpus, table, combos, train_pairs=None, train_cfg=None,
                  output_dim=50, hidden_dims=None, k=None, runs=10, seed=0,
-                 n_init=10, max_iter=100, threads=None):
+                 n_init=10, max_iter=100):
     """Evaluate every combo and compare against the phrase-only row.
 
     ``train_pairs`` is the shared distant-supervision pair list; it is
-    required as soon as any combo trains. Combos run independently (and
-    in parallel up to ``threads`` workers) over immutable inputs; the
-    report is assembled sorted by combo key, so worker scheduling never
-    changes it.
+    required as soon as any combo trains. Each combo is scored by the
+    evaluation loop (compose once, cluster per seed); the report is
+    sorted by combo key.
     """
     combos = list(combos)
     if not any(c.key == REFERENCE_KEY for c in combos):
@@ -98,9 +82,9 @@ def run_ablation(corpus, table, combos, train_pairs=None, train_cfg=None,
         k = len(set(gold.values()))
     seeds = [seed + r for r in range(runs)]
 
-    def run_combo(combo):
-        net = None
-        history = None
+    results = {}
+    for combo in combos:
+        net = history = None
         if combo.train:
             net = MetricNetwork.create(
                 table.dimension,
@@ -113,31 +97,20 @@ def run_ablation(corpus, table, combos, train_pairs=None, train_cfg=None,
                 seed=train_cfg.seed,
             )
             _, history = train(net, train_pairs, table, train_cfg, mode=combo.mode)
-        purities, entropies = [], []
-        for s in seeds:
-            clustering = cluster_corpus(
-                corpus, table, k, net=net, mode=combo.mode,
-                metric="euclidean" if net is not None else "cosine",
-                seed=s, n_init=n_init, max_iter=max_iter)
-            purities.append(purity_score(clustering, gold, allow_missing=True))
-            entropies.append(entropy_score(clustering, gold, allow_missing=True))
+        row, _ = score_runs(
+            corpus, table, gold, k, seeds, net=net, mode=combo.mode,
+            metric="euclidean" if net is not None else "cosine",
+            n_init=n_init, max_iter=max_iter)
         entry = {
             "mode": combo.mode,
             "mlp_layers": combo.mlp_layers,
             "trained": combo.train,
-            "purity_mean": sum(purities) / runs,
-            "entropy_mean": sum(entropies) / runs,
+            "purity_mean": row["purity_mean"],
+            "entropy_mean": row["entropy_mean"],
         }
         if history is not None:
             entry["final_objective"] = history[-1]
-        return combo.key, entry
-
-    workers = threads if threads is not None else max_threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(run_combo, combos))
-    else:
-        results = dict(run_combo(c) for c in combos)
+        results[combo.key] = entry
 
     ref = results[REFERENCE_KEY]
     for key in sorted(results):

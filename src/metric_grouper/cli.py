@@ -16,11 +16,11 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 
 from . import __version__
-from .ablation import format_ablation, max_threads, parse_combos, run_ablation
+from .ablation import format_ablation, parse_combos, run_ablation
 from .clustering import cluster_corpus, phrase_points
-from .composition import AttentionParams
 from .config import FLAG_MAP, config_hash, resolve, train_config_from
 from .corpus import load_corpus, load_word_vectors, save_corpus
 from .errors import (
@@ -50,18 +50,28 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _atomic_write(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _atomic_write(path, content):
+    """Replace ``path`` with text ``content``, or what ``content(tmp_path)`` writes.
 
-
-def _atomic_via(path, writer):
-    """Run ``writer(tmp_path)`` and rename the result into place."""
-    tmp = path + ".tmp"
-    writer(tmp)
-    os.replace(tmp, path)
+    The temp file is unique to this call (runs sharing an out dir never collide), is
+    removed if writing fails, and gets the umask permissions a plain open() would give.
+    """
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            if callable(content):
+                content(tmp)
+            else:
+                fh.write(content)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _update_manifest(out_dir, command, chash, seed, inputs, outputs):
@@ -71,8 +81,9 @@ def _update_manifest(out_dir, command, chash, seed, inputs, outputs):
         with open(manifest_path, "r", encoding="utf-8") as fh:
             try:
                 manifest = json.load(fh)
-            except json.JSONDecodeError:
-                manifest = {"commands": {}}
+            except json.JSONDecodeError as exc:
+                raise MetricGrouperError(
+                    f"{manifest_path} is not valid JSON ({exc}); move it aside") from exc
         manifest.setdefault("commands", {})
     manifest["commands"][command] = {
         "config_hash": chash,
@@ -112,10 +123,10 @@ def _load_table(args):
 
 def _check_hash(kind, embedded, current):
     if embedded != current:
+        found = "no config hash" if embedded is None else f"config hash {str(embedded)[:12]}..."
         raise ArtifactMismatchError(
-            f"{kind} was produced under config hash {str(embedded)[:12]}..., current "
-            f"configuration hashes to {current[:12]}...; regenerate it or restore "
-            f"the original configuration")
+            f"{kind} carries {found}, current configuration hashes to {current[:12]}...; "
+            f"regenerate it or restore the original configuration")
 
 
 def cmd_validate(args):
@@ -196,7 +207,7 @@ def cmd_split(args):
     for name, idxs in buckets.items():
         part = AnnotatedCorpus(corpus.sentences[i] for i in sorted(idxs))
         path = os.path.join(out_dir, name)
-        _atomic_via(path, lambda tmp, part=part: save_corpus(part, tmp))
+        _atomic_write(path, lambda tmp, part=part: save_corpus(part, tmp))
         outputs[name] = path
         print(f"wrote {path} ({len(part)} sentences)")
     _update_manifest(out_dir, "split", chash, section["seed"],
@@ -225,7 +236,7 @@ def cmd_pairs(args):
         "negatives": len(pairs) - positives,
     }
     path = os.path.join(out_dir, PAIRS_FILE)
-    _atomic_via(path, lambda tmp: save_pairs(pairs, tmp, header=header))
+    _atomic_write(path, lambda tmp: save_pairs(pairs, tmp, header=header))
     print(f"wrote {path} ({positives} positive / {len(pairs) - positives} negative pairs)")
     _update_manifest(out_dir, "pairs", chash, section["seed"],
                      {"corpus": args.corpus, "taxonomy": args.taxonomy},
@@ -243,8 +254,7 @@ def cmd_train(args):
         raise MetricGrouperError(
             f"no {PAIRS_FILE} in {out_dir}; run the pairs command first")
     pairs, header = load_pairs(pairs_path)
-    if header is not None and "config_hash" in header:
-        _check_hash(PAIRS_FILE, header["config_hash"], chash)
+    _check_hash(pairs_path, (header or {}).get("config_hash"), chash)
     cfg = train_config_from(resolved)
     net_sec = resolved["network"]
     mode = resolved["composition"]["mode"]
@@ -257,7 +267,7 @@ def cmd_train(args):
     for epoch, value in enumerate(history, 1):
         print(f"epoch {epoch}: mean objective {value:.6f}")
     model_path = os.path.join(out_dir, MODEL_FILE)
-    _atomic_via(model_path, lambda tmp: save_model(
+    _atomic_write(model_path, lambda tmp: save_model(
         net, tmp, config_hash=chash, extra={"loss_history": history}))
     print(f"wrote {model_path}")
     _update_manifest(out_dir, "train", chash, cfg.seed,
@@ -272,8 +282,7 @@ def _load_net(out_dir, chash):
         raise MissingModelError(
             f"no {MODEL_FILE} in {out_dir}; run the train command first")
     net, meta = load_model(model_path)
-    if "config_hash" in meta:
-        _check_hash(MODEL_FILE, meta["config_hash"], chash)
+    _check_hash(model_path, meta.get("config_hash"), chash)
     return net, model_path
 
 
@@ -317,9 +326,7 @@ def cmd_cluster(args):
     outputs = {CLUSTERS_FILE: clusters_path}
 
     if getattr(args, "dump_composed", None):
-        composed, _ = phrase_points(
-            corpus, table, net=net, mode=mode,
-            params=None if net is not None else AttentionParams.zeros(table.dimension))
+        composed, _ = phrase_points(corpus, table, net=net, mode=mode)
         rows = [f"{p}\t" + " ".join(repr(float(v)) for v in composed[p])
                 for p in sorted(composed)]
         _atomic_write(args.dump_composed, "\n".join(rows) + "\n")
@@ -389,8 +396,7 @@ def cmd_ablate(args):
         k=resolved["clustering"]["k"], runs=resolved["evaluation"]["runs"],
         seed=resolved["evaluation"]["seed"],
         n_init=resolved["clustering"]["n_init"],
-        max_iter=resolved["clustering"]["max_iter"],
-        threads=max_threads())
+        max_iter=resolved["clustering"]["max_iter"])
     report["config_hash"] = chash
     ablation_path = os.path.join(out_dir, ABLATION_FILE)
     _atomic_write(ablation_path, json.dumps(report, sort_keys=True, indent=1) + "\n")

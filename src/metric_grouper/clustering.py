@@ -39,12 +39,25 @@ class Clustering:
         return self.centroids.shape[0]
 
 
-def _kmeanspp(points, k, rng):
+def _sq_dists(points, x2, centers):
+    """(n, k) squared distances x2 - 2 X C^T + c2, clamped at 0: O(n k) memory.
+
+    Rounding can leave a tiny residue where a point sits on a centroid, so
+    inertia and the empty-cluster reseed use exact differences instead.
+    """
+    d2 = points @ centers.T
+    d2 *= -2.0
+    d2 += x2[:, None]
+    d2 += (centers ** 2).sum(axis=1)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _kmeanspp(points, x2, k, rng):
     """k-means++ seeding; degenerates to uniform picks on zero spread."""
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    d2 = _sq_dists(points, x2, centers[:1])[:, 0]
     for c in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -53,18 +66,17 @@ def _kmeanspp(points, k, rng):
         else:
             idx = rng.integers(n)
         centers[c] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_dists(points, x2, centers[c:c + 1])[:, 0])
     return centers
 
 
-def _lloyd(points, centers, max_iter, trace=None):
+def _lloyd(points, x2, centers, max_iter, trace=None):
     """Lloyd iterations to an assignment fixpoint or the iteration cap."""
     n, k = points.shape[0], centers.shape[0]
     prev = None
     assign = np.zeros(n, dtype=int)
     for _ in range(max_iter):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assign = d2.argmin(axis=1)
+        assign = _sq_dists(points, x2, centers).argmin(axis=1)
         sizes = np.bincount(assign, minlength=k)
         if (sizes == 0).any():
             # Re-seed each empty cluster on the point farthest from its
@@ -72,7 +84,7 @@ def _lloyd(points, centers, max_iter, trace=None):
             # When every point already sits on its centroid (duplicate
             # points, k too large) there is nothing to gain and the
             # cluster stays empty.
-            dist_own = d2[np.arange(n), assign]
+            dist_own = ((points - centers[assign]) ** 2).sum(axis=1)
             for c in np.flatnonzero(sizes == 0):
                 idx = int(dist_own.argmax())
                 if dist_own[idx] <= 0.0:
@@ -80,15 +92,16 @@ def _lloyd(points, centers, max_iter, trace=None):
                 assign[idx] = c
                 centers[c] = points[idx]
                 dist_own[idx] = -1.0
+            sizes = np.bincount(assign, minlength=k)
         if trace is not None:
             trace.append(float(((points - centers[assign]) ** 2).sum()))
         if prev is not None and np.array_equal(assign, prev):
             break
         prev = assign.copy()
-        for c in range(k):
-            members = points[assign == c]
-            if len(members):
-                centers[c] = members.mean(axis=0)
+        onehot = np.zeros((k, n))
+        onehot[assign, np.arange(n)] = 1.0
+        filled = sizes > 0
+        centers[filled] = (onehot @ points)[filled] / sizes[filled, None]
     inertia = float(((points - centers[assign]) ** 2).sum())
     return assign, centers, inertia
 
@@ -119,12 +132,13 @@ def kmeans(points, k, metric="euclidean", seed=0, n_init=10, max_iter=100, trace
         norms[norms == 0] = 1.0
         data = data / norms
 
+    x2 = (data ** 2).sum(axis=1)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(n_init):
-        centers = _kmeanspp(data, k, rng)
+        centers = _kmeanspp(data, x2, k, rng)
         restart_trace = [] if trace is not None else None
-        assign, centers, inertia = _lloyd(data, centers, max_iter, restart_trace)
+        assign, centers, inertia = _lloyd(data, x2, centers, max_iter, restart_trace)
         if trace is not None:
             trace.append(restart_trace)
         if best is None or inertia < best[2]:

@@ -11,17 +11,13 @@ from __future__ import annotations
 
 import math
 
-from .clustering import cluster_corpus
+from . import clustering as _clustering
 from .errors import MissingLabelError
 
 ENTROPY_BASE = 2
 
 BASELINE_METHODS = ("avg", "min", "max", "ap")
 LEARNED_METHOD = "metric"
-
-
-def _assignments(clustering):
-    return clustering.assignments if hasattr(clustering, "assignments") else clustering
 
 
 def contingency(clustering, gold, allow_missing=False):
@@ -31,7 +27,7 @@ def contingency(clustering, gold, allow_missing=False):
     {group: count} dict. Phrases without a gold label raise unless
     ``allow_missing``, in which case they are skipped and counted.
     """
-    assignments = _assignments(clustering)
+    assignments = getattr(clustering, "assignments", clustering)
     counts: dict[int, dict[int, int]] = {}
     n = 0
     skipped = 0
@@ -51,30 +47,55 @@ def contingency(clustering, gold, allow_missing=False):
     return counts, n, skipped
 
 
+def _scores(counts, n):
+    """(Purity, Entropy) of a contingency table over ``n`` labeled phrases."""
+    correct = 0
+    total = 0.0
+    for cluster in sorted(counts):
+        row = counts[cluster]
+        correct += max(row.values())
+        nk = sum(row.values())
+        h = 0.0
+        for group in sorted(row):
+            p = row[group] / nk
+            h -= p * math.log2(p)
+        total += (nk / n) * h
+    return correct / n, total
+
+
 def purity(clustering, gold, allow_missing=False):
     """Majority-mass purity in [0, 1]."""
     counts, n, _ = contingency(clustering, gold, allow_missing)
-    correct = 0
-    for cluster in sorted(counts):
-        correct += max(counts[cluster].values())
-    return correct / n
+    return _scores(counts, n)[0]
 
 
 def entropy(clustering, gold, allow_missing=False):
     """Weighted within-cluster gold-label entropy, in bits."""
     counts, n, _ = contingency(clustering, gold, allow_missing)
-    total = 0.0
-    for cluster in sorted(counts):
-        row = counts[cluster]
-        nk = sum(row.values())
-        h = 0.0
-        for group in sorted(row):
-            c = row[group]
-            if c:
-                p = c / nk
-                h -= p * math.log2(p)
-        total += (nk / n) * h
-    return total
+    return _scores(counts, n)[1]
+
+
+def score_runs(corpus, table, gold, k, seeds, net=None, mode="attention",
+               metric="cosine", n_init=10, max_iter=100):
+    """Per-seed and mean Purity/Entropy, and the count of unlabeled phrases.
+
+    Evaluation and ablation share this loop. Phrases are composed (and
+    mapped through ``net``) once; only K-means repeats per seed, scored
+    from one contingency table per run.
+    """
+    _, points = _clustering.phrase_points(corpus, table, net=net, mode=mode)
+    purities, entropies = [], []
+    skipped = 0
+    for s in seeds:
+        result = _clustering.kmeans(
+            points, k, metric=metric, seed=s, n_init=n_init, max_iter=max_iter)
+        counts, n, skipped = contingency(result, gold, allow_missing=True)
+        p, e = _scores(counts, n)
+        purities.append(p)
+        entropies.append(e)
+    row = {"purity_mean": sum(purities) / len(seeds), "purity_runs": purities,
+           "entropy_mean": sum(entropies) / len(seeds), "entropy_runs": entropies}
+    return row, skipped
 
 
 def _method_setup(method, net):
@@ -110,23 +131,9 @@ def evaluate_run(corpus, table, methods, net=None, k=None, runs=10, seed=0,
     }
     for method in methods:
         setup = _method_setup(method, net)
-        purities, entropies = [], []
-        skipped = 0
-        for s in seeds:
-            clustering = cluster_corpus(
-                corpus, table, k, net=setup["net"], mode=setup["mode"],
-                metric=setup["metric"], seed=s, n_init=n_init, max_iter=max_iter)
-            _, _, skipped = contingency(clustering, gold, allow_missing=True)
-            purities.append(purity(clustering, gold, allow_missing=True))
-            entropies.append(entropy(clustering, gold, allow_missing=True))
-        report["methods"][method] = {
-            "purity_mean": sum(purities) / runs,
-            "entropy_mean": sum(entropies) / runs,
-            "purity_runs": purities,
-            "entropy_runs": entropies,
-            "metric": setup["metric"],
-            "mode": setup["mode"],
-        }
+        row, skipped = score_runs(
+            corpus, table, gold, k, seeds, n_init=n_init, max_iter=max_iter, **setup)
+        report["methods"][method] = {**row, "metric": setup["metric"], "mode": setup["mode"]}
         report["skipped_unlabeled"] = skipped
     return report
 

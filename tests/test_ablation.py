@@ -1,7 +1,7 @@
 import pytest
 
 from metric_grouper import fixture as fx
-from metric_grouper.ablation import Combo, format_ablation, max_threads, parse_combos, run_ablation
+from metric_grouper.ablation import Combo, format_ablation, parse_combos, run_ablation
 from metric_grouper.errors import ConfigError
 from metric_grouper.evaluation import evaluate_run
 
@@ -31,20 +31,6 @@ class TestCombo:
     def test_bad_flag_rejected(self):
         with pytest.raises(ConfigError):
             Combo.parse("avg:0:frozen")
-
-
-class TestThreads:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("METRIC_GROUPER_THREADS", raising=False)
-        assert max_threads() == 1
-
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("METRIC_GROUPER_THREADS", "4")
-        assert max_threads() == 4
-
-    def test_garbage_env_ignored(self, monkeypatch):
-        monkeypatch.setenv("METRIC_GROUPER_THREADS", "many")
-        assert max_threads() == 1
 
 
 @pytest.fixture(scope="module")
@@ -104,14 +90,6 @@ class TestRunAblation:
         table = fx.make_vectors()
         with pytest.raises(ConfigError, match="duplicate"):
             run_ablation(corpus, table, parse_combos("ap:0:raw,ap:0:raw"), runs=1, seed=0)
-
-    def test_threaded_run_matches_serial(self):
-        corpus = fx.make_corpus()
-        table = fx.make_vectors()
-        combos = parse_combos("ap:0:raw,avg:0:raw,min:0:raw")
-        serial = run_ablation(corpus, table, combos, runs=2, seed=3, threads=1)
-        threaded = run_ablation(corpus, table, combos, runs=2, seed=3, threads=3)
-        assert serial == threaded
 
     def test_formatted_table(self, ablation_report):
         text = format_ablation(ablation_report)

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from metric_grouper.cli import main
+from metric_grouper.cli import _atomic_write, main
 
 
 def run(*argv):
@@ -156,6 +156,42 @@ class TestGuards:
         assert code == 1
         assert "config hash" in err
 
+    def test_corrupt_manifest_rejected(self, fixture_files, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text("{not json", encoding="utf-8")
+        code = run("pairs", *data_args(fixture_files), "--out-dir", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "manifest.json is not valid JSON" in err
+        assert (tmp_path / "manifest.json").read_text(encoding="utf-8") == "{not json"
+
+    def test_pairs_without_hash_rejected(self, fixture_files, tmp_path, capsys):
+        args = data_args(fixture_files) + ["--out-dir", str(tmp_path), "--epochs", "1"]
+        assert run("pairs", *args) == 0
+        path = tmp_path / "pairs.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        del header["config_hash"]
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n", encoding="utf-8")
+        code = run("train", *args)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "pairs.jsonl carries no config hash" in err
+        assert not (tmp_path / "model.json").exists()
+
+    def test_model_without_hash_rejected(self, fixture_files, tmp_path, capsys):
+        args = data_args(fixture_files) + ["--out-dir", str(tmp_path), "--epochs", "1"]
+        assert run("pairs", *args) == 0
+        assert run("train", *args) == 0
+        path = tmp_path / "model.json"
+        model = json.loads(path.read_text(encoding="utf-8"))
+        del model["config_hash"]
+        path.write_text(json.dumps(model), encoding="utf-8")
+        code = run("cluster", *args)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "model.json carries no config hash" in err
+        assert not (tmp_path / "clusters.tsv").exists()
+
     def test_unknown_config_key(self, fixture_files, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[training]\nmomentum = 0.9\n", encoding="utf-8")
@@ -204,3 +240,50 @@ class TestRunAll:
         assert "purity_mean" in report["methods"]["metric"]
         assert "entropy_mean" in report["methods"]["metric"]
         assert "validation: ok" in out
+
+
+class TestAtomicWrite:
+    def test_text_and_permissions(self, tmp_path):
+        target = tmp_path / "out.txt"
+        _atomic_write(str(target), "hello\n")
+        assert target.read_text(encoding="utf-8") == "hello\n"
+        umask = os.umask(0)
+        os.umask(umask)
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_failing_writer_leaves_nothing(self, tmp_path):
+        target = tmp_path / "out.json"
+
+        def failing(tmp):
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write("partial")
+            raise RuntimeError("writer failed")
+
+        with pytest.raises(RuntimeError, match="writer failed"):
+            _atomic_write(str(target), failing)
+        assert os.listdir(tmp_path) == []
+
+    def test_concurrent_writers_use_distinct_temp_files(self, tmp_path):
+        # An inner write to the same target runs while the outer one is open.
+        target = tmp_path / "out.json"
+        temps = []
+
+        def inner(tmp):
+            temps.append(tmp)
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write("inner")
+
+        def outer(tmp):
+            temps.append(tmp)
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write("outer")
+            _atomic_write(str(target), inner)
+            with open(tmp, encoding="utf-8") as fh:
+                assert fh.read() == "outer"
+
+        _atomic_write(str(target), outer)
+        assert temps[0] != temps[1]
+        assert all(os.path.dirname(t) == str(tmp_path) for t in temps)
+        assert target.read_text(encoding="utf-8") == "outer"
+        assert os.listdir(tmp_path) == ["out.json"]

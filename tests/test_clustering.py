@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from metric_grouper import clustering
 from metric_grouper.clustering import Clustering, cluster_corpus, kmeans, phrase_points
 from metric_grouper.corpus import AnnotatedCorpus, AnnotatedSentence, Mention, WordVectorTable
 from metric_grouper.errors import DimensionMismatchError, TooFewPointsError
@@ -25,6 +27,54 @@ def exhaustive_best_inertia(points, k):
 
 def named(points):
     return {f"p{i:02d}": vec for i, vec in enumerate(points)}
+
+
+def reference_kmeanspp(points, k, rng):
+    """k-means++ seeding with distances from explicit differences."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = rng.integers(n)
+        centers[c] = points[idx]
+        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
+    return centers
+
+
+def reference_lloyd(points, centers, max_iter, trace=None):
+    """Lloyd iterations over the (n, k, d) broadcast, one mask per cluster."""
+    n, k = points.shape[0], centers.shape[0]
+    prev = None
+    assign = np.zeros(n, dtype=int)
+    for _ in range(max_iter):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assign = d2.argmin(axis=1)
+        sizes = np.bincount(assign, minlength=k)
+        if (sizes == 0).any():
+            dist_own = d2[np.arange(n), assign]
+            for c in np.flatnonzero(sizes == 0):
+                idx = int(dist_own.argmax())
+                if dist_own[idx] <= 0.0:
+                    break
+                assign[idx] = c
+                centers[c] = points[idx]
+                dist_own[idx] = -1.0
+        if trace is not None:
+            trace.append(float(((points - centers[assign]) ** 2).sum()))
+        if prev is not None and np.array_equal(assign, prev):
+            break
+        prev = assign.copy()
+        for c in range(k):
+            members = points[assign == c]
+            if len(members):
+                centers[c] = members.mean(axis=0)
+    inertia = float(((points - centers[assign]) ** 2).sum())
+    return assign, centers, inertia
 
 
 class TestKmeans:
@@ -103,6 +153,58 @@ class TestKmeans:
         assert result.assignments["c"] == result.assignments["d"]
         assert result.assignments["a"] != result.assignments["c"]
         assert result.inertia == pytest.approx(0.0, abs=1e-12)
+
+    # Cosine with d = 1 leaves two distinct points, so some cases end with
+    # empty clusters; both implementations must agree there too.
+    @pytest.mark.filterwarnings("ignore:.*ended up empty")
+    def test_matches_broadcast_reference(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        cases = []
+        for i in range(30):
+            n = int(rng.integers(2, 201))
+            k = int(rng.integers(1, min(n, 10) + 1))
+            d = int(rng.integers(1, 21))
+            data = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0)
+            metric = clustering.METRICS[i % 2]
+            cases.append((named(data), k, metric, int(rng.integers(1 << 31))))
+        fast = [kmeans(pts, k, metric=metric, seed=seed) for pts, k, metric, seed in cases]
+        monkeypatch.setattr(clustering, "_kmeanspp",
+                            lambda points, x2, k, rng: reference_kmeanspp(points, k, rng))
+        monkeypatch.setattr(clustering, "_lloyd",
+                            lambda points, x2, centers, max_iter, trace=None:
+                            reference_lloyd(points, centers, max_iter, trace))
+        for (pts, k, metric, seed), got in zip(cases, fast):
+            want = kmeans(pts, k, metric=metric, seed=seed)
+            assert got.assignments == want.assignments
+            assert got.inertia == pytest.approx(want.inertia, rel=1e-12, abs=1e-300)
+
+    def test_empty_cluster_reseed_matches_reference(self):
+        # Centers placed far from every point start empty and get re-seeded.
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            n, k, d = int(rng.integers(5, 60)), int(rng.integers(2, 6)), int(rng.integers(1, 6))
+            points = rng.normal(size=(n, d))
+            centers = points[rng.choice(n, size=k, replace=False)].copy()
+            centers[rng.integers(1, k):] += 1000.0
+            got_trace, want_trace = [], []
+            got = clustering._lloyd(points, (points ** 2).sum(axis=1), centers.copy(), 50,
+                                    got_trace)
+            want = reference_lloyd(points, centers.copy(), 50, want_trace)
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-12)
+            assert got_trace == pytest.approx(want_trace, rel=1e-12)
+
+    def test_memory_is_not_n_by_k_by_d(self):
+        # The (n, k, d) difference tensor alone would be 5000*100*50*8 B = 200 MB.
+        rng = np.random.default_rng(8)
+        pts = named(rng.normal(size=(5000, 50)))
+        tracemalloc.start()
+        try:
+            kmeans(pts, 100, seed=0, n_init=1, max_iter=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(7)

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from metric_grouper import clustering, evaluation
 from metric_grouper.errors import MissingLabelError
 from metric_grouper.evaluation import (
     contingency,
@@ -153,6 +154,26 @@ class TestEvaluateRun:
             single.assignments, gold, allow_missing=True)
         assert report["methods"]["avg"]["entropy_mean"] == entropy(
             single.assignments, gold, allow_missing=True)
+
+    def test_composes_once_per_method_and_counts_once_per_run(
+            self, monkeypatch, fixture_corpus, fixture_table, trained_net):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(clustering, "compose_test_phrase",
+                            counting("compose", clustering.compose_test_phrase))
+        monkeypatch.setattr(evaluation, "contingency",
+                            counting("contingency", evaluation.contingency))
+        methods = ["metric", "avg", "ap"]
+        evaluate_run(fixture_corpus, fixture_table, methods, net=trained_net[0],
+                     k=2, runs=4, seed=0)
+        assert calls["compose"] == len(fixture_corpus.phrases()) * len(methods)
+        assert calls["contingency"] == 4 * len(methods)
 
     def test_report_reproducible(self, fixture_corpus, fixture_table):
         a = evaluate_run(fixture_corpus, fixture_table, ["avg", "ap"], k=2, runs=3, seed=5)
