@@ -19,14 +19,15 @@ import sys
 import tempfile
 
 from . import __version__
+from . import clustering as _clustering
 from .ablation import format_ablation, parse_combos, run_ablation
-from .clustering import cluster_corpus, phrase_points
 from .config import FLAG_MAP, config_hash, resolve, train_config_from
 from .corpus import load_corpus, load_word_vectors, save_corpus
 from .errors import (
     ArtifactMismatchError,
     MetricGrouperError,
     MissingModelError,
+    UnknownWordError,
 )
 from .evaluation import evaluate_run, format_report
 from .fixture import write_fixture
@@ -116,9 +117,21 @@ def _out_dir(args):
     return args.out_dir
 
 
-def _load_table(args):
+def _load_table(args, loaded=None):
     _require(args, "vectors")
-    return load_word_vectors(args.vectors)
+    return loaded["vectors"] if loaded else load_word_vectors(args.vectors)
+
+
+def _mapped_count(corpus, tax):
+    """Distinct phrases mapped to a concept of positive count, as lexicon.incompatible needs."""
+    mapped = 0
+    for phrase in corpus.phrases():
+        try:
+            tax.phrase_concepts(phrase)
+            mapped += 1
+        except UnknownWordError:
+            pass
+    return mapped
 
 
 def _check_hash(kind, embedded, current):
@@ -129,7 +142,8 @@ def _check_hash(kind, embedded, current):
             f"regenerate it or restore the original configuration")
 
 
-def cmd_validate(args):
+def cmd_validate(args, loaded=None):
+    """Check every input file; a clean run stores the parsed inputs in the ``loaded`` dict."""
     _require(args, "corpus", "vectors")
     problems = []
 
@@ -162,13 +176,14 @@ def cmd_validate(args):
             print(f"warning: {total - known} corpus token(s) have no vector")
     if args.taxonomy and tax is not None:
         print(f"taxonomy: {len(tax.concepts)} concepts, {len(tax.word_map)} mapped words")
-        mapped = sum(1 for p in corpus.phrases()
-                     if any(t in tax.word_map for t in p.split()))
+        mapped = _mapped_count(corpus, tax)
         print(f"phrases with a concept mapping: {mapped}/{len(corpus.phrase_index)}")
 
     for problem in problems:
         print(f"error: {problem}")
     print("validation: " + ("FAILED" if problems else "ok"))
+    if loaded is not None and not problems:
+        loaded.update(corpus=corpus, vectors=table, taxonomy=tax)
     return 1 if problems else 0
 
 
@@ -215,14 +230,16 @@ def cmd_split(args):
     return 0
 
 
-def cmd_pairs(args):
+def cmd_pairs(args, loaded=None):
     _require(args, "corpus", "taxonomy")
     out_dir = _out_dir(args)
     resolved = _resolved(args)
     chash = config_hash(resolved)
     section = resolved["pairs"]
-    corpus = load_corpus(args.corpus)
-    tax = load_taxonomy(args.taxonomy)
+    corpus = loaded["corpus"] if loaded else load_corpus(args.corpus)
+    tax = loaded["taxonomy"] if loaded else load_taxonomy(args.taxonomy)
+    print(f"phrases with no concept mapping (never incompatible): "
+          f"{len(corpus.phrase_index) - _mapped_count(corpus, tax)}/{len(corpus.phrase_index)}")
     samples = generate_samples(corpus)
     pairs = generate_pairs(
         samples, tax, section["eta"], seed=section["seed"],
@@ -244,11 +261,11 @@ def cmd_pairs(args):
     return 0
 
 
-def cmd_train(args):
+def cmd_train(args, loaded=None):
     out_dir = _out_dir(args)
     resolved = _resolved(args)
     chash = config_hash(resolved)
-    table = _load_table(args)
+    table = _load_table(args, loaded)
     pairs_path = os.path.join(out_dir, PAIRS_FILE)
     if not os.path.exists(pairs_path):
         raise MetricGrouperError(
@@ -286,13 +303,13 @@ def _load_net(out_dir, chash):
     return net, model_path
 
 
-def cmd_cluster(args):
+def cmd_cluster(args, loaded=None):
     _require(args, "corpus")
     out_dir = _out_dir(args)
     resolved = _resolved(args)
     chash = config_hash(resolved)
-    corpus = load_corpus(args.corpus)
-    table = _load_table(args)
+    corpus = loaded["corpus"] if loaded else load_corpus(args.corpus)
+    table = _load_table(args, loaded)
     section = resolved["clustering"]
     method = getattr(args, "method", "metric")
 
@@ -311,29 +328,29 @@ def cmd_cluster(args):
             raise MetricGrouperError("k is not configured and the corpus has no gold labels")
         k = len(set(gold.values()))
     metric = section["metric"] or ("euclidean" if net is not None else "cosine")
-    clustering = cluster_corpus(
-        corpus, table, k, net=net, mode=mode, metric=metric,
+    composed, projected = _clustering.phrase_points(corpus, table, net=net, mode=mode)
+    result = _clustering.kmeans(
+        projected, k, metric=metric,
         seed=section["seed"], n_init=section["n_init"], max_iter=section["max_iter"])
 
     lines = [f"# config_hash={chash}"]
-    for phrase in sorted(clustering.assignments):
-        lines.append(f"{phrase}\t{clustering.assignments[phrase]}")
+    for phrase in sorted(result.assignments):
+        lines.append(f"{phrase}\t{result.assignments[phrase]}")
     clusters_path = os.path.join(out_dir, CLUSTERS_FILE)
     _atomic_write(clusters_path, "\n".join(lines) + "\n")
-    print(f"wrote {clusters_path} (k={k}, metric={metric}, inertia={clustering.inertia:.6f})")
-    if clustering.empty_clusters:
-        print(f"warning: empty clusters {list(clustering.empty_clusters)}")
+    print(f"wrote {clusters_path} (k={k}, metric={metric}, inertia={result.inertia:.6f})")
+    if result.empty_clusters:
+        print(f"warning: empty clusters {list(result.empty_clusters)}")
     outputs = {CLUSTERS_FILE: clusters_path}
 
     if getattr(args, "dump_composed", None):
-        composed, _ = phrase_points(corpus, table, net=net, mode=mode)
         rows = [f"{p}\t" + " ".join(repr(float(v)) for v in composed[p])
                 for p in sorted(composed)]
         _atomic_write(args.dump_composed, "\n".join(rows) + "\n")
         outputs[os.path.basename(args.dump_composed)] = args.dump_composed
         print(f"wrote {args.dump_composed}")
     if getattr(args, "dump_centroids", None):
-        rows = [" ".join(repr(float(v)) for v in c) for c in clustering.centroids]
+        rows = [" ".join(repr(float(v)) for v in c) for c in result.centroids]
         _atomic_write(args.dump_centroids, "\n".join(rows) + "\n")
         outputs[os.path.basename(args.dump_centroids)] = args.dump_centroids
         print(f"wrote {args.dump_centroids}")
@@ -342,13 +359,13 @@ def cmd_cluster(args):
     return 0
 
 
-def cmd_eval(args):
+def cmd_eval(args, loaded=None):
     _require(args, "corpus")
     out_dir = _out_dir(args)
     resolved = _resolved(args)
     chash = config_hash(resolved)
-    corpus = load_corpus(args.corpus)
-    table = _load_table(args)
+    corpus = loaded["corpus"] if loaded else load_corpus(args.corpus)
+    table = _load_table(args, loaded)
     methods = resolved["evaluation"]["methods"]
     inputs = {"corpus": args.corpus, "vectors": args.vectors}
     net = None
@@ -411,11 +428,12 @@ def cmd_ablate(args):
 
 def cmd_run_all(args):
     _require(args, "corpus", "vectors", "taxonomy")
-    code = cmd_validate(args)
+    loaded = {}
+    code = cmd_validate(args, loaded)
     if code:
         return code
     for step in (cmd_pairs, cmd_train, cmd_cluster, cmd_eval):
-        code = step(args)
+        code = step(args, loaded)
         if code:
             return code
     return 0

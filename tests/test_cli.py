@@ -1,9 +1,17 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+from metric_grouper import cli
+from metric_grouper import clustering as clustering_mod
 from metric_grouper.cli import _atomic_write, main
+from metric_grouper.clustering import cluster_corpus
+from metric_grouper.corpus import load_corpus, load_word_vectors
+from metric_grouper.network import load_model
+
+ARTIFACTS = ("pairs.jsonl", "model.json", "clusters.tsv", "metrics.json", "manifest.json")
 
 
 def run(*argv):
@@ -58,6 +66,28 @@ class TestValidate:
         assert "line 2" in out
         assert "validation: FAILED" in out
 
+    def test_zero_count_concept_is_not_a_mapping(self, fixture_files, tmp_path, capsys):
+        # "picture" maps only to a concept with propagated count 0, which
+        # lexicon.incompatible cannot use; validate and pairs must agree on that.
+        text = Path(fixture_files["taxonomy"]).read_text(encoding="utf-8")
+        records = [json.loads(line) for line in text.splitlines() if line.strip()]
+        for rec in records:
+            if rec.get("word") == "picture":
+                rec["concepts"] = ["unused"]
+        records.append({"concept": "unused", "count": 0.0, "parents": ["root"]})
+        tax = tmp_path / "taxonomy.jsonl"
+        tax.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        args = data_args(dict(fixture_files, taxonomy=str(tax)))
+
+        assert run("validate", *args) == 0
+        assert "phrases with a concept mapping: 5/6" in capsys.readouterr().out
+        assert run("pairs", *args, "--out-dir", str(tmp_path)) == 0
+        out = capsys.readouterr().out
+        assert "phrases with no concept mapping (never incompatible): 1/6" in out
+        with open(tmp_path / "pairs.jsonl", encoding="utf-8") as fh:
+            header = json.loads(fh.readline())
+        assert set(header) == {"kind", "config_hash", "eta", "seed", "positives", "negatives"}
+
     def test_missing_vectors_warn_but_pass(self, fixture_files, tmp_path, capsys):
         vecs = tmp_path / "small.txt"
         vecs.write_text("picture 1.0 0.0\nsound 0.0 1.0\n", encoding="utf-8")
@@ -71,8 +101,7 @@ class TestValidate:
 class TestPipeline:
     def test_artifacts_exist(self, pipeline_dir):
         out, _ = pipeline_dir
-        for name in ("pairs.jsonl", "model.json", "clusters.tsv",
-                     "metrics.json", "manifest.json"):
+        for name in ARTIFACTS:
             assert (out / name).exists()
 
     def test_pairs_header_and_balance(self, pipeline_dir):
@@ -131,6 +160,37 @@ class TestPipeline:
         phrase, vector = rows[0].split("\t")
         assert len(vector.split()) == 16
         assert len(centroids.read_text(encoding="utf-8").splitlines()) == 2
+
+    def test_dump_composed_composes_each_phrase_once(self, pipeline_dir, tmp_path,
+                                                     monkeypatch, fixture_files):
+        out, args = pipeline_dir
+        clusters_before = (out / "clusters.tsv").read_text(encoding="utf-8")
+        calls = []
+        compose = clustering_mod.compose_test_phrase
+
+        def counting(phrase, *rest, **kwargs):
+            calls.append(phrase)
+            return compose(phrase, *rest, **kwargs)
+
+        monkeypatch.setattr(clustering_mod, "compose_test_phrase", counting)
+        composed_path = tmp_path / "composed.tsv"
+        assert run("cluster", *args, "--dump-composed", str(composed_path)) == 0
+        assert len(calls) == len(set(calls)) == 6
+        monkeypatch.undo()
+
+        assert (out / "clusters.tsv").read_text(encoding="utf-8") == clusters_before
+        corpus = load_corpus(fixture_files["corpus"])
+        table = load_word_vectors(fixture_files["vectors"])
+        net, _ = load_model(str(out / "model.json"))
+        expected = cluster_corpus(corpus, table, 2, net=net, mode=net.composition_mode,
+                                  metric="euclidean", seed=42, n_init=10, max_iter=100)
+        rows = [line.split("\t") for line in clusters_before.splitlines()[1:]]
+        assert {p: int(c) for p, c in rows} == expected.assignments
+        composed, _ = clustering_mod.phrase_points(corpus, table, net=net,
+                                                   mode=net.composition_mode)
+        assert composed_path.read_text(encoding="utf-8") == "".join(
+            f"{p}\t" + " ".join(repr(float(v)) for v in composed[p]) + "\n"
+            for p in sorted(composed))
 
 
 class TestGuards:
@@ -240,6 +300,40 @@ class TestRunAll:
         assert "purity_mean" in report["methods"]["metric"]
         assert "entropy_mean" in report["methods"]["metric"]
         assert "validation: ok" in out
+
+    def test_matches_separate_steps_and_loads_inputs_once(self, fixture_files, tmp_path,
+                                                          monkeypatch):
+        steps_dir, all_dir = tmp_path / "steps", tmp_path / "all"
+        base = data_args(fixture_files) + ["--epochs", "3"]
+        for command in ("validate", "pairs", "train", "cluster", "eval"):
+            assert run(command, *base, "--out-dir", str(steps_dir)) == 0
+
+        calls = {}
+        for name in ("load_word_vectors", "load_corpus", "load_taxonomy"):
+            def counting(*a, _name=name, _fn=getattr(cli, name), **kw):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*a, **kw)
+            monkeypatch.setattr(cli, name, counting)
+        assert run("run-all", *base, "--out-dir", str(all_dir)) == 0
+        assert calls == {"load_word_vectors": 1, "load_corpus": 1, "load_taxonomy": 1}
+        for name in ARTIFACTS:
+            assert (all_dir / name).read_bytes() == (steps_dir / name).read_bytes(), name
+
+    def test_bad_vectors_stop_at_validate(self, fixture_files, tmp_path, capsys):
+        lines = Path(fixture_files["vectors"]).read_text(encoding="utf-8").splitlines()
+        token, *comps = lines[3].split()
+        lines[3] = " ".join([token, "oops"] + comps[1:])
+        vecs = tmp_path / "vectors.txt"
+        vecs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        args = data_args(dict(fixture_files, vectors=str(vecs)))
+        code = run("run-all", *args, "--out-dir", str(out_dir), "--epochs", "3")
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "line 4: non-numeric vector component" in out
+        assert "validation: FAILED" in out
+        assert not (out_dir / "pairs.jsonl").exists()
+        assert not (out_dir / "model.json").exists()
 
 
 class TestAtomicWrite:
