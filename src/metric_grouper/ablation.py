@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .composition import MODES
 from .errors import ConfigError
 from .evaluation import score_runs
 from .network import MetricNetwork, train
@@ -25,7 +26,7 @@ class Combo:
     train: bool
 
     def __post_init__(self):
-        if self.mode not in ("attention", "avg", "min", "max", "ap"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown composition mode {self.mode!r}")
         if self.mlp_layers not in (0, 1, 3):
             raise ConfigError("mlp_layers must be 0, 1 or 3")

@@ -34,9 +34,6 @@ class AttentionParams:
         """Zero scores, which make the weighting start out uniform."""
         return cls(np.zeros(2 * word_dim))
 
-    def copy(self):
-        return AttentionParams(self.w_a.copy())
-
 
 @dataclass
 class ComposedInput:

@@ -14,9 +14,9 @@ from __future__ import annotations
 import configparser
 import hashlib
 
+from .composition import MODES
 from .errors import ConfigError
 
-_MODES = ("attention", "avg", "min", "max", "ap")
 _METRICS = ("", "euclidean", "cosine")
 _ACTIVATIONS = ("tanh", "identity")
 
@@ -64,7 +64,7 @@ SCHEMA = {
         "allow_replacement": (_parse_bool, "false"),
     },
     "composition": {
-        "mode": (_choice(_MODES), "attention"),
+        "mode": (_choice(MODES), "attention"),
     },
     "network": {
         "output_dim": (int, "50"),

@@ -80,6 +80,9 @@ class Taxonomy:
         self.total = self.propagated[self.root]
         if self.total <= 0:
             raise FormatError("total propagated count at the root must be positive")
+        self._information = {c: -math.log(p / self.total) + 0.0
+                             for c, p in self.propagated.items() if p > 0}
+        self._phrase_concepts: dict[str, frozenset[str]] = {}
 
         self.word_map: dict[str, frozenset[str]] = {}
         for word, cs in word_map.items():
@@ -118,8 +121,11 @@ class Taxonomy:
         """Concepts for a phrase via its head token (the last token).
 
         Falls back to any constituent token with a usable mapping. Only
-        concepts with positive propagated count qualify.
+        concepts with positive propagated count qualify. A found set is
+        remembered per phrase; the taxonomy never changes.
         """
+        if phrase in self._phrase_concepts:
+            return self._phrase_concepts[phrase]
         tokens = phrase.lower().split()
         if not tokens:
             raise UnknownWordError("empty phrase")
@@ -127,6 +133,7 @@ class Taxonomy:
             usable = frozenset(
                 c for c in self.word_map.get(tok, ()) if self.propagated[c] > 0)
             if usable:
+                self._phrase_concepts[phrase] = usable
                 return usable
         raise UnknownWordError(f"no concept mapping for {phrase!r}")
 
@@ -134,12 +141,12 @@ class Taxonomy:
 def information_content(concept, tax):
     """-ln(propagated_count / total); zero at the root."""
     concept = str(concept)
-    if concept not in tax.concepts:
-        raise UnknownConceptError(f"unknown concept {concept!r}")
-    p = tax.propagated[concept]
-    if p <= 0:
+    ic = tax._information.get(concept)
+    if ic is None:
+        if concept not in tax.concepts:
+            raise UnknownConceptError(f"unknown concept {concept!r}")
         raise ZeroProbabilityError(f"concept {concept!r} has zero propagated count")
-    return -math.log(p / tax.total) + 0.0
+    return ic
 
 
 def lcs(c1, c2, tax):

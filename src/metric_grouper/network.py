@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import AttentionParams, attention_weights, compose_vectors
+from .composition import MODES, AttentionParams, compose_vectors
 from .errors import DimensionMismatchError, DivergenceError, FormatError
 
 MODEL_FORMAT_VERSION = 1
@@ -36,18 +36,7 @@ def _sigmoid(z):
     return e / (1.0 + e)
 
 
-def _identity(z):
-    return z
-
-
-ACTIVATIONS = {"tanh": np.tanh, "identity": _identity}
-
-
-def _activation_grad(name, activated):
-    """f'(z) expressed through f(z); valid for tanh and identity."""
-    if name == "tanh":
-        return 1.0 - activated ** 2
-    return np.ones_like(activated)
+ACTIVATIONS = ("tanh", "identity")
 
 
 def interior_dims(input_dim, output_dim, n_layers):
@@ -94,7 +83,12 @@ class TrainConfig:
 
 
 class MetricNetwork:
-    """MLP branch shared by both sides of the Siamese pair."""
+    """MLP branch shared by both sides of the Siamese pair.
+
+    ``weights``, ``biases`` and ``attention.w_a`` are views into one flat
+    buffer, ``params``, in that order layer by layer; its first ``n_mlp``
+    entries are the MLP parameters, and gradients share their layout.
+    """
 
     def __init__(self, weights, biases, activation="tanh", attention=None,
                  dropout_rate=0.5, composition_mode="attention"):
@@ -102,22 +96,54 @@ class MetricNetwork:
             raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}")
         if len(weights) != len(biases) or not weights:
             raise ValueError("need matching, non-empty weight and bias lists")
-        self.weights = [np.array(w, dtype=float) for w in weights]
-        self.biases = [np.array(b, dtype=float) for b in biases]
-        for m, (w, b) in enumerate(zip(self.weights, self.biases)):
+        weights = [np.array(w, dtype=float) for w in weights]
+        biases = [np.array(b, dtype=float) for b in biases]
+        for m, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise DimensionMismatchError(f"layer {m}: weight/bias shapes disagree")
-            if m and w.shape[1] != self.weights[m - 1].shape[0]:
+            if m and w.shape[1] != weights[m - 1].shape[0]:
                 raise DimensionMismatchError(
                     f"layer {m}: input width {w.shape[1]} does not chain with "
-                    f"previous output {self.weights[m - 1].shape[0]}")
+                    f"previous output {weights[m - 1].shape[0]}")
         self.activation = activation
+        self._tanh = activation == "tanh"
         self.dropout_rate = float(dropout_rate)
         if not 0 <= self.dropout_rate < 1:
             raise ValueError("dropout_rate must lie in [0, 1)")
         self.composition_mode = composition_mode
-        self.attention = attention if attention is not None else AttentionParams.zeros(
-            self.input_dim if composition_mode == "ap" else self.input_dim // 2)
+        if attention is None:
+            input_dim = weights[0].shape[1]
+            attention = AttentionParams.zeros(
+                input_dim if composition_mode == "ap" else input_dim // 2)
+        self._bind(weights, biases, attention.w_a)
+
+    def _bind(self, weights, biases, w_a):
+        """Copy the parameters into one new buffer and point the attributes at it."""
+        self._shapes = [w.shape for w in weights]
+        self.params = np.concatenate(
+            [a.ravel() for wb in zip(weights, biases) for a in wb] + [w_a])
+        self.n_mlp = self.params.size - w_a.size
+        self.weights, self.biases = self.split(self.params)
+        self._attention = AttentionParams(self.params[self.n_mlp:])
+        self._weights_t = [w.T for w in self.weights]
+
+    def split(self, flat):
+        """Per-layer weight and bias views into a buffer laid out like ``params``."""
+        weights, biases, off = [], [], 0
+        for rows, cols in self._shapes:
+            weights.append(flat[off:off + rows * cols].reshape(rows, cols))
+            off += rows * cols
+            biases.append(flat[off:off + rows])
+            off += rows
+        return weights, biases
+
+    @property
+    def attention(self):
+        return self._attention
+
+    @attention.setter
+    def attention(self, params):
+        self._bind(self.weights, self.biases, params.w_a)
 
     @property
     def input_dim(self):
@@ -155,16 +181,6 @@ class MetricNetwork:
                    attention=AttentionParams.zeros(word_dim),
                    dropout_rate=dropout_rate, composition_mode=mode)
 
-    def copy(self):
-        return MetricNetwork(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            activation=self.activation,
-            attention=self.attention.copy(),
-            dropout_rate=self.dropout_rate,
-            composition_mode=self.composition_mode,
-        )
-
     def forward(self, x, rng=None):
         """Map x through the layers; returns (output, cache).
 
@@ -176,41 +192,47 @@ class MetricNetwork:
         if x.shape != (self.input_dim,):
             raise DimensionMismatchError(
                 f"input has shape {x.shape}, expected ({self.input_dim},)")
+        return self._forward(x, rng)
+
+    def _forward(self, x, rng=None):
+        """Unchecked forward pass of one branch; see forward()."""
+        drop = rng is not None and self.dropout_rate > 0
+        keep = 1.0 - self.dropout_rate
+        last = self.n_layers - 1
         a = x
         inputs, acts, masks = [], [], []
-        last = self.n_layers - 1
         for m, (w, b) in enumerate(zip(self.weights, self.biases)):
             inputs.append(a)
-            h = ACTIVATIONS[self.activation](w @ a + b)
+            z = w @ a + b
+            h = np.tanh(z) if self._tanh else z
             acts.append(h)
-            if m < last and rng is not None and self.dropout_rate > 0:
-                keep = 1.0 - self.dropout_rate
-                mask = (rng.random(h.shape) < keep) / keep
-                a = h * mask
-            else:
-                mask = None
-                a = h
+            mask = (rng.random(h.shape) < keep) / keep if drop and m < last else None
             masks.append(mask)
+            a = h if mask is None else h * mask
         return a, {"inputs": inputs, "acts": acts, "masks": masks}
 
-    def backward(self, cache, grad_out):
-        """Gradients of a scalar through the cached pass.
+    def backward(self, cache, u, grads_w, grads_b, add=False, input_grad=True):
+        """Backpropagate the output gradient ``u`` through the cached pass.
 
-        Returns per-layer weight and bias gradients plus the gradient with
-        respect to the input vector.
+        Writes the weight and bias gradients into views from split(), or
+        adds them there with ``add``. Returns the input gradient, or None
+        when ``input_grad`` is false and its product is skipped.
         """
-        u = grad_out
-        grads_w = [None] * self.n_layers
-        grads_b = [None] * self.n_layers
+        inputs, acts, masks = cache["inputs"], cache["acts"], cache["masks"]
         for m in range(self.n_layers - 1, -1, -1):
-            mask = cache["masks"][m]
-            if mask is not None:
-                u = u * mask
-            delta = u * _activation_grad(self.activation, cache["acts"][m])
-            grads_w[m] = np.outer(delta, cache["inputs"][m])
-            grads_b[m] = delta
-            u = self.weights[m].T @ delta
-        return grads_w, grads_b, u
+            if masks[m] is not None:
+                u = u * masks[m]
+            delta = u * (1.0 - acts[m] ** 2) if self._tanh else u
+            if add:
+                grads_w[m] += np.multiply.outer(delta, inputs[m])
+                grads_b[m] += delta
+            else:
+                np.multiply.outer(delta, inputs[m], out=grads_w[m])
+                grads_b[m][...] = delta
+            if m == 0 and not input_grad:
+                return None
+            u = self._weights_t[m] @ delta
+        return u
 
     def distance_sq(self, x_i, x_j):
         """Squared Euclidean distance between the mapped inputs (eval mode)."""
@@ -220,10 +242,15 @@ class MetricNetwork:
         return float(diff @ diff)
 
     def params_finite(self):
-        for w, b in zip(self.weights, self.biases):
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                return False
-        return bool(np.all(np.isfinite(self.attention.w_a)))
+        return bool(np.isfinite(self.params).all())
+
+
+def _margin_loss(d2, label, cfg):
+    """softplus(omega)/2 with omega = 1 - label * (t - d2); returns (loss, omega)."""
+    if label not in (1, -1):
+        raise ValueError("label must be +1 or -1")
+    omega = 1.0 - label * (cfg.margin_t - d2)
+    return 0.5 * float(softplus(omega, cfg.beta)), omega
 
 
 def pair_loss(net, x_i, x_j, label, cfg):
@@ -232,11 +259,7 @@ def pair_loss(net, x_i, x_j, label, cfg):
     omega = 1 - label * (t - d^2) measures how far the pair sits from
     satisfying its margin constraint. Evaluation-mode forwards.
     """
-    if label not in (1, -1):
-        raise ValueError("label must be +1 or -1")
-    d2 = net.distance_sq(x_i, x_j)
-    omega = 1.0 - label * (cfg.margin_t - d2)
-    return 0.5 * float(softplus(omega, cfg.beta)), omega
+    return _margin_loss(net.distance_sq(x_i, x_j), label, cfg)
 
 
 def regularizer(net, cfg):
@@ -252,38 +275,47 @@ def regularizer(net, cfg):
 
 
 def objective(net, composed_pairs, cfg):
-    """Sum of pair losses plus the regularizer."""
+    """Sum of pair losses plus the regularizer.
+
+    Each distinct input array is forwarded once, however many pairs share
+    it; evaluation-mode forwards are deterministic, so the sum is the same.
+    """
+    outputs = {}  # id(x) -> (x, output); holding x keeps its id from being reused
     total = 0.0
     for x_i, x_j, label in composed_pairs:
-        loss, _ = pair_loss(net, x_i, x_j, label, cfg)
-        total += loss
+        for x in (x_i, x_j):
+            if id(x) not in outputs:
+                outputs[id(x)] = (x, net.forward(x)[0])
+        diff = outputs[id(x_i)][1] - outputs[id(x_j)][1]
+        total += _margin_loss(float(diff @ diff), label, cfg)[0]
     return total + regularizer(net, cfg)
 
 
-def pair_gradients(net, x_i, x_j, label, cfg, rng=None):
+def pair_gradients(net, x_i, x_j, label, cfg, rng=None, input_grads=True):
     """Exact gradients of the per-pair loss term.
 
     Gradients flow through both branches and sum on the shared weights.
     With ``rng`` given, each branch draws its own dropout masks (branch i
     first) and the returned loss is the dropped-out one actually
-    differentiated. Returns a dict with per-layer weight/bias gradients,
-    input gradients for both branches, and the loss and omega values.
+    differentiated. Returns a dict with the flat MLP gradient and its
+    per-layer weight/bias views, input gradients for both branches (None
+    unless ``input_grads``), and the loss and omega values. Input shapes
+    are unchecked; forward() and train() check them.
     """
-    if label not in (1, -1):
-        raise ValueError("label must be +1 or -1")
-    h_i, cache_i = net.forward(x_i, rng=rng)
-    h_j, cache_j = net.forward(x_j, rng=rng)
+    h_i, cache_i = net._forward(x_i, rng)
+    h_j, cache_j = net._forward(x_j, rng)
     diff = h_i - h_j
-    d2 = float(diff @ diff)
-    omega = 1.0 - label * (cfg.margin_t - d2)
-    loss = 0.5 * float(softplus(omega, cfg.beta))
+    loss, omega = _margin_loss(float(diff @ diff), label, cfg)
     # d loss / d d2 = sigmoid(beta * omega) * label / 2
     coef = 0.5 * _sigmoid(cfg.beta * omega) * label
-    gw_i, gb_i, gx_i = net.backward(cache_i, coef * 2.0 * diff)
-    gw_j, gb_j, gx_j = net.backward(cache_j, coef * -2.0 * diff)
-    grads_w = [a + b for a, b in zip(gw_i, gw_j)]
-    grads_b = [a + b for a, b in zip(gb_i, gb_j)]
+    flat = np.empty(net.n_mlp)
+    grads_w, grads_b = net.split(flat)
+    gx_i = net.backward(cache_i, coef * 2.0 * diff, grads_w, grads_b,
+                        input_grad=input_grads)
+    gx_j = net.backward(cache_j, coef * -2.0 * diff, grads_w, grads_b, add=True,
+                        input_grad=input_grads)
     return {
+        "flat": flat,
         "weights": grads_w,
         "biases": grads_b,
         "x_i": gx_i,
@@ -372,12 +404,13 @@ def train(net, pairs, table, cfg, mode="attention"):
     the evaluation-mode mean objective after each epoch; identical seeds
     and data reproduce it bitwise.
 
-    Raises DivergenceError, naming epoch and pair index, if any parameter
-    stops being finite.
+    Labels and the composed input width are checked before the first
+    step. Raises DivergenceError, naming epoch and pair index, if any
+    parameter stops being finite.
     """
     if not pairs:
         raise ValueError("no training pairs")
-    if mode not in ("attention", "avg", "min", "max", "ap"):
+    if mode not in MODES:
         raise ValueError(f"unknown composition mode {mode!r}")
     rng = np.random.default_rng(cfg.seed)
     policy_zero = table.unknown_policy == "zero-vector"
@@ -395,12 +428,15 @@ def train(net, pairs, table, cfg, mode="attention"):
 
     samples = []
     index = {}
-    for pair in pairs:
+    pair_idx = []
+    for n, pair in enumerate(pairs):
+        if pair.label not in (1, -1):
+            raise ValueError(f"pair {n}: label must be +1 or -1, got {pair.label!r}")
         for s in (pair.left, pair.right):
             if s not in index:
                 index[s] = len(samples)
                 samples.append(s)
-    pair_idx = [(index[p.left], index[p.right], p.label) for p in pairs]
+        pair_idx.append((index[pair.left], index[pair.right], pair.label))
 
     tune_attention = cfg.finetune_attention and mode == "attention"
     recompose = tune_attention or cfg.finetune_embeddings
@@ -410,6 +446,10 @@ def train(net, pairs, table, cfg, mode="attention"):
     def compose_now(k):
         return compose_vectors(parts[k].context, parts[k].p, net.attention, mode)
 
+    width = dim if mode == "ap" else 2 * dim
+    if width != net.input_dim:
+        raise DimensionMismatchError(
+            f"composed inputs have width {width}, network expects {net.input_dim}")
     static_x = None
     if not recompose:
         static_x = [compose_now(k) for k in range(len(samples))]
@@ -424,6 +464,9 @@ def train(net, pairs, table, cfg, mode="attention"):
 
     lr = cfg.learning_rate
     lam = cfg.reg_lambda
+    mlp = net.params[:net.n_mlp]
+    w_a = net.attention.w_a
+    step_rng = rng if net.dropout_rate > 0 else None
     history = []
     for epoch in range(cfg.epochs):
         for k in rng.permutation(len(pair_idx)):
@@ -432,20 +475,17 @@ def train(net, pairs, table, cfg, mode="attention"):
                 left, right = compose_now(a), compose_now(b)
             else:
                 left, right = static_x[a], static_x[b]
-            step_rng = rng if net.dropout_rate > 0 else None
-            grads = pair_gradients(net, left.x, right.x, label, cfg, rng=step_rng)
-            for m in range(net.n_layers):
-                net.weights[m] -= lr * (grads["weights"][m] + lam * net.weights[m])
-                net.biases[m] -= lr * (grads["biases"][m] + lam * net.biases[m])
-            if tune_attention or cfg.finetune_embeddings:
+            grads = pair_gradients(net, left.x, right.x, label, cfg, rng=step_rng,
+                                   input_grads=recompose)
+            mlp -= lr * (grads["flat"] + lam * mlp)
+            if recompose:
                 for parts_k, weights_k, gx in (
                         (parts[a], left.attention_weights, grads["x_i"]),
                         (parts[b], right.attention_weights, grads["x_j"])):
                     g_ctx, g_p, g_wa = compose_backward(
-                        mode, parts_k.context, parts_k.p, weights_k,
-                        net.attention.w_a, gx)
+                        mode, parts_k.context, parts_k.p, weights_k, w_a, gx)
                     if tune_attention:
-                        net.attention.w_a -= lr * g_wa
+                        w_a -= lr * g_wa
                     if cfg.finetune_embeddings:
                         _apply_embedding_grads(
                             live_vectors, parts_k, g_ctx, g_p, lr)

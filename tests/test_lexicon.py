@@ -40,6 +40,12 @@ class TestInformationContent:
         # hand propagation: leaf count 1, total 8
         assert information_content("leaf-picture", fixture_taxonomy) == pytest.approx(LN8)
 
+    def test_matches_formula_exactly(self, fixture_taxonomy):
+        tax = fixture_taxonomy
+        for c in sorted(tax.concepts):
+            want = -math.log(tax.propagated[c] / tax.total) + 0.0
+            assert information_content(c, tax) == want
+
     def test_unknown_concept(self, fixture_taxonomy):
         with pytest.raises(UnknownConceptError):
             information_content("nope", fixture_taxonomy)

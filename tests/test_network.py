@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from metric_grouper.composition import AttentionParams
+from metric_grouper import network
+from metric_grouper.composition import AttentionParams, compose_vectors
 from metric_grouper.corpus import WordVectorTable
 from metric_grouper.errors import DimensionMismatchError, DivergenceError
 from metric_grouper.network import (
     MetricNetwork,
+    _apply_embedding_grads,
+    _build_parts,
     TrainConfig,
     compose_backward,
     interior_dims,
@@ -180,6 +183,21 @@ class TestObjective:
         for w, b in zip(net.weights, net.biases):
             expected += 0.5 * CFG.reg_lambda * (float((w * w).sum()) + float((b * b).sum()))
         assert total == pytest.approx(expected, abs=1e-12)
+
+    def test_forwards_each_distinct_input_once(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        net = MetricNetwork.create(2, mode="avg", output_dim=2, n_layers=2, seed=5,
+                                   dropout_rate=0.0)
+        xs = [rng.normal(size=4) for _ in range(3)]
+        pairs = [(xs[0], xs[1], 1), (xs[1], xs[2], -1), (xs[0], xs[2], 1), (xs[2], xs[0], -1)]
+        expected = sum(pair_loss(net, a, b, l, CFG)[0] for a, b, l in pairs)
+        expected += regularizer(net, CFG)
+        calls = []
+        real = MetricNetwork.forward
+        monkeypatch.setattr(MetricNetwork, "forward",
+                            lambda self, x, rng=None: calls.append(1) or real(self, x, rng))
+        assert objective(net, pairs, CFG) == expected
+        assert len(calls) == 3
 
     def test_pair_order_invariance(self):
         rng = np.random.default_rng(9)
@@ -411,6 +429,237 @@ class TestTrain:
         assert np.abs(net.attention.w_a[:2]).max() > 0
         # phrase half never receives gradient
         assert np.abs(net.attention.w_a[2:]).max() < 1e-12
+
+
+class TestTrainChecks:
+    """Bad input fails before the first step, leaving the network as it was."""
+
+    def test_bad_label_raises_before_first_step(self):
+        table, pairs = toy_training_setup()
+        bad = pairs + [SamplePair(pairs[0].left, pairs[2].left, 0)]
+        net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=1,
+                                   dropout_rate=0.0)
+        before = net.params.copy()
+        with pytest.raises(ValueError, match="pair 4: label must be"):
+            train(net, bad, table, TrainConfig(epochs=2, seed=1, dropout_rate=0.0))
+        assert np.array_equal(net.params, before)
+
+    def test_width_mismatch_raises_before_first_step(self):
+        table, pairs = toy_training_setup()
+        # word width 3 gives input width 6; the table composes to width 4
+        net = MetricNetwork.create(3, mode="avg", output_dim=2, n_layers=2, seed=1,
+                                   dropout_rate=0.0)
+        before = net.params.copy()
+        with pytest.raises(DimensionMismatchError, match="composed inputs"):
+            train(net, pairs, table, TrainConfig(epochs=2, seed=1, dropout_rate=0.0),
+                  mode="avg")
+        assert np.array_equal(net.params, before)
+
+    def test_divergence_in_attention_alone(self, monkeypatch):
+        table, pairs = toy_training_setup()
+        real = network.compose_backward
+
+        def poisoned(*args):
+            g_ctx, g_p, g_wa = real(*args)
+            return g_ctx, g_p, np.full_like(g_wa, np.inf)
+
+        monkeypatch.setattr(network, "compose_backward", poisoned)
+        cfg = TrainConfig(epochs=2, seed=4, dropout_rate=0.0)
+        net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=4,
+                                   dropout_rate=0.0)
+        first = int(np.random.default_rng(4).permutation(len(pairs))[0])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(DivergenceError, match=rf"epoch 1, pair index {first}$"):
+                train(net, pairs, table, cfg, mode="attention")
+        assert np.isfinite(net.params[:net.n_mlp]).all()
+        assert not np.isfinite(net.attention.w_a).all()
+
+    def test_one_pair_gradients_call_per_step(self, monkeypatch):
+        table, pairs = toy_training_setup()
+        calls = []
+        real = network.pair_gradients
+        monkeypatch.setattr(network, "pair_gradients",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=2)
+        train(net, pairs, table, TrainConfig(epochs=3, seed=2), mode="attention")
+        assert len(calls) == 3 * len(pairs)
+
+
+def _reference_sigmoid(z):
+    if z >= 0:
+        return 1.0 / (1.0 + np.exp(-z))
+    e = np.exp(z)
+    return e / (1.0 + e)
+
+
+def _reference_forward(weights, biases, activation, dropout_rate, x, rng=None):
+    a = x
+    inputs, acts, masks = [], [], []
+    last = len(weights) - 1
+    for m, (w, b) in enumerate(zip(weights, biases)):
+        inputs.append(a)
+        z = w @ a + b
+        h = np.tanh(z) if activation == "tanh" else z
+        acts.append(h)
+        if m < last and rng is not None and dropout_rate > 0:
+            keep = 1.0 - dropout_rate
+            mask = (rng.random(h.shape) < keep) / keep
+            a = h * mask
+        else:
+            mask = None
+            a = h
+        masks.append(mask)
+    return a, (inputs, acts, masks)
+
+
+def _reference_backward(weights, activation, cache, grad_out):
+    inputs, acts, masks = cache
+    u = grad_out
+    grads_w, grads_b = [None] * len(weights), [None] * len(weights)
+    for m in range(len(weights) - 1, -1, -1):
+        if masks[m] is not None:
+            u = u * masks[m]
+        deriv = 1.0 - acts[m] ** 2 if activation == "tanh" else np.ones_like(acts[m])
+        delta = u * deriv
+        grads_w[m] = np.outer(delta, inputs[m])
+        grads_b[m] = delta
+        u = weights[m].T @ delta
+    return grads_w, grads_b, u
+
+
+def reference_train(net, pairs, table, cfg, mode):
+    """Per-pair SGD on separate weight, bias and attention arrays.
+
+    This is the training loop as it stood before the flat parameter
+    buffer: two branch forwards and backwards per pair, the per-layer sums
+    gw_i + gw_j, a decay step per array, and an epoch objective that
+    forwards both samples of every pair. Returns (weights, biases, w_a,
+    history) and leaves ``net`` untouched.
+    """
+    weights = [w.copy() for w in net.weights]
+    biases = [b.copy() for b in net.biases]
+    params = AttentionParams(net.attention.w_a.copy())
+    w_a = params.w_a
+    act, rate = net.activation, net.dropout_rate
+    rng = np.random.default_rng(cfg.seed)
+    live_vectors = None
+    if cfg.finetune_embeddings:
+        live_vectors = {t: v.copy() for t, v in table.vectors.items()}
+
+        def lookup(tok):
+            return live_vectors.get(tok.lower())
+    else:
+        lookup = table.get
+    samples, index = [], {}
+    for pair in pairs:
+        for s in (pair.left, pair.right):
+            if s not in index:
+                index[s] = len(samples)
+                samples.append(s)
+    pair_idx = [(index[p.left], index[p.right], p.label) for p in pairs]
+    tune_attention = cfg.finetune_attention and mode == "attention"
+    recompose = tune_attention or cfg.finetune_embeddings
+    parts = [_build_parts(s, lookup, table.dimension,
+                          table.unknown_policy == "zero-vector", mode) for s in samples]
+
+    def compose_now(k):
+        return compose_vectors(parts[k].context, parts[k].p, params, mode)
+
+    static_x = [compose_now(k) for k in range(len(samples))]
+
+    def epoch_objective():
+        composed = [compose_now(k).x if recompose else static_x[k].x
+                    for k in range(len(samples))]
+        total = 0.0
+        for a, b, label in pair_idx:
+            h_i, _ = _reference_forward(weights, biases, act, rate, composed[a])
+            h_j, _ = _reference_forward(weights, biases, act, rate, composed[b])
+            diff = h_i - h_j
+            omega = 1.0 - label * (cfg.margin_t - float(diff @ diff))
+            total += 0.5 * float(np.logaddexp(0.0, cfg.beta * omega) / cfg.beta)
+        acc = 0.0
+        for w, b in zip(weights, biases):
+            acc += float((w * w).sum() + (b * b).sum())
+        return (total + 0.5 * cfg.reg_lambda * acc) / len(pairs)
+
+    lr, lam = cfg.learning_rate, cfg.reg_lambda
+    history = []
+    for _epoch in range(cfg.epochs):
+        for k in rng.permutation(len(pair_idx)):
+            a, b, label = pair_idx[k]
+            if recompose:
+                left, right = compose_now(a), compose_now(b)
+            else:
+                left, right = static_x[a], static_x[b]
+            step_rng = rng if rate > 0 else None
+            h_i, cache_i = _reference_forward(weights, biases, act, rate, left.x, step_rng)
+            h_j, cache_j = _reference_forward(weights, biases, act, rate, right.x, step_rng)
+            diff = h_i - h_j
+            omega = 1.0 - label * (cfg.margin_t - float(diff @ diff))
+            coef = 0.5 * _reference_sigmoid(cfg.beta * omega) * label
+            gw_i, gb_i, gx_i = _reference_backward(weights, act, cache_i, coef * 2.0 * diff)
+            gw_j, gb_j, gx_j = _reference_backward(weights, act, cache_j, coef * -2.0 * diff)
+            for m in range(len(weights)):
+                weights[m] -= lr * ((gw_i[m] + gw_j[m]) + lam * weights[m])
+                biases[m] -= lr * ((gb_i[m] + gb_j[m]) + lam * biases[m])
+            if recompose:
+                for parts_k, weights_k, gx in ((parts[a], left.attention_weights, gx_i),
+                                               (parts[b], right.attention_weights, gx_j)):
+                    g_ctx, g_p, g_wa = compose_backward(
+                        mode, parts_k.context, parts_k.p, weights_k, w_a, gx)
+                    if tune_attention:
+                        w_a -= lr * g_wa
+                    if cfg.finetune_embeddings:
+                        _apply_embedding_grads(live_vectors, parts_k, g_ctx, g_p, lr)
+        history.append(epoch_objective())
+    return weights, biases, w_a, history
+
+
+class TestReferenceLoop:
+    """train() reproduces the separate-array loop bit for bit."""
+
+    @pytest.mark.parametrize("mode, layers, activation, dropout, embeddings", [
+        ("attention", 3, "tanh", 0.5, False),   # attention tuned, dropout on
+        ("avg", 3, "tanh", 0.5, False),         # static inputs
+        ("avg", 1, "identity", 0.0, False),
+        ("attention", 2, "tanh", 0.5, True),    # embeddings fine-tuned
+        ("attention", 3, "tanh", 0.0, False),
+    ])
+    def test_bitwise_equal(self, fixture_pairs, fixture_table,
+                           mode, layers, activation, dropout, embeddings):
+        cfg = TrainConfig(epochs=2, seed=7, dropout_rate=dropout,
+                          finetune_embeddings=embeddings)
+        net = MetricNetwork.create(fixture_table.dimension, mode=mode, output_dim=6,
+                                   n_layers=layers, activation=activation,
+                                   dropout_rate=dropout, seed=7)
+        want_w, want_b, want_wa, want_history = reference_train(
+            net, fixture_pairs, fixture_table, cfg, mode)
+        _, history = train(net, fixture_pairs, fixture_table, cfg, mode=mode)
+        assert history == want_history
+        for got, want in zip(net.weights + net.biases, want_w + want_b):
+            assert np.array_equal(got, want)
+        assert np.array_equal(net.attention.w_a, want_wa)
+        if mode == "attention":
+            assert not np.array_equal(want_wa, np.zeros_like(want_wa))
+
+
+class TestParameterBuffer:
+    def test_views_share_one_buffer(self):
+        net = MetricNetwork.create(3, mode="attention", output_dim=2, n_layers=3, seed=3)
+        for arr in net.weights + net.biases + [net.attention.w_a]:
+            assert np.shares_memory(arr, net.params)
+        assert net.n_mlp + net.attention.w_a.size == net.params.size
+        net.attention.w_a[1] = np.nan
+        assert not net.params_finite()
+
+    def test_assigning_attention_keeps_the_layout(self):
+        net = MetricNetwork.create(3, mode="attention", output_dim=2, n_layers=2, seed=3)
+        weights = [w.copy() for w in net.weights]
+        net.attention = AttentionParams(np.arange(6.0))
+        assert np.shares_memory(net.attention.w_a, net.params)
+        assert np.array_equal(net.params[net.n_mlp:], np.arange(6.0))
+        for got, want in zip(net.weights, weights):
+            assert np.shares_memory(got, net.params) and np.array_equal(got, want)
 
 
 class TestCheckpoint:
