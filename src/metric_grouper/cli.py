@@ -29,10 +29,11 @@ from .errors import (
     MissingModelError,
     UnknownWordError,
 )
-from .evaluation import evaluate_run, format_report
+from .composition import MODES
+from .evaluation import LEARNED_METHOD, METHODS, evaluate_run, format_report
 from .fixture import write_fixture
 from .lexicon import load_taxonomy
-from .network import MetricNetwork, load_model, save_model, train
+from .network import ACTIVATIONS, MetricNetwork, load_model, save_model, train
 from .pairs import generate_pairs, generate_samples, load_pairs, save_pairs
 
 PAIRS_FILE = "pairs.jsonl"
@@ -311,10 +312,10 @@ def cmd_cluster(args, loaded=None):
     corpus = loaded["corpus"] if loaded else load_corpus(args.corpus)
     table = _load_table(args, loaded)
     section = resolved["clustering"]
-    method = getattr(args, "method", "metric")
+    method = getattr(args, "method", LEARNED_METHOD)
 
     inputs = {"corpus": args.corpus, "vectors": args.vectors}
-    if method == "metric":
+    if method == LEARNED_METHOD:
         net, model_path = _load_net(out_dir, chash)
         mode = net.composition_mode
         inputs[MODEL_FILE] = model_path
@@ -369,7 +370,7 @@ def cmd_eval(args, loaded=None):
     methods = resolved["evaluation"]["methods"]
     inputs = {"corpus": args.corpus, "vectors": args.vectors}
     net = None
-    if "metric" in methods:
+    if LEARNED_METHOD in methods:
         net, model_path = _load_net(out_dir, chash)
         inputs[MODEL_FILE] = model_path
     report = evaluate_run(
@@ -443,11 +444,11 @@ def build_parser():
     flag_help = {
         "eta": "incompatibility threshold on lexicon similarity",
         "max_pos": "cap on positive pairs (seeded subsample)",
-        "mode": "composition mode: attention|avg|min|max|ap",
+        "mode": "composition mode: " + "|".join(MODES),
         "output_dim": "network output width",
         "layers": "number of weight layers",
         "hidden_dims": "comma-separated hidden widths (default: geometric)",
-        "activation": "tanh or identity",
+        "activation": " or ".join(ACTIVATIONS),
         "dropout_rate": "hidden-layer dropout rate",
         "margin_t": "distance margin threshold t",
         "beta": "softplus sharpness",
@@ -455,11 +456,11 @@ def build_parser():
         "learning_rate": "SGD step size",
         "epochs": "training epochs",
         "k": "cluster count (default: number of gold groups)",
-        "metric": "clustering metric: euclidean|cosine",
+        "metric": "clustering metric: " + "|".join(_clustering.METRICS),
         "n_init": "k-means restarts per run",
         "max_iter": "k-means iteration cap",
         "runs": "clustering repetitions averaged in reports",
-        "methods": "comma-separated eval methods (metric,avg,min,max,ap)",
+        "methods": f"comma-separated eval methods ({','.join(METHODS)})",
         "combos": "ablation combos as mode:layers:trained|raw",
     }
     common = argparse.ArgumentParser(add_help=False)
@@ -491,9 +492,8 @@ def build_parser():
                    help="train the metric network on generated pairs")
     cluster = sub.add_parser("cluster", parents=[common],
                              help="cluster phrase representations")
-    cluster.add_argument("--method", default="metric",
-                         choices=["metric", "avg", "min", "max", "ap"],
-                         help="learned path (metric) or a baseline composition")
+    cluster.add_argument("--method", default=LEARNED_METHOD, choices=METHODS,
+                         help=f"learned path ({LEARNED_METHOD}) or a baseline composition")
     cluster.add_argument("--dump-composed", help="also write composed vectors (TSV)")
     cluster.add_argument("--dump-centroids", help="also write cluster centroids")
     sub.add_parser("eval", parents=[common],

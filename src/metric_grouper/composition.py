@@ -9,6 +9,7 @@ entirely and uses the phrase vector alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,19 +91,37 @@ def compose_vectors(context, p, params, mode):
     return ComposedInput(np.concatenate([reduced, p]))
 
 
+class Ingredients(NamedTuple):
+    """Context rows (none in ap mode), phrase vector, and the tokens kept for each."""
+    context: np.ndarray
+    context_kept: list
+    p: np.ndarray
+    phrase_kept: list
+
+
+def ingredients(phrase, context_tokens, table, mode, vectors=None):
+    """One sample's vectors, read from ``vectors`` by WordVectorTable.lookup().
+
+    Raises AllUnknownError when no phrase token is kept, and
+    EmptyContextError when a mode that reads context keeps no context token.
+    """
+    p, phrase_kept = table.phrase_lookup(phrase, vectors)
+    if mode == "ap":
+        return Ingredients(np.zeros((0, table.dimension)), [], p, phrase_kept)
+    context, context_kept = table.lookup(context_tokens, vectors)
+    if not context_kept:
+        raise EmptyContextError(f"mode {mode!r} needs a context vector for {phrase!r}")
+    return Ingredients(context, context_kept, p, phrase_kept)
+
+
 def compose(sample, table, params, mode="attention"):
     """Compose one aspect sample into its input vector.
 
     ``sample`` needs ``phrase`` and ``context_tokens`` attributes. Unknown
-    tokens follow the table's policy; a context emptied by skip-token
-    policy raises EmptyContextError (except in ap mode, which ignores
-    context).
+    tokens follow the table's policy; see ingredients().
     """
-    p = table.phrase_vector(sample.phrase)
-    if mode == "ap":
-        return ComposedInput(p)
-    context = table.context_vectors(sample.context_tokens)
-    return compose_vectors(context, p, params, mode)
+    parts = ingredients(sample.phrase, sample.context_tokens, table, mode)
+    return compose_vectors(parts.context, parts.p, params, mode)
 
 
 def compose_test_phrase(phrase, corpus, table, params, mode="attention"):
@@ -115,16 +134,8 @@ def compose_test_phrase(phrase, corpus, table, params, mode="attention"):
     occurrences = corpus.phrase_index.get(phrase)
     if not occurrences:
         raise UnknownPhraseError(f"phrase {phrase!r} does not occur in the corpus")
-    seen = set()
     tokens: list[str] = []
-    sids = []
-    for sid, _span in occurrences:
-        if sid in seen:
-            continue
-        seen.add(sid)
-        sids.append(sid)
+    for sid in dict.fromkeys(sid for sid, _span in occurrences):
         tokens.extend(corpus.sentences[sid].tokens)
-    from .pairs import AspectSample
-
-    sample = AspectSample(phrase, tuple(tokens), tuple(sids))
-    return compose(sample, table, params, mode)
+    parts = ingredients(phrase, tokens, table, mode)
+    return compose_vectors(parts.context, parts.p, params, mode)

@@ -14,11 +14,11 @@ from __future__ import annotations
 import configparser
 import hashlib
 
+from .clustering import METRICS
 from .composition import MODES
 from .errors import ConfigError
-
-_METRICS = ("", "euclidean", "cosine")
-_ACTIVATIONS = ("tanh", "identity")
+from .evaluation import METHODS
+from .network import ACTIVATIONS, TrainConfig
 
 
 def _parse_bool(raw):
@@ -42,10 +42,6 @@ def _parse_opt_int(raw):
     return int(raw) if raw else None
 
 
-def _parse_str_list(raw):
-    return [x.strip() for x in raw.split(",") if x.strip()]
-
-
 def _choice(options):
     def parse(raw):
         value = raw.strip()
@@ -55,22 +51,42 @@ def _choice(options):
     return parse
 
 
+def _choices(options):
+    """Comma-separated, non-empty list of values from ``options``."""
+    def parse(raw):
+        values = [x.strip() for x in raw.split(",") if x.strip()]
+        if not values or any(v not in options for v in values):
+            raise ValueError(f"must list values from {options}, got {raw!r}")
+        return values
+    return parse
+
+
+def _positive(parse):
+    """``parse``, rejecting a value below 1 (None, for an empty optional, passes)."""
+    def check(raw):
+        value = parse(raw)
+        if value is not None and value < 1:
+            raise ValueError(f"must be at least 1, got {raw.strip()!r}")
+        return value
+    return check
+
+
 # section -> key -> (parser, default-as-string)
 SCHEMA = {
     "pairs": {
         "eta": (float, "0.3"),
         "seed": (int, "42"),
-        "max_pos": (_parse_opt_int, ""),
+        "max_pos": (_positive(_parse_opt_int), ""),
         "allow_replacement": (_parse_bool, "false"),
     },
     "composition": {
         "mode": (_choice(MODES), "attention"),
     },
     "network": {
-        "output_dim": (int, "50"),
-        "layers": (int, "3"),
+        "output_dim": (_positive(int), "50"),
+        "layers": (_positive(int), "3"),
         "hidden_dims": (_parse_int_list, ""),
-        "activation": (_choice(_ACTIVATIONS), "tanh"),
+        "activation": (_choice(ACTIVATIONS), "tanh"),
         "dropout_rate": (float, "0.5"),
     },
     "training": {
@@ -78,21 +94,21 @@ SCHEMA = {
         "beta": (float, "2.0"),
         "lambda": (float, "0.002"),
         "learning_rate": (float, "0.03"),
-        "epochs": (int, "30"),
+        "epochs": (_positive(int), "30"),
         "seed": (int, "42"),
         "finetune_attention": (_parse_bool, "true"),
     },
     "clustering": {
-        "k": (_parse_opt_int, ""),
-        "metric": (_choice(_METRICS), ""),
-        "n_init": (int, "10"),
-        "max_iter": (int, "100"),
+        "k": (_positive(_parse_opt_int), ""),
+        "metric": (_choice(("",) + METRICS), ""),
+        "n_init": (_positive(int), "10"),
+        "max_iter": (_positive(int), "100"),
         "seed": (int, "42"),
     },
     "evaluation": {
-        "runs": (int, "10"),
+        "runs": (_positive(int), "10"),
         "seed": (int, "42"),
-        "methods": (_parse_str_list, "metric,avg,ap"),
+        "methods": (_choices(METHODS), "metric,avg,ap"),
     },
     "split": {
         "train_ratio": (float, "0.3"),
@@ -197,8 +213,6 @@ def config_hash(resolved):
 
 def train_config_from(resolved):
     """Build a TrainConfig from the training/network sections."""
-    from .network import TrainConfig
-
     t = resolved["training"]
     return TrainConfig(
         margin_t=t["margin_t"],

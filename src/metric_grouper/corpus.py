@@ -34,9 +34,8 @@ UNKNOWN_POLICIES = (ZERO_VECTOR, SKIP_TOKEN)
 class WordVectorTable:
     """Token -> fixed-length vector lookup.
 
-    ``unknown_policy`` controls what happens for out-of-vocabulary tokens:
-    ``zero-vector`` substitutes a zero vector (context lengths are
-    preserved), ``skip-token`` drops the token.
+    ``unknown_policy`` says what an out-of-vocabulary token gives in
+    lookup(): a zero vector (``zero-vector``) or nothing (``skip-token``).
     """
 
     def __init__(self, dimension, vectors, unknown_policy=ZERO_VECTOR, duplicate_count=0):
@@ -71,64 +70,48 @@ class WordVectorTable:
         """Vector for ``token`` or None when absent (policy not applied)."""
         return self.vectors.get(token.lower())
 
-    def zeros(self):
-        return np.zeros(self.dimension)
+    def lookup(self, tokens, vectors=None):
+        """(n, d) rows for ``tokens`` and the lowercased token of each row.
 
-    def context_vectors(self, tokens):
-        """Stack vectors for a token sequence, shape (n, d).
-
-        Under zero-vector policy every token produces a row; under
-        skip-token policy unknown tokens are dropped and the result may
-        have fewer rows than tokens (possibly zero).
+        The one place the unknown-token policy applies: zero-vector gives
+        an unknown token a zero row, skip-token drops it (leaving possibly
+        no rows). ``vectors`` is the token -> vector mapping to read, by
+        default this table's own; training passes its fine-tuned copies.
         """
-        rows = []
-        for tok in tokens:
-            vec = self.get(tok)
-            if vec is None:
-                if self.unknown_policy == ZERO_VECTOR:
-                    rows.append(self.zeros())
-            else:
-                rows.append(vec)
-        if not rows:
-            return np.zeros((0, self.dimension))
-        return np.array(rows)
-
-    def context_items(self, tokens):
-        """Like context_vectors but also returns the tokens kept per row."""
+        if vectors is None:
+            vectors = self.vectors
         rows, kept = [], []
         for tok in tokens:
-            vec = self.get(tok)
+            key = tok.lower()
+            vec = vectors.get(key)
             if vec is None:
-                if self.unknown_policy == ZERO_VECTOR:
-                    rows.append(self.zeros())
-                    kept.append(tok.lower())
-            else:
-                rows.append(vec)
-                kept.append(tok.lower())
-        if not rows:
-            return np.zeros((0, self.dimension)), kept
-        return np.array(rows), kept
+                if self.unknown_policy == SKIP_TOKEN:
+                    continue
+                vec = np.zeros(self.dimension)
+            rows.append(vec)
+            kept.append(key)
+        return (np.array(rows) if rows else np.zeros((0, self.dimension))), kept
 
-    def phrase_vector(self, phrase):
-        """Arithmetic mean of the constituent token vectors.
+    def context_vectors(self, tokens):
+        """Stacked vectors of a token sequence, shape (n, d); see lookup()."""
+        return self.lookup(tokens)[0]
 
-        Unknown tokens contribute zero vectors (zero-vector policy) or are
-        skipped (skip-token policy).
+    def phrase_lookup(self, phrase, vectors=None):
+        """Mean of the kept token vectors of ``phrase``, and the tokens kept.
+
+        Raises EmptyPhraseError for no tokens, AllUnknownError for none kept.
         """
         tokens = phrase.split()
         if not tokens:
             raise EmptyPhraseError("phrase has no tokens")
-        vecs = []
-        for tok in tokens:
-            vec = self.get(tok)
-            if vec is None:
-                if self.unknown_policy == ZERO_VECTOR:
-                    vecs.append(self.zeros())
-            else:
-                vecs.append(vec)
-        if not vecs:
+        rows, kept = self.lookup(tokens, vectors)
+        if not kept:
             raise AllUnknownError(f"every token of {phrase!r} is out of vocabulary")
-        return np.mean(vecs, axis=0)
+        return np.mean(rows, axis=0), kept
+
+    def phrase_vector(self, phrase):
+        """Arithmetic mean of the constituent token vectors; see phrase_lookup()."""
+        return self.phrase_lookup(phrase)[0]
 
     def coverage(self, tokens):
         """(known, total) over the distinct lowercased tokens given."""

@@ -12,12 +12,15 @@ from __future__ import annotations
 import math
 
 from . import clustering as _clustering
+from .composition import MODES
 from .errors import MissingLabelError
 
 ENTROPY_BASE = 2
 
-BASELINE_METHODS = ("avg", "min", "max", "ap")
+# Every composition mode but attention, whose weights only training gives.
+BASELINE_METHODS = tuple(m for m in MODES if m != "attention")
 LEARNED_METHOD = "metric"
+METHODS = (LEARNED_METHOD,) + BASELINE_METHODS
 
 
 def contingency(clustering, gold, allow_missing=False):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import MODES, AttentionParams, compose_vectors
+from .composition import MODES, AttentionParams, compose_vectors, ingredients
 from .errors import DimensionMismatchError, DivergenceError, FormatError
 
 MODEL_FORMAT_VERSION = 1
@@ -359,41 +359,6 @@ def compose_backward(mode, context, p, weights, w_a, grad_x):
     return grad_ctx, grad_p, grad_wa
 
 
-class _SampleParts:
-    """Context matrix, kept tokens and phrase vector for one sample."""
-
-    __slots__ = ("context", "kept", "p", "phrase_tokens")
-
-    def __init__(self, context, kept, p, phrase_tokens):
-        self.context = context
-        self.kept = kept
-        self.p = p
-        self.phrase_tokens = phrase_tokens
-
-
-def _build_parts(sample, lookup, dim, policy_zero, mode):
-    rows, kept = [], []
-    if mode != "ap":
-        for tok in sample.context_tokens:
-            vec = lookup(tok)
-            if vec is None:
-                if policy_zero:
-                    rows.append(np.zeros(dim))
-                    kept.append(tok)
-            else:
-                rows.append(vec)
-                kept.append(tok)
-    context = np.array(rows) if rows else np.zeros((0, dim))
-    ptoks = sample.phrase.split()
-    pvecs = [lookup(t) for t in ptoks]
-    if policy_zero:
-        pvecs = [np.zeros(dim) if v is None else v for v in pvecs]
-    else:
-        pvecs = [v for v in pvecs if v is not None]
-    p = np.mean(pvecs, axis=0) if pvecs else np.zeros(dim)
-    return _SampleParts(context, kept, p, ptoks)
-
-
 def train(net, pairs, table, cfg, mode="attention"):
     """Stochastic per-pair training; mutates and returns ``net``.
 
@@ -404,27 +369,18 @@ def train(net, pairs, table, cfg, mode="attention"):
     the evaluation-mode mean objective after each epoch; identical seeds
     and data reproduce it bitwise.
 
-    Labels and the composed input width are checked before the first
-    step. Raises DivergenceError, naming epoch and pair index, if any
-    parameter stops being finite.
+    Labels, token lookups (see composition.ingredients()) and the composed
+    input width are checked before the first step. Raises DivergenceError,
+    naming epoch and pair index, if any parameter stops being finite.
     """
     if not pairs:
         raise ValueError("no training pairs")
     if mode not in MODES:
         raise ValueError(f"unknown composition mode {mode!r}")
     rng = np.random.default_rng(cfg.seed)
-    policy_zero = table.unknown_policy == "zero-vector"
-    dim = table.dimension
-
     live_vectors = None
     if cfg.finetune_embeddings:
         live_vectors = {t: v.copy() for t, v in table.vectors.items()}
-
-        def lookup(tok):
-            return live_vectors.get(tok.lower())
-    else:
-        def lookup(tok):
-            return table.get(tok)
 
     samples = []
     index = {}
@@ -441,12 +397,13 @@ def train(net, pairs, table, cfg, mode="attention"):
     tune_attention = cfg.finetune_attention and mode == "attention"
     recompose = tune_attention or cfg.finetune_embeddings
 
-    parts = [_build_parts(s, lookup, dim, policy_zero, mode) for s in samples]
+    parts = [ingredients(s.phrase, s.context_tokens, table, mode, live_vectors)
+             for s in samples]
 
     def compose_now(k):
         return compose_vectors(parts[k].context, parts[k].p, net.attention, mode)
 
-    width = dim if mode == "ap" else 2 * dim
+    width = table.dimension if mode == "ap" else 2 * table.dimension
     if width != net.input_dim:
         raise DimensionMismatchError(
             f"composed inputs have width {width}, network expects {net.input_dim}")
@@ -501,16 +458,16 @@ def train(net, pairs, table, cfg, mode="attention"):
 def _apply_embedding_grads(live_vectors, parts_k, g_ctx, g_p, lr):
     """Scatter composition gradients onto the live embedding rows.
 
-    Unknown tokens (zero-filled rows) have no stored vector to update and
-    are skipped.
+    Each kept phrase token gets its share of ``g_p``. Unknown tokens
+    (zero-filled rows) have no stored vector to update and are skipped.
     """
     if g_ctx is not None:
-        for row, tok in enumerate(parts_k.kept):
+        for row, tok in enumerate(parts_k.context_kept):
             vec = live_vectors.get(tok)
             if vec is not None:
                 vec -= lr * g_ctx[row]
-    share = lr / len(parts_k.phrase_tokens)
-    for tok in parts_k.phrase_tokens:
+    share = lr / len(parts_k.phrase_kept)
+    for tok in parts_k.phrase_kept:
         vec = live_vectors.get(tok)
         if vec is not None:
             vec -= share * g_p

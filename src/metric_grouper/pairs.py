@@ -44,13 +44,6 @@ def generate_samples(corpus):
     return samples
 
 
-def _incompatible_cached(cache, p1, p2, tax, eta):
-    key = (p1, p2) if p1 <= p2 else (p2, p1)
-    if key not in cache:
-        cache[key] = incompatible(key[0], key[1], tax, eta)
-    return cache[key]
-
-
 def generate_pairs(samples, tax, eta, seed=0, max_pos=None, allow_replacement=False):
     """Build the balanced positive/negative training pair list.
 
@@ -80,14 +73,13 @@ def generate_pairs(samples, tax, eta, seed=0, max_pos=None, allow_replacement=Fa
         positives = [positives[i] for i in sorted(chosen)]
 
     # Eligible negative pool, grouped by incompatible phrase pair.
-    cache: dict[tuple[str, str], bool] = {}
     phrases = sorted(by_phrase)
     groups: list[tuple[str, str, int]] = []
     pool_size = 0
     for i in range(len(phrases)):
         for j in range(i + 1, len(phrases)):
             p, q = phrases[i], phrases[j]
-            if _incompatible_cached(cache, p, q, tax, eta):
+            if incompatible(p, q, tax, eta):
                 n = len(by_phrase[p]) * len(by_phrase[q])
                 groups.append((p, q, n))
                 pool_size += n

@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -268,6 +271,30 @@ class TestGuards:
         assert code == 1
         assert "--taxonomy" in err
 
+    OUT_OF_RANGE = [
+        (("eval", "--methods", "foo"), "[evaluation] methods"),
+        (("eval", "--k", "0"), "[clustering] k"),
+        (("cluster", "--k", "0"), "[clustering] k"),
+        (("eval", "--runs", "0"), "[evaluation] runs"),
+        (("ablate", "--runs", "0"), "[evaluation] runs"),
+        (("eval", "--n-init", "0"), "[clustering] n_init"),
+        (("cluster", "--max-iter", "0"), "[clustering] max_iter"),
+        (("train", "--epochs", "0"), "[training] epochs"),
+        (("train", "--layers", "0"), "[network] layers"),
+        (("train", "--output-dim", "0"), "[network] output_dim"),
+        (("pairs", "--max-pos", "0"), "[pairs] max_pos"),
+    ]
+
+    @pytest.mark.parametrize("argv, setting", OUT_OF_RANGE,
+                             ids=["_".join(argv).replace("--", "") for argv, _ in OUT_OF_RANGE])
+    def test_out_of_range_setting_rejected(self, fixture_files, tmp_path, capsys,
+                                           argv, setting):
+        code = run(*argv, *data_args(fixture_files), "--out-dir", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {setting}: " in err
+        assert os.listdir(tmp_path) == []
+
 
 class TestSplit:
     def test_ratios_and_determinism(self, fixture_files, tmp_path):
@@ -381,3 +408,35 @@ class TestAtomicWrite:
         assert all(os.path.dirname(t) == str(tmp_path) for t in temps)
         assert target.read_text(encoding="utf-8") == "outer"
         assert os.listdir(tmp_path) == ["out.json"]
+
+
+class TestTraceContract:
+    """The benchmark tracer still finds every layer it wraps (bench/tracing.py)."""
+
+    # Counts of a traced fixture run-all. A layer renamed or moved in src/
+    # is left unwrapped and reads 0 in the benchmark, which fails here.
+    EXPECTED = {
+        "network.steps": 16200,
+        "composition.compose_test_phrase.calls": 24,
+        "lexicon.incompatible.calls": 15,
+        "clustering.kmeans.calls": 31,
+    }
+
+    def test_traced_run_all(self, fixture_files, tmp_path):
+        repo = Path(__file__).resolve().parent.parent
+        tracer = repo / "bench" / "tracing.py"
+        spans = tmp_path / "spans.json"
+        path = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, str(tracer), "--spans", str(spans), "--t0", "0", "--",
+             "run-all", *data_args(fixture_files), "--out-dir", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+            timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(spans.read_text(encoding="utf-8"))
+        assert doc["unwrapped"] == []
+        spec = importlib.util.spec_from_file_location("bench_tracing", tracer)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        metrics = tracing.layer_metrics(doc)
+        assert {name: metrics[name] for name in self.EXPECTED} == self.EXPECTED

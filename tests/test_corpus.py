@@ -120,11 +120,25 @@ class TestPhraseVector:
             self.make_table().phrase_vector("  ")
 
     def test_context_vectors_policies(self):
-        zero = self.make_table()
-        skip = self.make_table(policy=SKIP_TOKEN)
-        tokens = ["picture", "zzz", "quality"]
-        assert zero.context_vectors(tokens).shape == (3, 2)
-        assert skip.context_vectors(tokens).shape == (2, 2)
+        tokens = ["Picture", "zzz", "quality"]
+        tuned = {"zzz": np.array([2.0, 3.0])}
+        cases = [  # policy, mapping read, rows, kept tokens
+            ("zero-vector", None, [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]],
+             ["picture", "zzz", "quality"]),
+            (SKIP_TOKEN, None, [[1.0, 0.0], [0.0, 1.0]], ["picture", "quality"]),
+            ("zero-vector", tuned, [[0.0, 0.0], [2.0, 3.0], [0.0, 0.0]],
+             ["picture", "zzz", "quality"]),
+            (SKIP_TOKEN, tuned, [[2.0, 3.0]], ["zzz"]),
+            (SKIP_TOKEN, {}, np.zeros((0, 2)), []),
+        ]
+        for policy, vectors, rows, kept in cases:
+            table = self.make_table(policy=policy)
+            got_rows, got_kept = table.lookup(tokens, vectors)
+            assert got_rows.shape == np.shape(rows) and np.array_equal(got_rows, rows)
+            assert got_kept == kept
+            if vectors is None:
+                assert np.array_equal(table.context_vectors(tokens), rows)
+                assert table.phrase_lookup(" ".join(tokens), vectors)[1] == kept
 
 
 RECORD = {"tokens": ["the", "picture", "is", "clear"],

@@ -6,12 +6,10 @@ import pytest
 
 from metric_grouper import network
 from metric_grouper.composition import AttentionParams, compose_vectors
-from metric_grouper.corpus import WordVectorTable
-from metric_grouper.errors import DimensionMismatchError, DivergenceError
+from metric_grouper.corpus import SKIP_TOKEN, WordVectorTable
+from metric_grouper.errors import AllUnknownError, DimensionMismatchError, DivergenceError
 from metric_grouper.network import (
     MetricNetwork,
-    _apply_embedding_grads,
-    _build_parts,
     TrainConfig,
     compose_backward,
     interior_dims,
@@ -455,6 +453,44 @@ class TestTrainChecks:
                   mode="avg")
         assert np.array_equal(net.params, before)
 
+    def test_all_unknown_phrase_raises_before_first_step(self):
+        table, pairs = toy_training_setup()
+        skip = WordVectorTable(2, table.vectors, unknown_policy=SKIP_TOKEN)
+        ghost = AspectSample("qqq zzz", ("the", "picture", "clear"), (4,))
+        bad = pairs + [SamplePair(pairs[0].left, ghost, -1)]
+        net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=1,
+                                   dropout_rate=0.0)
+        before = net.params.copy()
+        with pytest.raises(AllUnknownError, match="'qqq zzz'"):
+            train(net, bad, skip, TrainConfig(epochs=2, seed=1, dropout_rate=0.0))
+        assert np.array_equal(net.params, before)
+
+    def test_phrase_step_is_shared_by_kept_tokens_only(self, monkeypatch):
+        # Under skip-token "picture qqq" composes from "picture" alone, so
+        # the phrase gradient g_p reaches that vector undivided.
+        table, _ = toy_training_setup()
+        skip = WordVectorTable(2, table.vectors, unknown_policy=SKIP_TOKEN)
+        left = AspectSample("picture qqq", ("the", "clear"), (0,))
+        right = AspectSample("sound", ("loud", "the"), (1,))
+        g_ps = []
+        real = network.compose_backward
+
+        def recording(*args):
+            out = real(*args)
+            g_ps.append(out[1].copy())
+            return out
+
+        monkeypatch.setattr(network, "compose_backward", recording)
+        cfg = TrainConfig(epochs=1, seed=0, learning_rate=0.1, dropout_rate=0.0,
+                          finetune_embeddings=True)
+        net = MetricNetwork.create(2, mode="avg", output_dim=2, n_layers=2, seed=0,
+                                   dropout_rate=0.0)
+        train(net, [SamplePair(left, right, -1)], skip, cfg, mode="avg")
+        g_p = g_ps[0]  # the left branch is pushed back first
+        assert np.abs(g_p).max() > 0
+        want = table.vectors["picture"] - 0.1 * g_p
+        assert np.array_equal(net.tuned_vectors["picture"], want)
+
     def test_divergence_in_attention_alone(self, monkeypatch):
         table, pairs = toy_training_setup()
         real = network.compose_backward
@@ -527,14 +563,64 @@ def _reference_backward(weights, activation, cache, grad_out):
     return grads_w, grads_b, u
 
 
+class _ReferenceParts:
+    """Context matrix, kept tokens and phrase vector for one sample."""
+
+    __slots__ = ("context", "kept", "p", "phrase_tokens")
+
+    def __init__(self, context, kept, p, phrase_tokens):
+        self.context = context
+        self.kept = kept
+        self.p = p
+        self.phrase_tokens = phrase_tokens
+
+
+def _reference_parts(sample, lookup, dim, policy_zero, mode):
+    rows, kept = [], []
+    if mode != "ap":
+        for tok in sample.context_tokens:
+            vec = lookup(tok)
+            if vec is None:
+                if policy_zero:
+                    rows.append(np.zeros(dim))
+                    kept.append(tok)
+            else:
+                rows.append(vec)
+                kept.append(tok)
+    context = np.array(rows) if rows else np.zeros((0, dim))
+    ptoks = sample.phrase.split()
+    pvecs = [lookup(t) for t in ptoks]
+    if policy_zero:
+        pvecs = [np.zeros(dim) if v is None else v for v in pvecs]
+    else:
+        pvecs = [v for v in pvecs if v is not None]
+    p = np.mean(pvecs, axis=0) if pvecs else np.zeros(dim)
+    return _ReferenceParts(context, kept, p, ptoks)
+
+
+def _reference_embedding_grads(live_vectors, parts_k, g_ctx, g_p, lr):
+    if g_ctx is not None:
+        for row, tok in enumerate(parts_k.kept):
+            vec = live_vectors.get(tok)
+            if vec is not None:
+                vec -= lr * g_ctx[row]
+    share = lr / len(parts_k.phrase_tokens)
+    for tok in parts_k.phrase_tokens:
+        vec = live_vectors.get(tok)
+        if vec is not None:
+            vec -= share * g_p
+
+
 def reference_train(net, pairs, table, cfg, mode):
     """Per-pair SGD on separate weight, bias and attention arrays.
 
     This is the training loop as it stood before the flat parameter
     buffer: two branch forwards and backwards per pair, the per-layer sums
     gw_i + gw_j, a decay step per array, and an epoch objective that
-    forwards both samples of every pair. Returns (weights, biases, w_a,
-    history) and leaves ``net`` untouched.
+    forwards both samples of every pair. Its token lookups are the ones
+    training had before they went through WordVectorTable.lookup()
+    (``_reference_parts``). Returns (weights, biases, w_a, history) and
+    leaves ``net`` untouched.
     """
     weights = [w.copy() for w in net.weights]
     biases = [b.copy() for b in net.biases]
@@ -559,8 +645,8 @@ def reference_train(net, pairs, table, cfg, mode):
     pair_idx = [(index[p.left], index[p.right], p.label) for p in pairs]
     tune_attention = cfg.finetune_attention and mode == "attention"
     recompose = tune_attention or cfg.finetune_embeddings
-    parts = [_build_parts(s, lookup, table.dimension,
-                          table.unknown_policy == "zero-vector", mode) for s in samples]
+    parts = [_reference_parts(s, lookup, table.dimension,
+                              table.unknown_policy == "zero-vector", mode) for s in samples]
 
     def compose_now(k):
         return compose_vectors(parts[k].context, parts[k].p, params, mode)
@@ -610,7 +696,7 @@ def reference_train(net, pairs, table, cfg, mode):
                     if tune_attention:
                         w_a -= lr * g_wa
                     if cfg.finetune_embeddings:
-                        _apply_embedding_grads(live_vectors, parts_k, g_ctx, g_p, lr)
+                        _reference_embedding_grads(live_vectors, parts_k, g_ctx, g_p, lr)
         history.append(epoch_objective())
     return weights, biases, w_a, history
 
