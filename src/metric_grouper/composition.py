@@ -99,16 +99,16 @@ class Ingredients(NamedTuple):
     phrase_kept: list
 
 
-def ingredients(phrase, context_tokens, table, mode, vectors=None):
-    """One sample's vectors, read from ``vectors`` by WordVectorTable.lookup().
+def ingredients(phrase, context_tokens, table, mode):
+    """One sample's vectors, read through WordVectorTable.lookup().
 
     Raises AllUnknownError when no phrase token is kept, and
     EmptyContextError when a mode that reads context keeps no context token.
     """
-    p, phrase_kept = table.phrase_lookup(phrase, vectors)
+    p, phrase_kept = table.phrase_lookup(phrase)
     if mode == "ap":
         return Ingredients(np.zeros((0, table.dimension)), [], p, phrase_kept)
-    context, context_kept = table.lookup(context_tokens, vectors)
+    context, context_kept = table.lookup(context_tokens)
     if not context_kept:
         raise EmptyContextError(f"mode {mode!r} needs a context vector for {phrase!r}")
     return Ingredients(context, context_kept, p, phrase_kept)

@@ -70,20 +70,17 @@ class WordVectorTable:
         """Vector for ``token`` or None when absent (policy not applied)."""
         return self.vectors.get(token.lower())
 
-    def lookup(self, tokens, vectors=None):
+    def lookup(self, tokens):
         """(n, d) rows for ``tokens`` and the lowercased token of each row.
 
         The one place the unknown-token policy applies: zero-vector gives
         an unknown token a zero row, skip-token drops it (leaving possibly
-        no rows). ``vectors`` is the token -> vector mapping to read, by
-        default this table's own; training passes its fine-tuned copies.
+        no rows).
         """
-        if vectors is None:
-            vectors = self.vectors
         rows, kept = [], []
         for tok in tokens:
             key = tok.lower()
-            vec = vectors.get(key)
+            vec = self.vectors.get(key)
             if vec is None:
                 if self.unknown_policy == SKIP_TOKEN:
                     continue
@@ -92,11 +89,7 @@ class WordVectorTable:
             kept.append(key)
         return (np.array(rows) if rows else np.zeros((0, self.dimension))), kept
 
-    def context_vectors(self, tokens):
-        """Stacked vectors of a token sequence, shape (n, d); see lookup()."""
-        return self.lookup(tokens)[0]
-
-    def phrase_lookup(self, phrase, vectors=None):
+    def phrase_lookup(self, phrase):
         """Mean of the kept token vectors of ``phrase``, and the tokens kept.
 
         Raises EmptyPhraseError for no tokens, AllUnknownError for none kept.
@@ -104,14 +97,10 @@ class WordVectorTable:
         tokens = phrase.split()
         if not tokens:
             raise EmptyPhraseError("phrase has no tokens")
-        rows, kept = self.lookup(tokens, vectors)
+        rows, kept = self.lookup(tokens)
         if not kept:
             raise AllUnknownError(f"every token of {phrase!r} is out of vocabulary")
         return np.mean(rows, axis=0), kept
-
-    def phrase_vector(self, phrase):
-        """Arithmetic mean of the constituent token vectors; see phrase_lookup()."""
-        return self.phrase_lookup(phrase)[0]
 
     def coverage(self, tokens):
         """(known, total) over the distinct lowercased tokens given."""

@@ -365,7 +365,9 @@ def train(net, pairs, table, cfg, mode="attention"):
     Every epoch visits a seeded shuffle of the pairs, taking one gradient
     step per pair with L2 weight decay on the MLP parameters. When the
     attention parameter or the embeddings are being tuned, samples are
-    recomposed with the live values at every step. The history records
+    recomposed at every step with the live ``w_a``, but always from the
+    starting embeddings: the tuned embeddings are returned on
+    ``net.tuned_vectors`` and never fed back into composition. The history records
     the evaluation-mode mean objective after each epoch; identical seeds
     and data reproduce it bitwise.
 
@@ -397,7 +399,7 @@ def train(net, pairs, table, cfg, mode="attention"):
     tune_attention = cfg.finetune_attention and mode == "attention"
     recompose = tune_attention or cfg.finetune_embeddings
 
-    parts = [ingredients(s.phrase, s.context_tokens, table, mode, live_vectors)
+    parts = [ingredients(s.phrase, s.context_tokens, table, mode)
              for s in samples]
 
     def compose_now(k):

@@ -42,7 +42,7 @@ class TestLoadWordVectors:
         path = write(tmp_path, "v.txt", "a 1.0 0.0\nb 0.0 1.0\n")
         table = load_word_vectors(path)
         assert table.get("zzz") is None
-        assert np.array_equal(table.phrase_vector("zzz"), [0.0, 0.0])
+        assert np.array_equal(table.phrase_lookup("zzz")[0], [0.0, 0.0])
 
     def test_non_numeric_field(self, tmp_path):
         path = write(tmp_path, "v.txt", "a 1.0 oops\n")
@@ -96,49 +96,44 @@ class TestPhraseVector:
 
     def test_single_token_is_identity(self):
         table = self.make_table()
-        assert np.array_equal(table.phrase_vector("picture"), [1.0, 0.0])
+        assert np.array_equal(table.phrase_lookup("picture")[0], [1.0, 0.0])
 
     def test_two_token_mean(self):
         table = self.make_table()
-        assert np.array_equal(table.phrase_vector("picture quality"), [0.5, 0.5])
+        assert np.array_equal(table.phrase_lookup("picture quality")[0], [0.5, 0.5])
 
     def test_all_unknown_zero_policy(self):
         table = self.make_table()
-        assert np.array_equal(table.phrase_vector("zzz qqq"), [0.0, 0.0])
+        assert np.array_equal(table.phrase_lookup("zzz qqq")[0], [0.0, 0.0])
 
     def test_all_unknown_skip_policy(self):
         table = self.make_table(policy=SKIP_TOKEN)
         with pytest.raises(AllUnknownError):
-            table.phrase_vector("zzz qqq")
+            table.phrase_lookup("zzz qqq")
 
     def test_partial_unknown_skip_policy(self):
         table = self.make_table(policy=SKIP_TOKEN)
-        assert np.array_equal(table.phrase_vector("picture zzz"), [1.0, 0.0])
+        assert np.array_equal(table.phrase_lookup("picture zzz")[0], [1.0, 0.0])
 
     def test_empty_phrase(self):
         with pytest.raises(EmptyPhraseError):
-            self.make_table().phrase_vector("  ")
+            self.make_table().phrase_lookup("  ")
 
     def test_context_vectors_policies(self):
-        tokens = ["Picture", "zzz", "quality"]
-        tuned = {"zzz": np.array([2.0, 3.0])}
-        cases = [  # policy, mapping read, rows, kept tokens
-            ("zero-vector", None, [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]],
-             ["picture", "zzz", "quality"]),
-            (SKIP_TOKEN, None, [[1.0, 0.0], [0.0, 1.0]], ["picture", "quality"]),
-            ("zero-vector", tuned, [[0.0, 0.0], [2.0, 3.0], [0.0, 0.0]],
-             ["picture", "zzz", "quality"]),
-            (SKIP_TOKEN, tuned, [[2.0, 3.0]], ["zzz"]),
-            (SKIP_TOKEN, {}, np.zeros((0, 2)), []),
+        cases = [  # policy, tokens, rows, kept tokens
+            ("zero-vector", ["Picture", "zzz", "quality"],
+             [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], ["picture", "zzz", "quality"]),
+            (SKIP_TOKEN, ["Picture", "zzz", "quality"],
+             [[1.0, 0.0], [0.0, 1.0]], ["picture", "quality"]),
+            (SKIP_TOKEN, ["zzz"], np.zeros((0, 2)), []),
         ]
-        for policy, vectors, rows, kept in cases:
+        for policy, tokens, rows, kept in cases:
             table = self.make_table(policy=policy)
-            got_rows, got_kept = table.lookup(tokens, vectors)
+            got_rows, got_kept = table.lookup(tokens)
             assert got_rows.shape == np.shape(rows) and np.array_equal(got_rows, rows)
             assert got_kept == kept
-            if vectors is None:
-                assert np.array_equal(table.context_vectors(tokens), rows)
-                assert table.phrase_lookup(" ".join(tokens), vectors)[1] == kept
+            if kept:
+                assert table.phrase_lookup(" ".join(tokens))[1] == kept
 
 
 RECORD = {"tokens": ["the", "picture", "is", "clear"],
