@@ -367,9 +367,9 @@ def train(net, pairs, table, cfg, mode="attention"):
     attention parameter or the embeddings are being tuned, samples are
     recomposed at every step with the live ``w_a``, but always from the
     starting embeddings: the tuned embeddings are returned on
-    ``net.tuned_vectors`` and never fed back into composition. The history records
-    the evaluation-mode mean objective after each epoch; identical seeds
-    and data reproduce it bitwise.
+    ``net.tuned_vectors`` and never fed back into composition. The
+    history records the evaluation-mode mean objective after each epoch;
+    identical seeds and data reproduce it bitwise.
 
     Labels, token lookups (see composition.ingredients()) and the composed
     input width are checked before the first step. Raises DivergenceError,
