@@ -43,6 +43,13 @@ class ComposedInput:
     attention_weights: np.ndarray | None = None
 
 
+def check_w_a(params, d):
+    """Raise DimensionMismatchError unless ``params.w_a`` has length 2d."""
+    if params.w_a.shape != (2 * d,):
+        raise DimensionMismatchError(
+            f"attention parameter has shape {params.w_a.shape}, expected ({2 * d},)")
+
+
 def attention_weights(context, p, params):
     """Softmax over per-word scores w_a . [e_i; p], max-subtracted.
 
@@ -56,13 +63,20 @@ def attention_weights(context, p, params):
     d = context.shape[1]
     if p.shape != (d,):
         raise DimensionMismatchError(f"phrase vector has shape {p.shape}, expected ({d},)")
-    if params.w_a.shape != (2 * d,):
-        raise DimensionMismatchError(
-            f"attention parameter has shape {params.w_a.shape}, expected ({2 * d},)")
-    scores = context @ params.w_a[:d] + p @ params.w_a[d:]
-    shifted = scores - scores.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+    check_w_a(params, d)
+    return attend(context, p, params.w_a).attention_weights
+
+
+def attend(context, p, w_a):
+    """Unchecked attention composition of (n, d) ``context``, (d,) ``p`` and (2d,) ``w_a``.
+
+    The word weights are a softmax over the max-subtracted scores w_a . [e_i; p].
+    """
+    d = p.shape[0]
+    scores = context @ w_a[:d] + p @ w_a[d:]
+    exp = np.exp(scores - scores.max())
+    weights = exp / exp.sum()
+    return ComposedInput(np.concatenate([weights @ context, p]), weights)
 
 
 def compose_vectors(context, p, params, mode):
@@ -79,9 +93,8 @@ def compose_vectors(context, p, params, mode):
         raise DimensionMismatchError(
             f"context width {context.shape[1]} does not match phrase length {p.shape[0]}")
     if mode == "attention":
-        weights = attention_weights(context, p, params)
-        c_tilde = weights @ context
-        return ComposedInput(np.concatenate([c_tilde, p]), weights)
+        check_w_a(params, p.shape[0])
+        return attend(context, p, params.w_a)
     if mode == "avg":
         reduced = context.mean(axis=0)
     elif mode == "min":
@@ -92,11 +105,9 @@ def compose_vectors(context, p, params, mode):
 
 
 class Ingredients(NamedTuple):
-    """Context rows (none in ap mode), phrase vector, and the tokens kept for each."""
+    """Context rows (none in ap mode) and phrase vector of one sample."""
     context: np.ndarray
-    context_kept: list
     p: np.ndarray
-    phrase_kept: list
 
 
 def ingredients(phrase, context_tokens, table, mode):
@@ -105,13 +116,13 @@ def ingredients(phrase, context_tokens, table, mode):
     Raises AllUnknownError when no phrase token is kept, and
     EmptyContextError when a mode that reads context keeps no context token.
     """
-    p, phrase_kept = table.phrase_lookup(phrase)
+    p, _ = table.phrase_lookup(phrase)
     if mode == "ap":
-        return Ingredients(np.zeros((0, table.dimension)), [], p, phrase_kept)
-    context, context_kept = table.lookup(context_tokens)
-    if not context_kept:
+        return Ingredients(np.zeros((0, table.dimension)), p)
+    context, _ = table.lookup(context_tokens)
+    if not len(context):
         raise EmptyContextError(f"mode {mode!r} needs a context vector for {phrase!r}")
-    return Ingredients(context, context_kept, p, phrase_kept)
+    return Ingredients(context, p)
 
 
 def compose(sample, table, params, mode="attention"):
@@ -120,8 +131,8 @@ def compose(sample, table, params, mode="attention"):
     ``sample`` needs ``phrase`` and ``context_tokens`` attributes. Unknown
     tokens follow the table's policy; see ingredients().
     """
-    parts = ingredients(sample.phrase, sample.context_tokens, table, mode)
-    return compose_vectors(parts.context, parts.p, params, mode)
+    return compose_vectors(*ingredients(sample.phrase, sample.context_tokens, table, mode),
+                           params, mode)
 
 
 def compose_test_phrase(phrase, corpus, table, params, mode="attention"):
@@ -137,5 +148,4 @@ def compose_test_phrase(phrase, corpus, table, params, mode="attention"):
     tokens: list[str] = []
     for sid in dict.fromkeys(sid for sid, _span in occurrences):
         tokens.extend(corpus.sentences[sid].tokens)
-    parts = ingredients(phrase, tokens, table, mode)
-    return compose_vectors(parts.context, parts.p, params, mode)
+    return compose_vectors(*ingredients(phrase, tokens, table, mode), params, mode)

@@ -61,20 +61,24 @@ def _choices(options):
     return parse
 
 
-def _positive(parse):
-    """``parse``, rejecting a value below 1 (None, for an empty optional, passes)."""
+def _check(parse, ok, wanted):
+    """``parse``, rejecting a value that is not ``ok`` (None, for an empty optional, passes)."""
     def check(raw):
         value = parse(raw)
-        if value is not None and value < 1:
-            raise ValueError(f"must be at least 1, got {raw.strip()!r}")
+        if value is not None and not ok(value):
+            raise ValueError(f"must be {wanted}, got {raw.strip()!r}")
         return value
     return check
+
+
+def _positive(parse):
+    return _check(parse, lambda v: v >= 1, "at least 1")
 
 
 # section -> key -> (parser, default-as-string)
 SCHEMA = {
     "pairs": {
-        "eta": (float, "0.3"),
+        "eta": (_check(float, lambda v: v > 0, "positive"), "0.3"),
         "seed": (int, "42"),
         "max_pos": (_positive(_parse_opt_int), ""),
         "allow_replacement": (_parse_bool, "false"),
@@ -85,15 +89,16 @@ SCHEMA = {
     "network": {
         "output_dim": (_positive(int), "50"),
         "layers": (_positive(int), "3"),
-        "hidden_dims": (_parse_int_list, ""),
+        "hidden_dims": (_check(_parse_int_list, lambda dims: all(w >= 1 for w in dims),
+                               "widths of at least 1"), ""),
         "activation": (_choice(ACTIVATIONS), "tanh"),
-        "dropout_rate": (float, "0.5"),
+        "dropout_rate": (_check(float, lambda v: 0 <= v < 1, "in [0, 1)"), "0.5"),
     },
     "training": {
-        "margin_t": (float, "3.0"),
-        "beta": (float, "2.0"),
-        "lambda": (float, "0.002"),
-        "learning_rate": (float, "0.03"),
+        "margin_t": (_check(float, lambda v: v > 1, "greater than 1"), "3.0"),
+        "beta": (_check(float, lambda v: v > 0, "positive"), "2.0"),
+        "lambda": (_check(float, lambda v: v >= 0, "nonnegative"), "0.002"),
+        "learning_rate": (_check(float, lambda v: v >= 0, "nonnegative"), "0.03"),
         "epochs": (_positive(int), "30"),
         "seed": (int, "42"),
         "finetune_attention": (_parse_bool, "true"),

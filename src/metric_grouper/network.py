@@ -8,8 +8,9 @@ the squared distance reduces to the Mahalanobis form
 
 Training minimizes softplus(1 - l * (t - d^2)) / 2 summed over pairs plus
 an L2 penalty on the MLP weights and biases, by per-pair stochastic
-gradient descent with exact backpropagation through both branches (and,
-optionally, through the attention scores and the word embeddings).
+gradient descent with exact backpropagation through both branches and,
+in attention mode, into the attention parameter w_a. The word embeddings
+stay fixed.
 """
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import MODES, AttentionParams, compose_vectors, ingredients
+from .composition import (MODES, AttentionParams, attend, check_w_a, compose_vectors,
+                          ingredients)
 from .errors import DimensionMismatchError, DivergenceError, FormatError
 
 MODEL_FORMAT_VERSION = 1
@@ -64,7 +66,6 @@ class TrainConfig:
     epochs: int = 30
     seed: int = 42
     finetune_attention: bool = True
-    finetune_embeddings: bool = False
     dropout_rate: float = 0.5
 
     def __post_init__(self):
@@ -325,115 +326,83 @@ def pair_gradients(net, x_i, x_j, label, cfg, rng=None, input_grads=True):
     }
 
 
-def compose_backward(mode, context, p, weights, w_a, grad_x):
-    """Push a gradient on the composed vector back to its ingredients.
+def compose_backward(context, p, weights, grad_x):
+    """Gradient of w_a from a gradient on an attention-composed [c~; p].
 
-    Returns (grad_context, grad_p, grad_w_a); entries are zero arrays
-    where the mode gives a component no influence. ``weights`` are the
-    attention weights used in the forward composition (None for other
-    modes).
+    ``weights`` are the attention weights of the forward composition.
+    Inputs are unchecked; train() checks their shapes before the first step.
     """
-    p = np.asarray(p, dtype=float)
     d = p.shape[0]
-    if mode == "ap":
-        return None, grad_x.copy(), np.zeros(2 * d)
-    context = np.asarray(context, dtype=float)
-    n = context.shape[0]
-    gc = grad_x[:d]
-    grad_p = grad_x[d:].copy()
-    grad_wa = np.zeros(2 * d)
-    if mode == "avg":
-        grad_ctx = np.tile(gc / n, (n, 1))
-    elif mode in ("min", "max"):
-        pick = context.argmin(axis=0) if mode == "min" else context.argmax(axis=0)
-        grad_ctx = np.zeros_like(context)
-        grad_ctx[pick, np.arange(d)] = gc
-    else:  # attention
-        g = context @ gc                      # per-word influence on c~
-        q = float(weights @ g)
-        ds = weights * (g - q)                # softmax Jacobian applied
-        grad_wa[:d] = context.T @ ds
-        grad_wa[d:] = p * ds.sum()            # exactly zero up to rounding
-        grad_ctx = np.outer(weights, gc) + np.outer(ds, w_a[:d])
-        grad_p += w_a[d:] * ds.sum()
-    return grad_ctx, grad_p, grad_wa
+    g = context @ grad_x[:d]              # per-word influence on c~
+    q = float(weights @ g)
+    ds = weights * (g - q)                # softmax Jacobian applied
+    grad_wa = np.empty(2 * d)
+    grad_wa[:d] = context.T @ ds
+    grad_wa[d:] = p * ds.sum()            # exactly zero up to rounding
+    return grad_wa
 
 
 def train(net, pairs, table, cfg, mode="attention"):
     """Stochastic per-pair training; mutates and returns ``net``.
 
     Every epoch visits a seeded shuffle of the pairs, taking one gradient
-    step per pair with L2 weight decay on the MLP parameters. When the
-    attention parameter or the embeddings are being tuned, samples are
-    recomposed at every step with the live ``w_a``, but always from the
-    starting embeddings: the tuned embeddings are returned on
-    ``net.tuned_vectors`` and never fed back into composition. The
+    step per pair with L2 weight decay on the MLP parameters. In attention
+    mode with ``finetune_attention`` each step also moves ``w_a``, so
+    samples are recomposed at every step with its live value; otherwise
+    they are composed once. The word embeddings are never tuned. The
     history records the evaluation-mode mean objective after each epoch;
     identical seeds and data reproduce it bitwise.
 
-    Labels, token lookups (see composition.ingredients()) and the composed
-    input width are checked before the first step. Raises DivergenceError,
-    naming epoch and pair index, if any parameter stops being finite.
+    Labels, token lookups (see composition.ingredients()), the composed
+    input width and the length of ``w_a`` are checked before the first
+    step. Raises DivergenceError, naming epoch and pair index, if any
+    parameter stops being finite.
     """
     if not pairs:
         raise ValueError("no training pairs")
     if mode not in MODES:
         raise ValueError(f"unknown composition mode {mode!r}")
     rng = np.random.default_rng(cfg.seed)
-    live_vectors = None
-    if cfg.finetune_embeddings:
-        live_vectors = {t: v.copy() for t, v in table.vectors.items()}
 
-    samples = []
-    index = {}
+    index = {}  # sample -> its position in parts
     pair_idx = []
     for n, pair in enumerate(pairs):
         if pair.label not in (1, -1):
             raise ValueError(f"pair {n}: label must be +1 or -1, got {pair.label!r}")
         for s in (pair.left, pair.right):
-            if s not in index:
-                index[s] = len(samples)
-                samples.append(s)
+            index.setdefault(s, len(index))
         pair_idx.append((index[pair.left], index[pair.right], pair.label))
-
-    tune_attention = cfg.finetune_attention and mode == "attention"
-    recompose = tune_attention or cfg.finetune_embeddings
-
-    parts = [ingredients(s.phrase, s.context_tokens, table, mode)
-             for s in samples]
-
-    def compose_now(k):
-        return compose_vectors(parts[k].context, parts[k].p, net.attention, mode)
-
-    width = table.dimension if mode == "ap" else 2 * table.dimension
+    parts = [ingredients(s.phrase, s.context_tokens, table, mode) for s in index]
+    d = table.dimension
+    width = d if mode == "ap" else 2 * d
     if width != net.input_dim:
         raise DimensionMismatchError(
             f"composed inputs have width {width}, network expects {net.input_dim}")
-    static_x = None
-    if not recompose:
-        static_x = [compose_now(k) for k in range(len(samples))]
+    if mode == "attention":
+        check_w_a(net.attention, d)
+    recompose = cfg.finetune_attention and mode == "attention"
+    w_a = net.attention.w_a
+    if recompose:
+        def composed(k):
+            return attend(parts[k].context, parts[k].p, w_a)
+    else:
+        static_x = [compose_vectors(*q, net.attention, mode) for q in parts]
+        composed = static_x.__getitem__
 
     def epoch_objective():
-        if recompose:
-            composed = [compose_now(k).x for k in range(len(samples))]
-        else:
-            composed = [c.x for c in static_x]
-        total = objective(net, ((composed[a], composed[b], l) for a, b, l in pair_idx), cfg)
+        xs = [composed(k).x for k in range(len(parts))]
+        total = objective(net, ((xs[a], xs[b], l) for a, b, l in pair_idx), cfg)
         return total / len(pairs)
 
     lr = cfg.learning_rate
     lam = cfg.reg_lambda
     mlp = net.params[:net.n_mlp]
-    w_a = net.attention.w_a
     step_rng = rng if net.dropout_rate > 0 else None
     history = []
     for epoch in range(cfg.epochs):
         for k in rng.permutation(len(pair_idx)):
             a, b, label = pair_idx[k]
-            if recompose:
-                left, right = compose_now(a), compose_now(b)
-            else:
-                left, right = static_x[a], static_x[b]
+            left, right = composed(a), composed(b)
             grads = pair_gradients(net, left.x, right.x, label, cfg, rng=step_rng,
                                    input_grads=recompose)
             mlp -= lr * (grads["flat"] + lam * mlp)
@@ -441,38 +410,12 @@ def train(net, pairs, table, cfg, mode="attention"):
                 for parts_k, weights_k, gx in (
                         (parts[a], left.attention_weights, grads["x_i"]),
                         (parts[b], right.attention_weights, grads["x_j"])):
-                    g_ctx, g_p, g_wa = compose_backward(
-                        mode, parts_k.context, parts_k.p, weights_k, w_a, gx)
-                    if tune_attention:
-                        w_a -= lr * g_wa
-                    if cfg.finetune_embeddings:
-                        _apply_embedding_grads(
-                            live_vectors, parts_k, g_ctx, g_p, lr)
+                    w_a -= lr * compose_backward(parts_k.context, parts_k.p, weights_k, gx)
             if not net.params_finite():
                 raise DivergenceError(
                     f"non-finite parameter at epoch {epoch + 1}, pair index {int(k)}")
         history.append(epoch_objective())
-    if cfg.finetune_embeddings:
-        net.tuned_vectors = live_vectors
     return net, history
-
-
-def _apply_embedding_grads(live_vectors, parts_k, g_ctx, g_p, lr):
-    """Scatter composition gradients onto the live embedding rows.
-
-    Each kept phrase token gets its share of ``g_p``. Unknown tokens
-    (zero-filled rows) have no stored vector to update and are skipped.
-    """
-    if g_ctx is not None:
-        for row, tok in enumerate(parts_k.context_kept):
-            vec = live_vectors.get(tok)
-            if vec is not None:
-                vec -= lr * g_ctx[row]
-    share = lr / len(parts_k.phrase_kept)
-    for tok in parts_k.phrase_kept:
-        vec = live_vectors.get(tok)
-        if vec is not None:
-            vec -= share * g_p
 
 
 def save_model(net, path, config_hash=None, extra=None):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -9,10 +10,11 @@ import pytest
 
 from metric_grouper import cli
 from metric_grouper import clustering as clustering_mod
+from metric_grouper import config
 from metric_grouper.cli import _atomic_write, main
 from metric_grouper.clustering import cluster_corpus
 from metric_grouper.corpus import load_corpus, load_word_vectors
-from metric_grouper.network import load_model
+from metric_grouper.network import TrainConfig, load_model
 
 ARTIFACTS = ("pairs.jsonl", "model.json", "clusters.tsv", "metrics.json", "manifest.json")
 
@@ -271,6 +273,13 @@ class TestGuards:
         assert code == 1
         assert "--taxonomy" in err
 
+    def test_train_config_sets_every_field(self, monkeypatch):
+        # a TrainConfig field no setting reaches is a knob only the library can turn
+        seen = {}
+        monkeypatch.setattr(config, "TrainConfig", lambda **kw: seen.update(kw))
+        config.train_config_from(config.resolve())
+        assert sorted(seen) == sorted(f.name for f in dataclasses.fields(TrainConfig))
+
     OUT_OF_RANGE = [
         (("eval", "--methods", "foo"), "[evaluation] methods"),
         (("eval", "--k", "0"), "[clustering] k"),
@@ -283,6 +292,13 @@ class TestGuards:
         (("train", "--layers", "0"), "[network] layers"),
         (("train", "--output-dim", "0"), "[network] output_dim"),
         (("pairs", "--max-pos", "0"), "[pairs] max_pos"),
+        (("train", "--dropout-rate", "1"), "[network] dropout_rate"),
+        (("train", "--margin-t", "1"), "[training] margin_t"),
+        (("train", "--beta", "0"), "[training] beta"),
+        (("train", "--lambda", "-1"), "[training] lambda"),
+        (("train", "--learning-rate", "-1"), "[training] learning_rate"),
+        (("pairs", "--eta", "-1"), "[pairs] eta"),
+        (("train", "--hidden-dims", "0,3"), "[network] hidden_dims"),
     ]
 
     @pytest.mark.parametrize("argv, setting", OUT_OF_RANGE,

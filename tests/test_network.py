@@ -276,65 +276,45 @@ class TestGradients:
 
 
 class TestComposeBackward:
-    @pytest.mark.parametrize("mode", ["attention", "avg", "min", "max"])
-    def test_matches_finite_differences(self, mode):
-        from metric_grouper.composition import compose_vectors
-
+    def test_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         d = 3
-        net = MetricNetwork.create(d, mode=mode, output_dim=2, n_layers=2,
+        net = MetricNetwork.create(d, mode="attention", output_dim=2, n_layers=2,
                                    seed=8, dropout_rate=0.0)
         net.attention = AttentionParams(rng.normal(size=2 * d) * 0.5)
         ctx_i, ctx_j = rng.normal(size=(4, d)), rng.normal(size=(3, d))
         p_i, p_j = rng.normal(size=d), rng.normal(size=d)
 
-        def loss():
-            a = compose_vectors(ctx_i, p_i, net.attention, mode)
-            b = compose_vectors(ctx_j, p_j, net.attention, mode)
-            value, _ = pair_loss(net, a.x, b.x, -1, CFG)
-            return value
+        def compose_pair():
+            return (compose_vectors(ctx_i, p_i, net.attention, "attention"),
+                    compose_vectors(ctx_j, p_j, net.attention, "attention"))
 
-        a = compose_vectors(ctx_i, p_i, net.attention, mode)
-        b = compose_vectors(ctx_j, p_j, net.attention, mode)
+        a, b = compose_pair()
         grads = pair_gradients(net, a.x, b.x, -1, CFG)
-        g_ctx_i, g_p_i, g_wa_i = compose_backward(
-            mode, ctx_i, p_i, a.attention_weights, net.attention.w_a, grads["x_i"])
-        g_ctx_j, g_p_j, g_wa_j = compose_backward(
-            mode, ctx_j, p_j, b.attention_weights, net.attention.w_a, grads["x_j"])
+        g_wa = (compose_backward(ctx_i, p_i, a.attention_weights, grads["x_i"])
+                + compose_backward(ctx_j, p_j, b.attention_weights, grads["x_j"]))
 
         step = 1e-6
-
-        def fd(arr):
-            out = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + step
-                up = loss()
-                arr[idx] = orig - step
-                down = loss()
-                arr[idx] = orig
-                out[idx] = (up - down) / (2 * step)
-            return out
-
-        assert rel_err(g_ctx_i, fd(ctx_i)) < 1e-4
-        assert rel_err(g_p_j, fd(p_j)) < 1e-4
-        if mode == "attention":
-            assert rel_err(g_wa_i + g_wa_j, fd(net.attention.w_a)) < 1e-4
+        w_a = net.attention.w_a
+        fd = np.zeros_like(w_a)
+        for idx in range(w_a.size):
+            orig = w_a[idx]
+            values = []
+            for shifted in (orig + step, orig - step):
+                w_a[idx] = shifted
+                values.append(pair_loss(net, *(c.x for c in compose_pair()), -1, CFG)[0])
+            w_a[idx] = orig
+            fd[idx] = (values[0] - values[1]) / (2 * step)
+        assert rel_err(g_wa, fd) < 1e-4
 
     def test_attention_phrase_half_gets_zero_gradient(self):
         # the p term shifts every score equally, so softmax blocks it
         rng = np.random.default_rng(13)
         d = 4
-        from metric_grouper.composition import compose_vectors
-
         params = AttentionParams(rng.normal(size=2 * d))
         ctx, p = rng.normal(size=(5, d)), rng.normal(size=d)
         comp = compose_vectors(ctx, p, params, "attention")
-        _, _, g_wa = compose_backward(
-            "attention", ctx, p, comp.attention_weights, params.w_a,
-            rng.normal(size=2 * d))
+        g_wa = compose_backward(ctx, p, comp.attention_weights, rng.normal(size=2 * d))
         assert np.abs(g_wa[d:]).max() < 1e-12
 
 
@@ -405,19 +385,6 @@ class TestTrain:
             with pytest.raises(DivergenceError, match=r"epoch \d+, pair index \d+"):
                 train(net, pairs, table, cfg, mode="avg")
 
-    def test_finetuned_embeddings_are_returned(self):
-        table, pairs = toy_training_setup()
-        cfg = TrainConfig(epochs=3, seed=5, dropout_rate=0.0, finetune_embeddings=True)
-        net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=5,
-                                   dropout_rate=0.0)
-        train(net, pairs, table, cfg, mode="attention")
-        assert hasattr(net, "tuned_vectors")
-        moved = sum(1 for t, v in net.tuned_vectors.items()
-                    if not np.array_equal(v, table.vectors[t]))
-        assert moved > 0
-        # the source table itself must stay untouched
-        assert np.array_equal(table.vectors["picture"], [1.0, 0.2])
-
     def test_attention_parameter_moves_when_tuned(self):
         table, pairs = toy_training_setup()
         cfg = TrainConfig(epochs=5, seed=2, dropout_rate=0.0, finetune_attention=True)
@@ -465,39 +432,22 @@ class TestTrainChecks:
             train(net, bad, skip, TrainConfig(epochs=2, seed=1, dropout_rate=0.0))
         assert np.array_equal(net.params, before)
 
-    def test_phrase_step_is_shared_by_kept_tokens_only(self, monkeypatch):
-        # Under skip-token "picture qqq" composes from "picture" alone, so
-        # the phrase gradient g_p reaches that vector undivided.
-        table, _ = toy_training_setup()
-        skip = WordVectorTable(2, table.vectors, unknown_policy=SKIP_TOKEN)
-        left = AspectSample("picture qqq", ("the", "clear"), (0,))
-        right = AspectSample("sound", ("loud", "the"), (1,))
-        g_ps = []
-        real = network.compose_backward
-
-        def recording(*args):
-            out = real(*args)
-            g_ps.append(out[1].copy())
-            return out
-
-        monkeypatch.setattr(network, "compose_backward", recording)
-        cfg = TrainConfig(epochs=1, seed=0, learning_rate=0.1, dropout_rate=0.0,
-                          finetune_embeddings=True)
-        net = MetricNetwork.create(2, mode="avg", output_dim=2, n_layers=2, seed=0,
+    def test_attention_length_mismatch_raises_before_first_step(self):
+        table, pairs = toy_training_setup()
+        net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=1,
                                    dropout_rate=0.0)
-        train(net, [SamplePair(left, right, -1)], skip, cfg, mode="avg")
-        g_p = g_ps[0]  # the left branch is pushed back first
-        assert np.abs(g_p).max() > 0
-        want = table.vectors["picture"] - 0.1 * g_p
-        assert np.array_equal(net.tuned_vectors["picture"], want)
+        net.attention = AttentionParams(np.zeros(3))
+        before = net.params.copy()
+        with pytest.raises(DimensionMismatchError, match=r"attention parameter has shape \(3,\)"):
+            train(net, pairs, table, TrainConfig(epochs=2, seed=1, dropout_rate=0.0))
+        assert np.array_equal(net.params, before)
 
     def test_divergence_in_attention_alone(self, monkeypatch):
         table, pairs = toy_training_setup()
         real = network.compose_backward
 
         def poisoned(*args):
-            g_ctx, g_p, g_wa = real(*args)
-            return g_ctx, g_p, np.full_like(g_wa, np.inf)
+            return np.full_like(real(*args), np.inf)
 
         monkeypatch.setattr(network, "compose_backward", poisoned)
         cfg = TrainConfig(epochs=2, seed=4, dropout_rate=0.0)
@@ -563,52 +513,52 @@ def _reference_backward(weights, activation, cache, grad_out):
     return grads_w, grads_b, u
 
 
-class _ReferenceParts:
-    """Context matrix, kept tokens and phrase vector for one sample."""
-
-    __slots__ = ("context", "kept", "p", "phrase_tokens")
-
-    def __init__(self, context, kept, p, phrase_tokens):
-        self.context = context
-        self.kept = kept
-        self.p = p
-        self.phrase_tokens = phrase_tokens
-
-
 def _reference_parts(sample, lookup, dim, policy_zero, mode):
-    rows, kept = [], []
+    rows = []
     if mode != "ap":
         for tok in sample.context_tokens:
             vec = lookup(tok)
             if vec is None:
                 if policy_zero:
                     rows.append(np.zeros(dim))
-                    kept.append(tok)
             else:
                 rows.append(vec)
-                kept.append(tok)
     context = np.array(rows) if rows else np.zeros((0, dim))
-    ptoks = sample.phrase.split()
-    pvecs = [lookup(t) for t in ptoks]
+    pvecs = [lookup(t) for t in sample.phrase.split()]
     if policy_zero:
         pvecs = [np.zeros(dim) if v is None else v for v in pvecs]
     else:
         pvecs = [v for v in pvecs if v is not None]
     p = np.mean(pvecs, axis=0) if pvecs else np.zeros(dim)
-    return _ReferenceParts(context, kept, p, ptoks)
+    return context, p
 
 
-def _reference_embedding_grads(live_vectors, parts_k, g_ctx, g_p, lr):
-    if g_ctx is not None:
-        for row, tok in enumerate(parts_k.kept):
-            vec = live_vectors.get(tok)
-            if vec is not None:
-                vec -= lr * g_ctx[row]
-    share = lr / len(parts_k.phrase_tokens)
-    for tok in parts_k.phrase_tokens:
-        vec = live_vectors.get(tok)
-        if vec is not None:
-            vec -= share * g_p
+def _reference_compose(context, p, w_a, mode):
+    """Composed vector and attention weights (None outside attention mode)."""
+    if mode == "ap":
+        return p.copy(), None
+    if mode == "attention":
+        d = context.shape[1]
+        scores = context @ w_a[:d] + p @ w_a[d:]
+        shifted = scores - scores.max()
+        exp = np.exp(shifted)
+        weights = exp / exp.sum()
+        return np.concatenate([weights @ context, p]), weights
+    reduce = {"avg": np.mean, "min": np.min, "max": np.max}[mode]
+    return np.concatenate([reduce(context, axis=0), p]), None
+
+
+def _reference_grad_wa(context, p, weights, grad_x):
+    """Gradient of w_a through the attention composition."""
+    d = p.shape[0]
+    gc = grad_x[:d]
+    grad_wa = np.zeros(2 * d)
+    g = context @ gc
+    q = float(weights @ g)
+    ds = weights * (g - q)
+    grad_wa[:d] = context.T @ ds
+    grad_wa[d:] = p * ds.sum()
+    return grad_wa
 
 
 def reference_train(net, pairs, table, cfg, mode):
@@ -619,23 +569,15 @@ def reference_train(net, pairs, table, cfg, mode):
     gw_i + gw_j, a decay step per array, and an epoch objective that
     forwards both samples of every pair. Its token lookups are the ones
     training had before they went through WordVectorTable.lookup()
-    (``_reference_parts``). Returns (weights, biases, w_a, history) and
-    leaves ``net`` untouched.
+    (``_reference_parts``), and it composes and backpropagates into w_a
+    with its own copies of that arithmetic. Returns (weights, biases, w_a,
+    history) and leaves ``net`` untouched.
     """
     weights = [w.copy() for w in net.weights]
     biases = [b.copy() for b in net.biases]
-    params = AttentionParams(net.attention.w_a.copy())
-    w_a = params.w_a
+    w_a = net.attention.w_a.copy()
     act, rate = net.activation, net.dropout_rate
     rng = np.random.default_rng(cfg.seed)
-    live_vectors = None
-    if cfg.finetune_embeddings:
-        live_vectors = {t: v.copy() for t, v in table.vectors.items()}
-
-        def lookup(tok):
-            return live_vectors.get(tok.lower())
-    else:
-        lookup = table.get
     samples, index = [], {}
     for pair in pairs:
         for s in (pair.left, pair.right):
@@ -643,18 +585,17 @@ def reference_train(net, pairs, table, cfg, mode):
                 index[s] = len(samples)
                 samples.append(s)
     pair_idx = [(index[p.left], index[p.right], p.label) for p in pairs]
-    tune_attention = cfg.finetune_attention and mode == "attention"
-    recompose = tune_attention or cfg.finetune_embeddings
-    parts = [_reference_parts(s, lookup, table.dimension,
+    recompose = cfg.finetune_attention and mode == "attention"
+    parts = [_reference_parts(s, table.get, table.dimension,
                               table.unknown_policy == "zero-vector", mode) for s in samples]
 
     def compose_now(k):
-        return compose_vectors(parts[k].context, parts[k].p, params, mode)
+        return _reference_compose(*parts[k], w_a, mode)
 
     static_x = [compose_now(k) for k in range(len(samples))]
 
     def epoch_objective():
-        composed = [compose_now(k).x if recompose else static_x[k].x
+        composed = [compose_now(k)[0] if recompose else static_x[k][0]
                     for k in range(len(samples))]
         total = 0.0
         for a, b, label in pair_idx:
@@ -674,12 +615,12 @@ def reference_train(net, pairs, table, cfg, mode):
         for k in rng.permutation(len(pair_idx)):
             a, b, label = pair_idx[k]
             if recompose:
-                left, right = compose_now(a), compose_now(b)
+                (x_i, att_i), (x_j, att_j) = compose_now(a), compose_now(b)
             else:
-                left, right = static_x[a], static_x[b]
+                (x_i, att_i), (x_j, att_j) = static_x[a], static_x[b]
             step_rng = rng if rate > 0 else None
-            h_i, cache_i = _reference_forward(weights, biases, act, rate, left.x, step_rng)
-            h_j, cache_j = _reference_forward(weights, biases, act, rate, right.x, step_rng)
+            h_i, cache_i = _reference_forward(weights, biases, act, rate, x_i, step_rng)
+            h_j, cache_j = _reference_forward(weights, biases, act, rate, x_j, step_rng)
             diff = h_i - h_j
             omega = 1.0 - label * (cfg.margin_t - float(diff @ diff))
             coef = 0.5 * _reference_sigmoid(cfg.beta * omega) * label
@@ -689,14 +630,8 @@ def reference_train(net, pairs, table, cfg, mode):
                 weights[m] -= lr * ((gw_i[m] + gw_j[m]) + lam * weights[m])
                 biases[m] -= lr * ((gb_i[m] + gb_j[m]) + lam * biases[m])
             if recompose:
-                for parts_k, weights_k, gx in ((parts[a], left.attention_weights, gx_i),
-                                               (parts[b], right.attention_weights, gx_j)):
-                    g_ctx, g_p, g_wa = compose_backward(
-                        mode, parts_k.context, parts_k.p, weights_k, w_a, gx)
-                    if tune_attention:
-                        w_a -= lr * g_wa
-                    if cfg.finetune_embeddings:
-                        _reference_embedding_grads(live_vectors, parts_k, g_ctx, g_p, lr)
+                for (context, p), att, gx in ((parts[a], att_i, gx_i), (parts[b], att_j, gx_j)):
+                    w_a -= lr * _reference_grad_wa(context, p, att, gx)
         history.append(epoch_objective())
     return weights, biases, w_a, history
 
@@ -704,17 +639,17 @@ def reference_train(net, pairs, table, cfg, mode):
 class TestReferenceLoop:
     """train() reproduces the separate-array loop bit for bit."""
 
-    @pytest.mark.parametrize("mode, layers, activation, dropout, embeddings", [
+    @pytest.mark.parametrize("mode, layers, activation, dropout, frozen", [
         ("attention", 3, "tanh", 0.5, False),   # attention tuned, dropout on
         ("avg", 3, "tanh", 0.5, False),         # static inputs
         ("avg", 1, "identity", 0.0, False),
-        ("attention", 2, "tanh", 0.5, True),    # embeddings fine-tuned
+        ("attention", 2, "tanh", 0.5, True),    # attention frozen: composed once
         ("attention", 3, "tanh", 0.0, False),
     ])
     def test_bitwise_equal(self, fixture_pairs, fixture_table,
-                           mode, layers, activation, dropout, embeddings):
+                           mode, layers, activation, dropout, frozen):
         cfg = TrainConfig(epochs=2, seed=7, dropout_rate=dropout,
-                          finetune_embeddings=embeddings)
+                          finetune_attention=not frozen)
         net = MetricNetwork.create(fixture_table.dimension, mode=mode, output_dim=6,
                                    n_layers=layers, activation=activation,
                                    dropout_rate=dropout, seed=7)
@@ -726,7 +661,7 @@ class TestReferenceLoop:
             assert np.array_equal(got, want)
         assert np.array_equal(net.attention.w_a, want_wa)
         if mode == "attention":
-            assert not np.array_equal(want_wa, np.zeros_like(want_wa))
+            assert (not want_wa.any()) == frozen
 
 
 class TestParameterBuffer:
