@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .composition import MODES
 from .errors import ConfigError
 from .evaluation import score_runs
-from .network import MetricNetwork, train
+from .network import MetricNetwork, check_hidden_dims, train
 
 REFERENCE_KEY = "ap:0:raw"
 
@@ -70,6 +70,8 @@ def run_ablation(corpus, table, combos, train_pairs=None, train_cfg=None,
         combos.append(Combo("ap", 0, False))
     if len({c.key for c in combos}) != len(combos):
         raise ConfigError("duplicate combos")
+    if any(c.mlp_layers == 3 for c in combos):
+        check_hidden_dims(hidden_dims, 3)
     if any(c.train for c in combos):
         if not train_pairs:
             raise ValueError("training combos need a pair list")
@@ -94,7 +96,6 @@ def run_ablation(corpus, table, combos, train_pairs=None, train_cfg=None,
                 n_layers=combo.mlp_layers,
                 hidden_dims=hidden_dims if combo.mlp_layers == 3 else None,
                 activation="identity" if combo.mlp_layers == 1 else "tanh",
-                dropout_rate=train_cfg.dropout_rate,
                 seed=train_cfg.seed,
             )
             _, history = train(net, train_pairs, table, train_cfg, mode=combo.mode)

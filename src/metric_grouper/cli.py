@@ -33,7 +33,8 @@ from .composition import MODES
 from .evaluation import LEARNED_METHOD, METHODS, evaluate_run, format_report
 from .fixture import write_fixture
 from .lexicon import load_taxonomy
-from .network import ACTIVATIONS, MetricNetwork, load_model, save_model, train
+from .network import (ACTIVATIONS, MetricNetwork, check_hidden_dims, load_model, save_model,
+                      train)
 from .pairs import generate_pairs, generate_samples, load_pairs, save_pairs
 
 PAIRS_FILE = "pairs.jsonl"
@@ -266,6 +267,8 @@ def cmd_train(args, loaded=None):
     out_dir = _out_dir(args)
     resolved = _resolved(args)
     chash = config_hash(resolved)
+    net_sec = resolved["network"]
+    check_hidden_dims(net_sec["hidden_dims"], net_sec["layers"])
     table = _load_table(args, loaded)
     pairs_path = os.path.join(out_dir, PAIRS_FILE)
     if not os.path.exists(pairs_path):
@@ -274,13 +277,12 @@ def cmd_train(args, loaded=None):
     pairs, header = load_pairs(pairs_path)
     _check_hash(pairs_path, (header or {}).get("config_hash"), chash)
     cfg = train_config_from(resolved)
-    net_sec = resolved["network"]
     mode = resolved["composition"]["mode"]
     net = MetricNetwork.create(
         table.dimension, mode=mode,
         output_dim=net_sec["output_dim"], n_layers=net_sec["layers"],
         hidden_dims=net_sec["hidden_dims"], activation=net_sec["activation"],
-        dropout_rate=net_sec["dropout_rate"], seed=cfg.seed)
+        seed=cfg.seed)
     net, history = train(net, pairs, table, cfg, mode=mode)
     for epoch, value in enumerate(history, 1):
         print(f"epoch {epoch}: mean objective {value:.6f}")
@@ -429,6 +431,8 @@ def cmd_ablate(args):
 
 def cmd_run_all(args):
     _require(args, "corpus", "vectors", "taxonomy")
+    net_sec = _resolved(args)["network"]
+    check_hidden_dims(net_sec["hidden_dims"], net_sec["layers"])  # before pairs.jsonl is written
     loaded = {}
     code = cmd_validate(args, loaded)
     if code:
@@ -449,7 +453,6 @@ def build_parser():
         "layers": "number of weight layers",
         "hidden_dims": "comma-separated hidden widths (default: geometric)",
         "activation": " or ".join(ACTIVATIONS),
-        "dropout_rate": "hidden-layer dropout rate",
         "margin_t": "distance margin threshold t",
         "beta": "softplus sharpness",
         "lambda": "L2 regularization weight",

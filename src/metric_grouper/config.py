@@ -92,7 +92,6 @@ SCHEMA = {
         "hidden_dims": (_check(_parse_int_list, lambda dims: all(w >= 1 for w in dims),
                                "widths of at least 1"), ""),
         "activation": (_choice(ACTIVATIONS), "tanh"),
-        "dropout_rate": (_check(float, lambda v: 0 <= v < 1, "in [0, 1)"), "0.5"),
     },
     "training": {
         "margin_t": (_check(float, lambda v: v > 1, "greater than 1"), "3.0"),
@@ -136,7 +135,6 @@ FLAG_MAP = {
     "layers": ("network", "layers"),
     "hidden_dims": ("network", "hidden_dims"),
     "activation": ("network", "activation"),
-    "dropout_rate": ("network", "dropout_rate"),
     "margin_t": ("training", "margin_t"),
     "beta": ("training", "beta"),
     "lambda": ("training", "lambda"),
@@ -217,7 +215,7 @@ def config_hash(resolved):
 
 
 def train_config_from(resolved):
-    """Build a TrainConfig from the training/network sections."""
+    """Build a TrainConfig from the training section."""
     t = resolved["training"]
     return TrainConfig(
         margin_t=t["margin_t"],
@@ -227,5 +225,4 @@ def train_config_from(resolved):
         epochs=t["epochs"],
         seed=t["seed"],
         finetune_attention=t["finetune_attention"],
-        dropout_rate=resolved["network"]["dropout_rate"],
     )

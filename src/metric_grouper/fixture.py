@@ -142,19 +142,13 @@ def train_config(seed=42, epochs=30):
     return TrainConfig(seed=seed, epochs=epochs)
 
 
-def make_network(seed=42, dropout_rate=0.5):
-    """Fresh fixture-sized network (16 -> 32 -> 16 -> 8).
-
-    The hidden layers are kept wide relative to the input: with 50%
-    dropout, narrow layers turn the context pathway into noise and the
-    metric settles for separating phrases by their vector axes alone.
-    """
+def make_network(seed=42):
+    """Fresh fixture-sized network (16 -> 32 -> 16 -> 8)."""
     from .network import MetricNetwork
 
     return MetricNetwork.create(
         DIMENSION, mode="attention", output_dim=FIXTURE_OUTPUT_DIM,
-        n_layers=3, hidden_dims=list(FIXTURE_HIDDEN_DIMS),
-        dropout_rate=dropout_rate, seed=seed)
+        n_layers=3, hidden_dims=list(FIXTURE_HIDDEN_DIMS), seed=seed)
 
 
 FIXTURE_OUTPUT_DIM = 8
@@ -174,7 +168,6 @@ output_dim = 8
 layers = 3
 hidden_dims = 32,16
 activation = tanh
-dropout_rate = 0.5
 
 [training]
 margin_t = 3.0

@@ -10,7 +10,9 @@ Training minimizes softplus(1 - l * (t - d^2)) / 2 summed over pairs plus
 an L2 penalty on the MLP weights and biases, by per-pair stochastic
 gradient descent with exact backpropagation through both branches and,
 in attention mode, into the attention parameter w_a. The word embeddings
-stay fixed.
+stay fixed. Both branches run the same deterministic forward pass, so two
+identical inputs are at distance exactly zero; the seed draws only the
+initial weights and the pair order.
 """
 from __future__ import annotations
 
@@ -21,9 +23,9 @@ import numpy as np
 
 from .composition import (MODES, AttentionParams, attend, check_w_a, compose_vectors,
                           ingredients)
-from .errors import DimensionMismatchError, DivergenceError, FormatError
+from .errors import ConfigError, DimensionMismatchError, DivergenceError, FormatError
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 def softplus(omega, beta):
@@ -50,6 +52,13 @@ def interior_dims(input_dim, output_dim, n_layers):
     return dims
 
 
+def check_hidden_dims(hidden_dims, n_layers):
+    """Reject explicit hidden widths that do not give ``n_layers`` layers (None passes)."""
+    if hidden_dims is not None and len(hidden_dims) != n_layers - 1:
+        raise ConfigError(f"[network] hidden_dims: {n_layers} layers need "
+                          f"{n_layers - 1} hidden widths, got {len(hidden_dims)}")
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters for pair training.
@@ -66,7 +75,6 @@ class TrainConfig:
     epochs: int = 30
     seed: int = 42
     finetune_attention: bool = True
-    dropout_rate: float = 0.5
 
     def __post_init__(self):
         if not self.margin_t > 1:
@@ -79,8 +87,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be nonnegative")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
-        if not 0 <= self.dropout_rate < 1:
-            raise ValueError("dropout_rate must lie in [0, 1)")
 
 
 class MetricNetwork:
@@ -92,7 +98,7 @@ class MetricNetwork:
     """
 
     def __init__(self, weights, biases, activation="tanh", attention=None,
-                 dropout_rate=0.5, composition_mode="attention"):
+                 composition_mode="attention"):
         if activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}")
         if len(weights) != len(biases) or not weights:
@@ -108,9 +114,6 @@ class MetricNetwork:
                     f"previous output {weights[m - 1].shape[0]}")
         self.activation = activation
         self._tanh = activation == "tanh"
-        self.dropout_rate = float(dropout_rate)
-        if not 0 <= self.dropout_rate < 1:
-            raise ValueError("dropout_rate must lie in [0, 1)")
         self.composition_mode = composition_mode
         if attention is None:
             input_dim = weights[0].shape[1]
@@ -160,17 +163,16 @@ class MetricNetwork:
 
     @classmethod
     def create(cls, word_dim, mode="attention", output_dim=50, n_layers=3,
-               hidden_dims=None, activation="tanh", dropout_rate=0.5, seed=0):
+               hidden_dims=None, activation="tanh", seed=0):
         """Fresh network with Glorot-uniform weights and zero biases.
 
         The attention parameter starts at zero so the first weighting is
         uniform. Hidden widths default to geometric interpolation.
         """
         input_dim = word_dim if mode == "ap" else 2 * word_dim
+        check_hidden_dims(hidden_dims, n_layers)
         if hidden_dims is None:
             hidden_dims = interior_dims(input_dim, output_dim, n_layers)
-        if len(hidden_dims) != n_layers - 1:
-            raise ValueError(f"{n_layers} layers need {n_layers - 1} hidden widths")
         dims = [input_dim] + list(hidden_dims) + [output_dim]
         rng = np.random.default_rng(seed)
         weights, biases = [], []
@@ -179,38 +181,29 @@ class MetricNetwork:
             weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
             biases.append(np.zeros(fan_out))
         return cls(weights, biases, activation=activation,
-                   attention=AttentionParams.zeros(word_dim),
-                   dropout_rate=dropout_rate, composition_mode=mode)
+                   attention=AttentionParams.zeros(word_dim), composition_mode=mode)
 
-    def forward(self, x, rng=None):
+    def forward(self, x):
         """Map x through the layers; returns (output, cache).
 
-        Passing ``rng`` enables inverted dropout on the hidden layers, so
-        evaluation needs no rescaling; with it None (or rate 0) the pass
-        is deterministic. The cache carries everything backprop needs.
+        The cache carries everything backprop needs.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.input_dim,):
             raise DimensionMismatchError(
                 f"input has shape {x.shape}, expected ({self.input_dim},)")
-        return self._forward(x, rng)
+        return self._forward(x)
 
-    def _forward(self, x, rng=None):
+    def _forward(self, x):
         """Unchecked forward pass of one branch; see forward()."""
-        drop = rng is not None and self.dropout_rate > 0
-        keep = 1.0 - self.dropout_rate
-        last = self.n_layers - 1
         a = x
-        inputs, acts, masks = [], [], []
-        for m, (w, b) in enumerate(zip(self.weights, self.biases)):
+        inputs, acts = [], []
+        for w, b in zip(self.weights, self.biases):
             inputs.append(a)
             z = w @ a + b
-            h = np.tanh(z) if self._tanh else z
-            acts.append(h)
-            mask = (rng.random(h.shape) < keep) / keep if drop and m < last else None
-            masks.append(mask)
-            a = h if mask is None else h * mask
-        return a, {"inputs": inputs, "acts": acts, "masks": masks}
+            a = np.tanh(z) if self._tanh else z
+            acts.append(a)
+        return a, {"inputs": inputs, "acts": acts}
 
     def backward(self, cache, u, grads_w, grads_b, add=False, input_grad=True):
         """Backpropagate the output gradient ``u`` through the cached pass.
@@ -219,10 +212,8 @@ class MetricNetwork:
         adds them there with ``add``. Returns the input gradient, or None
         when ``input_grad`` is false and its product is skipped.
         """
-        inputs, acts, masks = cache["inputs"], cache["acts"], cache["masks"]
+        inputs, acts = cache["inputs"], cache["acts"]
         for m in range(self.n_layers - 1, -1, -1):
-            if masks[m] is not None:
-                u = u * masks[m]
             delta = u * (1.0 - acts[m] ** 2) if self._tanh else u
             if add:
                 grads_w[m] += np.multiply.outer(delta, inputs[m])
@@ -236,7 +227,7 @@ class MetricNetwork:
         return u
 
     def distance_sq(self, x_i, x_j):
-        """Squared Euclidean distance between the mapped inputs (eval mode)."""
+        """Squared Euclidean distance between the mapped inputs."""
         h_i, _ = self.forward(x_i)
         h_j, _ = self.forward(x_j)
         diff = h_i - h_j
@@ -258,7 +249,7 @@ def pair_loss(net, x_i, x_j, label, cfg):
     """Per-pair objective term softplus(omega)/2; returns (loss, omega).
 
     omega = 1 - label * (t - d^2) measures how far the pair sits from
-    satisfying its margin constraint. Evaluation-mode forwards.
+    satisfying its margin constraint.
     """
     return _margin_loss(net.distance_sq(x_i, x_j), label, cfg)
 
@@ -279,7 +270,7 @@ def objective(net, composed_pairs, cfg):
     """Sum of pair losses plus the regularizer.
 
     Each distinct input array is forwarded once, however many pairs share
-    it; evaluation-mode forwards are deterministic, so the sum is the same.
+    it; forwards are deterministic, so the sum is the same.
     """
     outputs = {}  # id(x) -> (x, output); holding x keeps its id from being reused
     total = 0.0
@@ -292,19 +283,17 @@ def objective(net, composed_pairs, cfg):
     return total + regularizer(net, cfg)
 
 
-def pair_gradients(net, x_i, x_j, label, cfg, rng=None, input_grads=True):
+def pair_gradients(net, x_i, x_j, label, cfg, input_grads=True):
     """Exact gradients of the per-pair loss term.
 
     Gradients flow through both branches and sum on the shared weights.
-    With ``rng`` given, each branch draws its own dropout masks (branch i
-    first) and the returned loss is the dropped-out one actually
-    differentiated. Returns a dict with the flat MLP gradient and its
-    per-layer weight/bias views, input gradients for both branches (None
-    unless ``input_grads``), and the loss and omega values. Input shapes
-    are unchecked; forward() and train() check them.
+    Returns a dict with the flat MLP gradient and its per-layer
+    weight/bias views, input gradients for both branches (None unless
+    ``input_grads``), and the loss and omega values. Input shapes are
+    unchecked; forward() and train() check them.
     """
-    h_i, cache_i = net._forward(x_i, rng)
-    h_j, cache_j = net._forward(x_j, rng)
+    h_i, cache_i = net._forward(x_i)
+    h_j, cache_j = net._forward(x_j)
     diff = h_i - h_j
     loss, omega = _margin_loss(float(diff @ diff), label, cfg)
     # d loss / d d2 = sigmoid(beta * omega) * label / 2
@@ -350,8 +339,9 @@ def train(net, pairs, table, cfg, mode="attention"):
     mode with ``finetune_attention`` each step also moves ``w_a``, so
     samples are recomposed at every step with its live value; otherwise
     they are composed once. The word embeddings are never tuned. The
-    history records the evaluation-mode mean objective after each epoch;
-    identical seeds and data reproduce it bitwise.
+    history records the mean objective after each epoch; ``cfg.seed``
+    draws the pair order, so identical seeds and data reproduce it
+    bitwise.
 
     Labels, token lookups (see composition.ingredients()), the composed
     input width and the length of ``w_a`` are checked before the first
@@ -397,14 +387,12 @@ def train(net, pairs, table, cfg, mode="attention"):
     lr = cfg.learning_rate
     lam = cfg.reg_lambda
     mlp = net.params[:net.n_mlp]
-    step_rng = rng if net.dropout_rate > 0 else None
     history = []
     for epoch in range(cfg.epochs):
         for k in rng.permutation(len(pair_idx)):
             a, b, label = pair_idx[k]
             left, right = composed(a), composed(b)
-            grads = pair_gradients(net, left.x, right.x, label, cfg, rng=step_rng,
-                                   input_grads=recompose)
+            grads = pair_gradients(net, left.x, right.x, label, cfg, input_grads=recompose)
             mlp -= lr * (grads["flat"] + lam * mlp)
             if recompose:
                 for parts_k, weights_k, gx in (
@@ -425,7 +413,6 @@ def save_model(net, path, config_hash=None, extra=None):
         "input_dim": net.input_dim,
         "output_dim": net.output_dim,
         "activation": net.activation,
-        "dropout_rate": net.dropout_rate,
         "composition_mode": net.composition_mode,
         "attention_w": net.attention.w_a.tolist(),
         "layers": [
@@ -457,7 +444,6 @@ def load_model(path):
             [layer["b"] for layer in doc["layers"]],
             activation=doc["activation"],
             attention=AttentionParams(np.array(doc["attention_w"], dtype=float)),
-            dropout_rate=doc["dropout_rate"],
             composition_mode=doc["composition_mode"],
         )
     except (KeyError, TypeError) as exc:

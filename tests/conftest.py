@@ -58,6 +58,6 @@ def trained_net(fixture_pairs, fixture_table):
     Treated as read-only by every test that uses it.
     """
     cfg = fx.train_config()
-    net = fx.make_network(seed=cfg.seed, dropout_rate=cfg.dropout_rate)
+    net = fx.make_network(seed=cfg.seed)
     net, history = train(net, fixture_pairs, fixture_table, cfg, mode="attention")
     return net, history

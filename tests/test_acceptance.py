@@ -14,10 +14,10 @@ from metric_grouper import fixture as fx
 from metric_grouper.cli import main as cli_main
 from metric_grouper.clustering import kmeans
 from metric_grouper.composition import AttentionParams, attention_weights
-from metric_grouper.corpus import AnnotatedCorpus, AnnotatedSentence, Mention
+from metric_grouper.corpus import AnnotatedCorpus, AnnotatedSentence, Mention, WordVectorTable
 from metric_grouper.errors import InsufficientNegativesError
 from metric_grouper.evaluation import entropy, evaluate_run, purity
-from metric_grouper.lexicon import jcn_similarity
+from metric_grouper.lexicon import build_taxonomy, jcn_similarity
 from metric_grouper.network import (
     MetricNetwork,
     TrainConfig,
@@ -28,11 +28,11 @@ from metric_grouper.network import (
 )
 from metric_grouper.pairs import generate_pairs, generate_samples
 
-CFG0 = TrainConfig(dropout_rate=0.0)
+CFG = TrainConfig()
 
 
 def random_network(rng):
-    """1-3 tanh layers, input width 4-8, dropout off."""
+    """1-3 tanh layers, input width 4-8."""
     n_layers = int(rng.integers(1, 4))
     dims = [int(rng.integers(4, 9))]
     for _ in range(n_layers - 1):
@@ -43,7 +43,7 @@ def random_network(rng):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
         biases.append(rng.normal(size=fan_out) * 0.1)
-    return MetricNetwork(weights, biases, activation="tanh", dropout_rate=0.0,
+    return MetricNetwork(weights, biases, activation="tanh",
                          composition_mode="avg")
 
 
@@ -80,8 +80,8 @@ def test_criterion_1_gradient_correctness():
         x_i = rng.normal(size=net.input_dim)
         x_j = rng.normal(size=net.input_dim)
         label = 1 if rng.random() < 0.5 else -1
-        analytic = pair_gradients(net, x_i, x_j, label, CFG0)
-        fd_w, fd_b = finite_difference_gradients(net, x_i, x_j, label, CFG0)
+        analytic = pair_gradients(net, x_i, x_j, label, CFG)
+        fd_w, fd_b = finite_difference_gradients(net, x_i, x_j, label, CFG)
         for got, want in zip(analytic["weights"] + analytic["biases"], fd_w + fd_b):
             worst = max(worst, relative_error(got, want))
     elapsed = time.perf_counter() - start
@@ -99,8 +99,7 @@ def test_criterion_2_mahalanobis_equivalence():
         fan_in = int(rng.integers(2, 9))
         fan_out = int(rng.integers(2, 7))
         w = rng.normal(size=(fan_out, fan_in))
-        net = MetricNetwork([w], [np.zeros(fan_out)], activation="identity",
-                            dropout_rate=0.0, composition_mode="avg")
+        net = MetricNetwork([w], [np.zeros(fan_out)], activation="identity", composition_mode="avg")
         x_i, x_j = rng.normal(size=fan_in), rng.normal(size=fan_in)
         diff = x_i - x_j
         expected = float(diff @ (w.T @ w) @ diff)
@@ -155,6 +154,37 @@ def test_criterion_4_loss_envelope():
     assert ok
 
 
+def multi_group_data(seed, groups=8, phrases=6, sentences=5, adjectives=5, dim=16):
+    """Corpus, vectors and taxonomy whose groups only the context tells apart.
+
+    Every sentence reads "the P is A and A". Phrase rows are small noise,
+    so they carry no group signal; each group's adjectives sit around a
+    group direction. The taxonomy is root -> group -> one leaf per phrase.
+    """
+    rng = np.random.default_rng(seed)
+    vectors = {w: 0.1 * rng.standard_normal(dim) for w in ("the", "is", "and")}
+    records = [{"concept": "root", "parents": [], "count": 0.0}]
+    sentences_out = []
+    for g in range(groups):
+        direction = rng.standard_normal(dim)
+        words = [f"g{g}a{i}" for i in range(adjectives)]
+        for word in words:
+            vectors[word] = direction + 0.3 * rng.standard_normal(dim)
+        records.append({"concept": f"group-{g}", "parents": ["root"], "count": 0.0})
+        for i in range(phrases):
+            phrase = f"g{g}p{i}"
+            vectors[phrase] = 0.1 * rng.standard_normal(dim)
+            records.append({"concept": f"leaf-{phrase}", "parents": [f"group-{g}"],
+                            "count": 1.0})
+            records.append({"word": phrase, "concepts": [f"leaf-{phrase}"]})
+            for _ in range(sentences):
+                a, b = rng.choice(adjectives, size=2)
+                tokens = ("the", phrase, "is", words[a], "and", words[b])
+                sentences_out.append(AnnotatedSentence(tokens, (Mention(phrase, 1, 2, g),)))
+    return (AnnotatedCorpus(sentences_out), WordVectorTable(dim, vectors),
+            build_taxonomy(records))
+
+
 def test_criterion_5_synthetic_end_to_end():
     start = time.perf_counter()
     corpus = fx.make_corpus()
@@ -163,7 +193,7 @@ def test_criterion_5_synthetic_end_to_end():
     samples = generate_samples(corpus)
     pairs = generate_pairs(samples, tax, fx.FIXTURE_ETA, seed=42)
     cfg = fx.train_config()  # defaults, seed 42
-    net = fx.make_network(seed=cfg.seed, dropout_rate=cfg.dropout_rate)
+    net = fx.make_network(seed=cfg.seed)
     net, history = train(net, pairs, table, cfg, mode="attention")
     decreasing = history[-1] < history[0]
 
@@ -173,16 +203,33 @@ def test_criterion_5_synthetic_end_to_end():
     avg_row = report["methods"]["avg"]
     perfect = metric_row["purity_mean"] == 1.0 and metric_row["entropy_mean"] == 0.0
     beats_avg = metric_row["purity_mean"] >= avg_row["purity_mean"]
+
+    # beyond two groups: 8 groups, phrase vectors without group signal
+    multi = {}
+    for seed in (1, 2, 3):
+        mg_corpus, mg_table, mg_tax = multi_group_data(seed)
+        mg_pairs = generate_pairs(generate_samples(mg_corpus), mg_tax, 0.3, seed=seed)
+        mg_net = MetricNetwork.create(mg_table.dimension, mode="attention", output_dim=8,
+                                      n_layers=3, seed=seed)
+        train(mg_net, mg_pairs, mg_table, TrainConfig(epochs=3, seed=seed), mode="attention")
+        rows = evaluate_run(mg_corpus, mg_table, ["metric", "avg"], net=mg_net,
+                            k=8, runs=5, seed=seed)["methods"]
+        multi[seed] = (rows["metric"]["purity_mean"], rows["avg"]["purity_mean"])
+    multi_beats_avg = all(m >= a for m, a in multi.values())
+
     elapsed = time.perf_counter() - start
-    ok = decreasing and perfect and beats_avg and elapsed < 120.0
+    ok = decreasing and perfect and beats_avg and multi_beats_avg and elapsed < 120.0
     record_criterion(
         5, "synthetic end-to-end training and clustering", ok,
         f"objective {history[0]:.4f}->{history[-1]:.4f}, purity {metric_row['purity_mean']:.3f}, "
-        f"avg {avg_row['purity_mean']:.3f}, {elapsed:.1f}s")
+        f"avg {avg_row['purity_mean']:.3f}; 8 groups metric/avg "
+        + ", ".join(f"{m:.3f}/{a:.3f}" for m, a in multi.values())
+        + f", {elapsed:.1f}s")
     assert decreasing, f"objective went {history[0]} -> {history[-1]}"
     assert metric_row["purity_mean"] == 1.0
     assert metric_row["entropy_mean"] == 0.0
     assert beats_avg
+    assert multi_beats_avg, f"8-group (metric, avg) purity by seed: {multi}"
     assert elapsed < 120.0
 
 

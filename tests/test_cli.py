@@ -1,7 +1,9 @@
+import configparser
 import dataclasses
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -259,13 +261,15 @@ class TestGuards:
 
     def test_unknown_config_key(self, fixture_files, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text("[training]\nmomentum = 0.9\n", encoding="utf-8")
-        code = run("pairs", "--corpus", fixture_files["corpus"],
-                   "--taxonomy", fixture_files["taxonomy"],
-                   "--config", str(cfg), "--out-dir", str(tmp_path))
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "unknown key" in err
+        # dropout_rate was a [network] key until dropout was removed
+        for section, key in (("training", "momentum"), ("network", "dropout_rate")):
+            cfg.write_text(f"[{section}]\n{key} = 0.5\n", encoding="utf-8")
+            code = run("pairs", "--corpus", fixture_files["corpus"],
+                       "--taxonomy", fixture_files["taxonomy"],
+                       "--config", str(cfg), "--out-dir", str(tmp_path))
+            err = capsys.readouterr().err
+            assert code == 1
+            assert f"unknown key '{key}' in [{section}]" in err
 
     def test_missing_required_flag(self, fixture_files, capsys):
         code = run("pairs", "--corpus", fixture_files["corpus"])
@@ -280,6 +284,19 @@ class TestGuards:
         config.train_config_from(config.resolve())
         assert sorted(seen) == sorted(f.name for f in dataclasses.fields(TrainConfig))
 
+    def test_readme_defaults_match_schema(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        ini = tmp_path / "readme.ini"
+        ini.write_text(re.sub(r"[ \t]*;.*", "", block), encoding="utf-8")
+        resolved = config.resolve(str(ini))  # a key the schema lacks raises ConfigError
+        listed = configparser.ConfigParser(interpolation=None)
+        listed.read(ini, encoding="utf-8")
+        assert {name: set(listed[name]) for name in listed.sections()} == {
+            name: set(keys) for name, keys in config.SCHEMA.items()}
+        assert resolved["_raw"] == config.resolve()["_raw"]
+
     OUT_OF_RANGE = [
         (("eval", "--methods", "foo"), "[evaluation] methods"),
         (("eval", "--k", "0"), "[clustering] k"),
@@ -292,13 +309,16 @@ class TestGuards:
         (("train", "--layers", "0"), "[network] layers"),
         (("train", "--output-dim", "0"), "[network] output_dim"),
         (("pairs", "--max-pos", "0"), "[pairs] max_pos"),
-        (("train", "--dropout-rate", "1"), "[network] dropout_rate"),
         (("train", "--margin-t", "1"), "[training] margin_t"),
         (("train", "--beta", "0"), "[training] beta"),
         (("train", "--lambda", "-1"), "[training] lambda"),
         (("train", "--learning-rate", "-1"), "[training] learning_rate"),
         (("pairs", "--eta", "-1"), "[pairs] eta"),
         (("train", "--hidden-dims", "0,3"), "[network] hidden_dims"),
+        (("train", "--hidden-dims", "3"), "[network] hidden_dims"),
+        (("run-all", "--hidden-dims", "3"), "[network] hidden_dims"),
+        (("ablate", "--hidden-dims", "3", "--combos", "attention:3:trained"),
+         "[network] hidden_dims"),
     ]
 
     @pytest.mark.parametrize("argv, setting", OUT_OF_RANGE,

@@ -7,7 +7,8 @@ import pytest
 from metric_grouper import network
 from metric_grouper.composition import AttentionParams, compose_vectors
 from metric_grouper.corpus import SKIP_TOKEN, WordVectorTable
-from metric_grouper.errors import AllUnknownError, DimensionMismatchError, DivergenceError
+from metric_grouper.errors import (AllUnknownError, DimensionMismatchError, DivergenceError,
+                                   FormatError)
 from metric_grouper.network import (
     MetricNetwork,
     TrainConfig,
@@ -24,13 +25,13 @@ from metric_grouper.network import (
 )
 from metric_grouper.pairs import AspectSample, SamplePair
 
-CFG = TrainConfig(dropout_rate=0.0)
+CFG = TrainConfig()
 
 
-def linear_net(w, dropout=0.0):
+def linear_net(w):
     w = np.atleast_2d(np.asarray(w, dtype=float))
     return MetricNetwork([w], [np.zeros(w.shape[0])], activation="identity",
-                         dropout_rate=dropout, composition_mode="avg")
+                         composition_mode="avg")
 
 
 class TestForward:
@@ -42,13 +43,13 @@ class TestForward:
 
     def test_zero_weights_tanh(self):
         net = MetricNetwork([np.zeros((2, 3))], [np.zeros(2)], activation="tanh",
-                            dropout_rate=0.0, composition_mode="avg")
+                            composition_mode="avg")
         h, _ = net.forward(np.array([1.0, 2.0, 3.0]))
         assert np.array_equal(h, np.zeros(2))
 
     def test_scalar_tanh(self):
         net = MetricNetwork([np.array([[2.0]])], [np.array([0.5])], activation="tanh",
-                            dropout_rate=0.0, composition_mode="ap")
+                            composition_mode="ap")
         h, _ = net.forward(np.array([1.0]))
         assert h[0] == pytest.approx(math.tanh(2.5))
         assert h[0] == pytest.approx(0.98661, abs=1e-5)
@@ -61,35 +62,6 @@ class TestForward:
         with pytest.raises(DimensionMismatchError):
             MetricNetwork([np.ones((4, 3)), np.ones((2, 5))],
                           [np.zeros(4), np.zeros(2)])
-
-    def test_dropout_rate_zero_equals_eval(self):
-        net = MetricNetwork.create(3, mode="avg", output_dim=2, n_layers=3,
-                                   seed=0, dropout_rate=0.0)
-        x = np.arange(6.0)
-        rng = np.random.default_rng(1)
-        h_train, _ = net.forward(x, rng=rng)
-        h_eval, _ = net.forward(x)
-        assert np.array_equal(h_train, h_eval)
-
-    def test_dropout_masks_differ_between_passes(self):
-        net = MetricNetwork.create(3, mode="avg", output_dim=2, n_layers=3,
-                                   seed=0, dropout_rate=0.5)
-        x = np.arange(6.0)
-        rng = np.random.default_rng(1)
-        h1, cache1 = net.forward(x, rng=rng)
-        h2, cache2 = net.forward(x, rng=rng)
-        assert not np.array_equal(cache1["masks"][0], cache2["masks"][0])
-        # eval forward never applies masks
-        h_eval, cache = net.forward(x)
-        assert all(m is None for m in cache["masks"])
-
-    def test_inverted_dropout_scale(self):
-        net = MetricNetwork.create(4, mode="avg", output_dim=3, n_layers=2,
-                                   seed=0, dropout_rate=0.5)
-        rng = np.random.default_rng(2)
-        _, cache = net.forward(np.ones(8), rng=rng)
-        mask = cache["masks"][0]
-        assert set(np.unique(mask)) <= {0.0, 2.0}
 
 
 class TestDistance:
@@ -154,10 +126,10 @@ class TestObjective:
     def test_vanishing_pair_leaves_regularizer(self):
         rng = np.random.default_rng(7)
         net = linear_net(rng.normal(size=(2, 3)))
-        cfg = TrainConfig(reg_lambda=0.01, dropout_rate=0.0)
+        cfg = TrainConfig(reg_lambda=0.01)
         # identical inputs with label -1: omega = 1 + t, still finite; use
         # a positive pair at distance 0 so omega = -2 and beta large
-        sharp = TrainConfig(beta=400.0, reg_lambda=0.01, dropout_rate=0.0)
+        sharp = TrainConfig(beta=400.0, reg_lambda=0.01)
         x = rng.normal(size=3)
         total = objective(net, [(x, x, 1)], sharp)
         assert total == pytest.approx(regularizer(net, sharp))
@@ -165,8 +137,7 @@ class TestObjective:
 
     def test_matches_independent_scalar_recomputation(self):
         rng = np.random.default_rng(8)
-        net = MetricNetwork.create(2, mode="avg", output_dim=2, n_layers=2, seed=3,
-                                   dropout_rate=0.0)
+        net = MetricNetwork.create(2, mode="avg", output_dim=2, n_layers=2, seed=3)
         pairs = [(rng.normal(size=4), rng.normal(size=4), 1),
                  (rng.normal(size=4), rng.normal(size=4), -1)]
         total = objective(net, pairs, CFG)
@@ -184,8 +155,7 @@ class TestObjective:
 
     def test_forwards_each_distinct_input_once(self, monkeypatch):
         rng = np.random.default_rng(10)
-        net = MetricNetwork.create(2, mode="avg", output_dim=2, n_layers=2, seed=5,
-                                   dropout_rate=0.0)
+        net = MetricNetwork.create(2, mode="avg", output_dim=2, n_layers=2, seed=5)
         xs = [rng.normal(size=4) for _ in range(3)]
         pairs = [(xs[0], xs[1], 1), (xs[1], xs[2], -1), (xs[0], xs[2], 1), (xs[2], xs[0], -1)]
         expected = sum(pair_loss(net, a, b, l, CFG)[0] for a, b, l in pairs)
@@ -193,14 +163,13 @@ class TestObjective:
         calls = []
         real = MetricNetwork.forward
         monkeypatch.setattr(MetricNetwork, "forward",
-                            lambda self, x, rng=None: calls.append(1) or real(self, x, rng))
+                            lambda self, x: calls.append(1) or real(self, x))
         assert objective(net, pairs, CFG) == expected
         assert len(calls) == 3
 
     def test_pair_order_invariance(self):
         rng = np.random.default_rng(9)
-        net = MetricNetwork.create(2, mode="avg", output_dim=2, n_layers=1, seed=4,
-                                   dropout_rate=0.0)
+        net = MetricNetwork.create(2, mode="avg", output_dim=2, n_layers=1, seed=4)
         pairs = [(rng.normal(size=4), rng.normal(size=4), (-1) ** i) for i in range(6)]
         assert objective(net, pairs, CFG) == pytest.approx(
             objective(net, pairs[::-1], CFG), abs=1e-12)
@@ -233,9 +202,8 @@ def rel_err(a, b):
 
 class TestGradients:
     def test_flat_region_gives_zero_gradients(self):
-        net = MetricNetwork.create(2, mode="avg", output_dim=2, n_layers=2, seed=5,
-                                   dropout_rate=0.0)
-        cfg = TrainConfig(beta=50.0, dropout_rate=0.0)
+        net = MetricNetwork.create(2, mode="avg", output_dim=2, n_layers=2, seed=5)
+        cfg = TrainConfig(beta=50.0)
         x = np.random.default_rng(1).normal(size=4)
         # same input, positive label: omega = -2, sigmoid(-100) ~ 0
         grads = pair_gradients(net, x, x, 1, cfg)
@@ -243,8 +211,7 @@ class TestGradients:
             assert np.abs(g).max() < 1e-8
 
     def test_identical_inputs_have_zero_distance_gradient(self):
-        net = MetricNetwork.create(2, mode="avg", output_dim=3, n_layers=2, seed=6,
-                                   dropout_rate=0.0)
+        net = MetricNetwork.create(2, mode="avg", output_dim=3, n_layers=2, seed=6)
         x = np.random.default_rng(2).normal(size=4)
         grads = pair_gradients(net, x, x, 1, CFG)
         for g in grads["weights"] + grads["biases"]:
@@ -255,7 +222,7 @@ class TestGradients:
         rng = np.random.default_rng(seed)
         layers = int(rng.integers(1, 4))
         net = MetricNetwork.create(2, mode="avg", output_dim=2, n_layers=layers,
-                                   seed=seed, dropout_rate=0.0)
+                                   seed=seed)
         x_i, x_j = rng.normal(size=4), rng.normal(size=4)
         label = 1 if rng.random() < 0.5 else -1
         grads = pair_gradients(net, x_i, x_j, label, CFG)
@@ -263,24 +230,13 @@ class TestGradients:
         for got, want in zip(grads["weights"] + grads["biases"], fd_w + fd_b):
             assert rel_err(got, want) < 1e-4
 
-    def test_gradients_use_dropout_masks(self):
-        net = MetricNetwork.create(3, mode="avg", output_dim=2, n_layers=3, seed=7,
-                                   dropout_rate=0.5)
-        rng = np.random.default_rng(3)
-        x_i, x_j = rng.normal(size=6), rng.normal(size=6)
-        cfg = TrainConfig(dropout_rate=0.5)
-        g1 = pair_gradients(net, x_i, x_j, 1, cfg, rng=np.random.default_rng(10))
-        g2 = pair_gradients(net, x_i, x_j, 1, cfg, rng=np.random.default_rng(11))
-        assert any(not np.array_equal(a, b)
-                   for a, b in zip(g1["weights"], g2["weights"]))
-
 
 class TestComposeBackward:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         d = 3
         net = MetricNetwork.create(d, mode="attention", output_dim=2, n_layers=2,
-                                   seed=8, dropout_rate=0.0)
+                                   seed=8)
         net.attention = AttentionParams(rng.normal(size=2 * d) * 0.5)
         ctx_i, ctx_j = rng.normal(size=(4, d)), rng.normal(size=(3, d))
         p_i, p_j = rng.normal(size=d), rng.normal(size=d)
@@ -346,9 +302,8 @@ def toy_training_setup():
 class TestTrain:
     def test_zero_learning_rate_keeps_parameters(self):
         table, pairs = toy_training_setup()
-        cfg = TrainConfig(learning_rate=0.0, epochs=3, dropout_rate=0.0)
-        net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=9,
-                                   dropout_rate=0.0)
+        cfg = TrainConfig(learning_rate=0.0, epochs=3)
+        net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=9)
         before = [w.copy() for w in net.weights] + [net.attention.w_a.copy()]
         train(net, pairs, table, cfg, mode="attention")
         after = net.weights + [net.attention.w_a]
@@ -361,16 +316,15 @@ class TestTrain:
         for _ in range(2):
             cfg = TrainConfig(epochs=5, seed=21)
             net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=3,
-                                       seed=21, dropout_rate=0.5)
+                                       seed=21)
             _, history = train(net, pairs, table, cfg, mode="attention")
             runs.append(history)
         assert runs[0] == runs[1]
 
     def test_objective_decreases_on_separable_data(self):
         table, pairs = toy_training_setup()
-        cfg = TrainConfig(epochs=15, seed=3, dropout_rate=0.0)
-        net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=3,
-                                   dropout_rate=0.0)
+        cfg = TrainConfig(epochs=15, seed=3)
+        net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=3)
         _, history = train(net, pairs, table, cfg, mode="attention")
         assert history[-1] < history[0]
 
@@ -378,18 +332,16 @@ class TestTrain:
         table, pairs = toy_training_setup()
         # the runaway weight-decay factor (1 - lr*lambda) overflows the
         # weights within a few steps at this rate
-        cfg = TrainConfig(learning_rate=1e155, epochs=2, seed=0, dropout_rate=0.0)
-        net = MetricNetwork.create(2, mode="avg", output_dim=2, n_layers=2, seed=0,
-                                   dropout_rate=0.0)
+        cfg = TrainConfig(learning_rate=1e155, epochs=2, seed=0)
+        net = MetricNetwork.create(2, mode="avg", output_dim=2, n_layers=2, seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match=r"epoch \d+, pair index \d+"):
                 train(net, pairs, table, cfg, mode="avg")
 
     def test_attention_parameter_moves_when_tuned(self):
         table, pairs = toy_training_setup()
-        cfg = TrainConfig(epochs=5, seed=2, dropout_rate=0.0, finetune_attention=True)
-        net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=2,
-                                   dropout_rate=0.0)
+        cfg = TrainConfig(epochs=5, seed=2, finetune_attention=True)
+        net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=2)
         train(net, pairs, table, cfg, mode="attention")
         assert np.abs(net.attention.w_a[:2]).max() > 0
         # phrase half never receives gradient
@@ -402,21 +354,19 @@ class TestTrainChecks:
     def test_bad_label_raises_before_first_step(self):
         table, pairs = toy_training_setup()
         bad = pairs + [SamplePair(pairs[0].left, pairs[2].left, 0)]
-        net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=1,
-                                   dropout_rate=0.0)
+        net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=1)
         before = net.params.copy()
         with pytest.raises(ValueError, match="pair 4: label must be"):
-            train(net, bad, table, TrainConfig(epochs=2, seed=1, dropout_rate=0.0))
+            train(net, bad, table, TrainConfig(epochs=2, seed=1))
         assert np.array_equal(net.params, before)
 
     def test_width_mismatch_raises_before_first_step(self):
         table, pairs = toy_training_setup()
         # word width 3 gives input width 6; the table composes to width 4
-        net = MetricNetwork.create(3, mode="avg", output_dim=2, n_layers=2, seed=1,
-                                   dropout_rate=0.0)
+        net = MetricNetwork.create(3, mode="avg", output_dim=2, n_layers=2, seed=1)
         before = net.params.copy()
         with pytest.raises(DimensionMismatchError, match="composed inputs"):
-            train(net, pairs, table, TrainConfig(epochs=2, seed=1, dropout_rate=0.0),
+            train(net, pairs, table, TrainConfig(epochs=2, seed=1),
                   mode="avg")
         assert np.array_equal(net.params, before)
 
@@ -425,21 +375,19 @@ class TestTrainChecks:
         skip = WordVectorTable(2, table.vectors, unknown_policy=SKIP_TOKEN)
         ghost = AspectSample("qqq zzz", ("the", "picture", "clear"), (4,))
         bad = pairs + [SamplePair(pairs[0].left, ghost, -1)]
-        net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=1,
-                                   dropout_rate=0.0)
+        net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=1)
         before = net.params.copy()
         with pytest.raises(AllUnknownError, match="'qqq zzz'"):
-            train(net, bad, skip, TrainConfig(epochs=2, seed=1, dropout_rate=0.0))
+            train(net, bad, skip, TrainConfig(epochs=2, seed=1))
         assert np.array_equal(net.params, before)
 
     def test_attention_length_mismatch_raises_before_first_step(self):
         table, pairs = toy_training_setup()
-        net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=1,
-                                   dropout_rate=0.0)
+        net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=1)
         net.attention = AttentionParams(np.zeros(3))
         before = net.params.copy()
         with pytest.raises(DimensionMismatchError, match=r"attention parameter has shape \(3,\)"):
-            train(net, pairs, table, TrainConfig(epochs=2, seed=1, dropout_rate=0.0))
+            train(net, pairs, table, TrainConfig(epochs=2, seed=1))
         assert np.array_equal(net.params, before)
 
     def test_divergence_in_attention_alone(self, monkeypatch):
@@ -450,9 +398,8 @@ class TestTrainChecks:
             return np.full_like(real(*args), np.inf)
 
         monkeypatch.setattr(network, "compose_backward", poisoned)
-        cfg = TrainConfig(epochs=2, seed=4, dropout_rate=0.0)
-        net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=4,
-                                   dropout_rate=0.0)
+        cfg = TrainConfig(epochs=2, seed=4)
+        net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=4)
         first = int(np.random.default_rng(4).permutation(len(pairs))[0])
         with np.errstate(invalid="ignore"):
             with pytest.raises(DivergenceError, match=rf"epoch 1, pair index {first}$"):
@@ -478,33 +425,22 @@ def _reference_sigmoid(z):
     return e / (1.0 + e)
 
 
-def _reference_forward(weights, biases, activation, dropout_rate, x, rng=None):
+def _reference_forward(weights, biases, activation, x):
     a = x
-    inputs, acts, masks = [], [], []
-    last = len(weights) - 1
-    for m, (w, b) in enumerate(zip(weights, biases)):
+    inputs, acts = [], []
+    for w, b in zip(weights, biases):
         inputs.append(a)
         z = w @ a + b
-        h = np.tanh(z) if activation == "tanh" else z
-        acts.append(h)
-        if m < last and rng is not None and dropout_rate > 0:
-            keep = 1.0 - dropout_rate
-            mask = (rng.random(h.shape) < keep) / keep
-            a = h * mask
-        else:
-            mask = None
-            a = h
-        masks.append(mask)
-    return a, (inputs, acts, masks)
+        a = np.tanh(z) if activation == "tanh" else z
+        acts.append(a)
+    return a, (inputs, acts)
 
 
 def _reference_backward(weights, activation, cache, grad_out):
-    inputs, acts, masks = cache
+    inputs, acts = cache
     u = grad_out
     grads_w, grads_b = [None] * len(weights), [None] * len(weights)
     for m in range(len(weights) - 1, -1, -1):
-        if masks[m] is not None:
-            u = u * masks[m]
         deriv = 1.0 - acts[m] ** 2 if activation == "tanh" else np.ones_like(acts[m])
         delta = u * deriv
         grads_w[m] = np.outer(delta, inputs[m])
@@ -576,7 +512,7 @@ def reference_train(net, pairs, table, cfg, mode):
     weights = [w.copy() for w in net.weights]
     biases = [b.copy() for b in net.biases]
     w_a = net.attention.w_a.copy()
-    act, rate = net.activation, net.dropout_rate
+    act = net.activation
     rng = np.random.default_rng(cfg.seed)
     samples, index = [], {}
     for pair in pairs:
@@ -599,8 +535,8 @@ def reference_train(net, pairs, table, cfg, mode):
                     for k in range(len(samples))]
         total = 0.0
         for a, b, label in pair_idx:
-            h_i, _ = _reference_forward(weights, biases, act, rate, composed[a])
-            h_j, _ = _reference_forward(weights, biases, act, rate, composed[b])
+            h_i, _ = _reference_forward(weights, biases, act, composed[a])
+            h_j, _ = _reference_forward(weights, biases, act, composed[b])
             diff = h_i - h_j
             omega = 1.0 - label * (cfg.margin_t - float(diff @ diff))
             total += 0.5 * float(np.logaddexp(0.0, cfg.beta * omega) / cfg.beta)
@@ -618,9 +554,8 @@ def reference_train(net, pairs, table, cfg, mode):
                 (x_i, att_i), (x_j, att_j) = compose_now(a), compose_now(b)
             else:
                 (x_i, att_i), (x_j, att_j) = static_x[a], static_x[b]
-            step_rng = rng if rate > 0 else None
-            h_i, cache_i = _reference_forward(weights, biases, act, rate, x_i, step_rng)
-            h_j, cache_j = _reference_forward(weights, biases, act, rate, x_j, step_rng)
+            h_i, cache_i = _reference_forward(weights, biases, act, x_i)
+            h_j, cache_j = _reference_forward(weights, biases, act, x_j)
             diff = h_i - h_j
             omega = 1.0 - label * (cfg.margin_t - float(diff @ diff))
             coef = 0.5 * _reference_sigmoid(cfg.beta * omega) * label
@@ -639,20 +574,17 @@ def reference_train(net, pairs, table, cfg, mode):
 class TestReferenceLoop:
     """train() reproduces the separate-array loop bit for bit."""
 
-    @pytest.mark.parametrize("mode, layers, activation, dropout, frozen", [
-        ("attention", 3, "tanh", 0.5, False),   # attention tuned, dropout on
-        ("avg", 3, "tanh", 0.5, False),         # static inputs
-        ("avg", 1, "identity", 0.0, False),
-        ("attention", 2, "tanh", 0.5, True),    # attention frozen: composed once
-        ("attention", 3, "tanh", 0.0, False),
+    @pytest.mark.parametrize("mode, layers, activation, frozen", [
+        ("attention", 3, "tanh", False),   # attention tuned
+        ("avg", 3, "tanh", False),         # static inputs
+        ("avg", 1, "identity", False),
+        ("attention", 2, "tanh", True),    # attention frozen: composed once
     ])
     def test_bitwise_equal(self, fixture_pairs, fixture_table,
-                           mode, layers, activation, dropout, frozen):
-        cfg = TrainConfig(epochs=2, seed=7, dropout_rate=dropout,
-                          finetune_attention=not frozen)
+                           mode, layers, activation, frozen):
+        cfg = TrainConfig(epochs=2, seed=7, finetune_attention=not frozen)
         net = MetricNetwork.create(fixture_table.dimension, mode=mode, output_dim=6,
-                                   n_layers=layers, activation=activation,
-                                   dropout_rate=dropout, seed=7)
+                                   n_layers=layers, activation=activation, seed=7)
         want_w, want_b, want_wa, want_history = reference_train(
             net, fixture_pairs, fixture_table, cfg, mode)
         _, history = train(net, fixture_pairs, fixture_table, cfg, mode=mode)
@@ -685,8 +617,7 @@ class TestParameterBuffer:
 
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
-        net = MetricNetwork.create(3, mode="attention", output_dim=2, n_layers=3, seed=11,
-                                   dropout_rate=0.5)
+        net = MetricNetwork.create(3, mode="attention", output_dim=2, n_layers=3, seed=11)
         net.attention = AttentionParams(np.random.default_rng(0).normal(size=6))
         path = str(tmp_path / "model.json")
         save_model(net, path, config_hash="abc123", extra={"loss_history": [0.5, 0.25]})
@@ -697,18 +628,23 @@ class TestCheckpoint:
             assert b1.tobytes() == b2.tobytes()
         assert net.attention.w_a.tobytes() == loaded.attention.w_a.tobytes()
         assert loaded.activation == net.activation
-        assert loaded.dropout_rate == net.dropout_rate
         assert loaded.composition_mode == net.composition_mode
         assert meta["config_hash"] == "abc123"
         assert meta["loss_history"] == [0.5, 0.25]
 
     def test_malformed_checkpoint(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps({"format_version": 1}), encoding="utf-8")
-        from metric_grouper.errors import FormatError
-
-        with pytest.raises(FormatError):
+        path.write_text(json.dumps({"format_version": network.MODEL_FORMAT_VERSION}),
+                        encoding="utf-8")
+        with pytest.raises(FormatError, match="malformed checkpoint"):
             load_model(str(path))
+
+    def test_version_1_checkpoint_rejected(self, tmp_path):
+        net = MetricNetwork.create(3, mode="attention", output_dim=2, n_layers=2, seed=11)
+        path = str(tmp_path / "model.json")
+        save_model(net, path, extra={"format_version": 1, "dropout_rate": 0.5})
+        with pytest.raises(FormatError, match="unsupported format version 1$"):
+            load_model(path)
 
 
 class TestTrainConfig:
@@ -719,10 +655,6 @@ class TestTrainConfig:
     def test_beta_positive(self):
         with pytest.raises(ValueError):
             TrainConfig(beta=0.0)
-
-    def test_dropout_range(self):
-        with pytest.raises(ValueError):
-            TrainConfig(dropout_rate=1.0)
 
     def test_lambda_nonnegative(self):
         with pytest.raises(ValueError):
