@@ -574,15 +574,21 @@ def reference_train(net, pairs, table, cfg, mode):
 class TestReferenceLoop:
     """train() reproduces the separate-array loop bit for bit."""
 
-    @pytest.mark.parametrize("mode, layers, activation, frozen", [
-        ("attention", 3, "tanh", False),   # attention tuned
-        ("avg", 3, "tanh", False),         # static inputs
-        ("avg", 1, "identity", False),
-        ("attention", 2, "tanh", True),    # attention frozen: composed once
+    # reg_lambda None keeps the TrainConfig default and is left out of the id.
+    @pytest.mark.parametrize("mode, layers, activation, reg_lambda, frozen", [
+        pytest.param(*case, id="-".join(str(v) for v in case if v is not None))
+        for case in [
+            ("attention", 3, "tanh", 0.0, False),    # attention tuned, no L2 penalty
+            ("attention", 3, "tanh", 0.5, False),    # attention tuned, strong L2 penalty
+            ("avg", 3, "tanh", None, False),         # static inputs
+            ("avg", 1, "identity", None, False),
+            ("attention", 2, "tanh", None, True),    # attention frozen: composed once
+        ]
     ])
     def test_bitwise_equal(self, fixture_pairs, fixture_table,
-                           mode, layers, activation, frozen):
-        cfg = TrainConfig(epochs=2, seed=7, finetune_attention=not frozen)
+                           mode, layers, activation, reg_lambda, frozen):
+        penalty = {} if reg_lambda is None else {"reg_lambda": reg_lambda}
+        cfg = TrainConfig(epochs=2, seed=7, finetune_attention=not frozen, **penalty)
         net = MetricNetwork.create(fixture_table.dimension, mode=mode, output_dim=6,
                                    n_layers=layers, activation=activation, seed=7)
         want_w, want_b, want_wa, want_history = reference_train(
