@@ -53,18 +53,9 @@ def check_w_a(params, d):
 def attention_weights(context, p, params):
     """Softmax over per-word scores w_a . [e_i; p], max-subtracted.
 
-    ``context`` is (n, d), ``p`` is (d,). Returns n nonnegative weights
-    summing to one.
+    ``context`` is (n, d), ``p`` is (d,); returns n nonnegative weights summing to one.
     """
-    context = np.asarray(context, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if context.ndim != 2 or context.shape[0] == 0:
-        raise EmptyContextError("attention needs at least one context vector")
-    d = context.shape[1]
-    if p.shape != (d,):
-        raise DimensionMismatchError(f"phrase vector has shape {p.shape}, expected ({d},)")
-    check_w_a(params, d)
-    return attend(context, p, params.w_a).attention_weights
+    return compose_vectors(context, p, params, "attention").attention_weights
 
 
 def attend(context, p, w_a):
@@ -73,10 +64,12 @@ def attend(context, p, w_a):
     The word weights are a softmax over the max-subtracted scores w_a . [e_i; p].
     """
     d = p.shape[0]
-    scores = context @ w_a[:d] + p @ w_a[d:]
-    exp = np.exp(scores - scores.max())
-    weights = exp / exp.sum()
-    return ComposedInput(np.concatenate([weights @ context, p]), weights)
+    weights = np.dot(context, w_a[:d])
+    weights += np.dot(p, w_a[d:])
+    weights -= weights.max()
+    np.exp(weights, out=weights)
+    weights /= weights.sum()
+    return ComposedInput(np.concatenate([np.dot(weights, context), p]), weights)
 
 
 def compose_vectors(context, p, params, mode):
@@ -89,9 +82,9 @@ def compose_vectors(context, p, params, mode):
     context = np.asarray(context, dtype=float)
     if context.ndim != 2 or context.shape[0] == 0:
         raise EmptyContextError(f"mode {mode!r} needs a non-empty context")
-    if context.shape[1] != p.shape[0]:
+    if p.shape != (context.shape[1],):
         raise DimensionMismatchError(
-            f"context width {context.shape[1]} does not match phrase length {p.shape[0]}")
+            f"phrase vector has shape {p.shape}, expected ({context.shape[1]},)")
     if mode == "attention":
         check_w_a(params, p.shape[0])
         return attend(context, p, params.w_a)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+from math import inf
 
 from .clustering import METRICS
 from .composition import MODES
@@ -94,10 +95,10 @@ SCHEMA = {
         "activation": (_choice(ACTIVATIONS), "tanh"),
     },
     "training": {
-        "margin_t": (_check(float, lambda v: v > 1, "greater than 1"), "3.0"),
-        "beta": (_check(float, lambda v: v > 0, "positive"), "2.0"),
-        "lambda": (_check(float, lambda v: v >= 0, "nonnegative"), "0.002"),
-        "learning_rate": (_check(float, lambda v: v >= 0, "nonnegative"), "0.03"),
+        "margin_t": (_check(float, lambda v: 1 < v < inf, "finite and greater than 1"), "3.0"),
+        "beta": (_check(float, lambda v: 0 < v < inf, "positive and finite"), "2.0"),
+        "lambda": (_check(float, lambda v: 0 <= v < inf, "nonnegative and finite"), "0.002"),
+        "learning_rate": (_check(float, lambda v: 0 <= v < inf, "nonnegative and finite"), "0.03"),
         "epochs": (_positive(int), "30"),
         "seed": (int, "42"),
         "finetune_attention": (_parse_bool, "true"),

@@ -17,6 +17,7 @@ initial weights and the pair order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,14 +78,14 @@ class TrainConfig:
     finetune_attention: bool = True
 
     def __post_init__(self):
-        if not self.margin_t > 1:
-            raise ValueError("margin_t must exceed 1")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if self.reg_lambda < 0:
-            raise ValueError("reg_lambda must be nonnegative")
-        if not self.learning_rate >= 0:
-            raise ValueError("learning_rate must be nonnegative")
+        if not 1 < self.margin_t < math.inf:
+            raise ValueError("margin_t must be finite and exceed 1")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
+        if not 0 <= self.reg_lambda < math.inf:
+            raise ValueError("reg_lambda must be nonnegative and finite")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be nonnegative and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
 
@@ -200,30 +201,26 @@ class MetricNetwork:
         inputs, acts = [], []
         for w, b in zip(self.weights, self.biases):
             inputs.append(a)
-            z = w @ a + b
-            a = np.tanh(z) if self._tanh else z
+            z = np.dot(w, a)
+            z += b
+            a = np.tanh(z, out=z) if self._tanh else z
             acts.append(a)
-        return a, {"inputs": inputs, "acts": acts}
+        return a, (inputs, acts)
 
-    def backward(self, cache, u, grads_w, grads_b, add=False, input_grad=True):
+    def backward(self, cache, u, grads_w, grads_b, input_grad=True):
         """Backpropagate the output gradient ``u`` through the cached pass.
 
-        Writes the weight and bias gradients into views from split(), or
-        adds them there with ``add``. Returns the input gradient, or None
-        when ``input_grad`` is false and its product is skipped.
+        Writes the weight and bias gradients into views from split().
+        Returns the input gradient, or None when ``input_grad`` is false
+        and its product is skipped.
         """
-        inputs, acts = cache["inputs"], cache["acts"]
+        inputs, acts = cache
         for m in range(self.n_layers - 1, -1, -1):
-            delta = u * (1.0 - acts[m] ** 2) if self._tanh else u
-            if add:
-                grads_w[m] += np.multiply.outer(delta, inputs[m])
-                grads_b[m] += delta
-            else:
-                np.multiply.outer(delta, inputs[m], out=grads_w[m])
-                grads_b[m][...] = delta
+            delta = np.multiply(u, 1.0 - acts[m] ** 2 if self._tanh else 1.0, out=grads_b[m])
+            np.dot(delta[:, None], inputs[m][None, :], out=grads_w[m])
             if m == 0 and not input_grad:
                 return None
-            u = self._weights_t[m] @ delta
+            u = np.dot(self._weights_t[m], delta)
         return u
 
     def distance_sq(self, x_i, x_j):
@@ -237,11 +234,16 @@ class MetricNetwork:
         return bool(np.isfinite(self.params).all())
 
 
-def _margin_loss(d2, label, cfg):
-    """softplus(omega)/2 with omega = 1 - label * (t - d2); returns (loss, omega)."""
+def _omega(d2, label, cfg):
+    """omega = 1 - label * (t - d2): how far the pair sits from its margin."""
     if label not in (1, -1):
         raise ValueError("label must be +1 or -1")
-    omega = 1.0 - label * (cfg.margin_t - d2)
+    return 1.0 - label * (cfg.margin_t - d2)
+
+
+def _margin_loss(d2, label, cfg):
+    """softplus(omega)/2; returns (loss, omega)."""
+    omega = _omega(d2, label, cfg)
     return 0.5 * float(softplus(omega, cfg.beta)), omega
 
 
@@ -283,36 +285,36 @@ def objective(net, composed_pairs, cfg):
     return total + regularizer(net, cfg)
 
 
-def pair_gradients(net, x_i, x_j, label, cfg, input_grads=True):
+def gradient_workspace(net):
+    """One MLP-sized gradient buffer per branch, each as (flat, *net.split(flat))."""
+    return [(flat, *net.split(flat)) for flat in (np.empty(net.n_mlp), np.empty(net.n_mlp))]
+
+
+def pair_gradients(net, x_i, x_j, label, cfg, input_grads=True, workspace=None):
     """Exact gradients of the per-pair loss term.
 
     Gradients flow through both branches and sum on the shared weights.
     Returns a dict with the flat MLP gradient and its per-layer
     weight/bias views, input gradients for both branches (None unless
-    ``input_grads``), and the loss and omega values. Input shapes are
-    unchecked; forward() and train() check them.
+    ``input_grads``), and omega; pair_loss() gives the loss. The gradients
+    live in ``workspace`` (gradient_workspace(); a new one when None) until
+    its next use. Input shapes are unchecked; forward() and train() check them.
     """
+    (flat, grads_w, grads_b), (flat_j, grads_wj, grads_bj) = (
+        gradient_workspace(net) if workspace is None else workspace)
     h_i, cache_i = net._forward(x_i)
     h_j, cache_j = net._forward(x_j)
     diff = h_i - h_j
-    loss, omega = _margin_loss(float(diff @ diff), label, cfg)
+    omega = _omega(float(np.dot(diff, diff)), label, cfg)
     # d loss / d d2 = sigmoid(beta * omega) * label / 2
     coef = 0.5 * _sigmoid(cfg.beta * omega) * label
-    flat = np.empty(net.n_mlp)
-    grads_w, grads_b = net.split(flat)
     gx_i = net.backward(cache_i, coef * 2.0 * diff, grads_w, grads_b,
                         input_grad=input_grads)
-    gx_j = net.backward(cache_j, coef * -2.0 * diff, grads_w, grads_b, add=True,
+    gx_j = net.backward(cache_j, coef * -2.0 * diff, grads_wj, grads_bj,
                         input_grad=input_grads)
-    return {
-        "flat": flat,
-        "weights": grads_w,
-        "biases": grads_b,
-        "x_i": gx_i,
-        "x_j": gx_j,
-        "loss": loss,
-        "omega": omega,
-    }
+    np.add(flat, flat_j, out=flat)
+    return {"flat": flat, "weights": grads_w, "biases": grads_b,
+            "x_i": gx_i, "x_j": gx_j, "omega": omega}
 
 
 def compose_backward(context, p, weights, grad_x):
@@ -322,12 +324,12 @@ def compose_backward(context, p, weights, grad_x):
     Inputs are unchecked; train() checks their shapes before the first step.
     """
     d = p.shape[0]
-    g = context @ grad_x[:d]              # per-word influence on c~
-    q = float(weights @ g)
-    ds = weights * (g - q)                # softmax Jacobian applied
+    ds = np.dot(context, grad_x[:d])      # per-word influence on c~
+    ds -= float(np.dot(weights, ds))
+    ds *= weights                         # softmax Jacobian applied
     grad_wa = np.empty(2 * d)
-    grad_wa[:d] = context.T @ ds
-    grad_wa[d:] = p * ds.sum()            # exactly zero up to rounding
+    np.dot(context.T, ds, out=grad_wa[:d])
+    np.multiply(p, ds.sum(), out=grad_wa[d:])  # exactly zero up to rounding
     return grad_wa
 
 
@@ -387,13 +389,17 @@ def train(net, pairs, table, cfg, mode="attention"):
     lr = cfg.learning_rate
     lam = cfg.reg_lambda
     mlp = net.params[:net.n_mlp]
+    workspace = gradient_workspace(net)
+    step = np.empty(net.n_mlp)
     history = []
     for epoch in range(cfg.epochs):
         for k in rng.permutation(len(pair_idx)):
             a, b, label = pair_idx[k]
             left, right = composed(a), composed(b)
-            grads = pair_gradients(net, left.x, right.x, label, cfg, input_grads=recompose)
-            mlp -= lr * (grads["flat"] + lam * mlp)
+            grads = pair_gradients(net, left.x, right.x, label, cfg, input_grads=recompose,
+                                   workspace=workspace)
+            np.add(grads["flat"], np.multiply(lam, mlp, out=step), out=step)
+            mlp -= np.multiply(lr, step, out=step)  # mlp -= lr * (g + lam * mlp)
             if recompose:
                 for parts_k, weights_k, gx in (
                         (parts[a], left.attention_weights, grads["x_i"]),

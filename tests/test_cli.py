@@ -3,7 +3,6 @@ import dataclasses
 import importlib.util
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -289,7 +288,7 @@ class TestGuards:
         section = readme.read_text(encoding="utf-8").split("## Configuration", 1)[1]
         block = section.split("```ini\n", 1)[1].split("```", 1)[0]
         ini = tmp_path / "readme.ini"
-        ini.write_text(re.sub(r"[ \t]*;.*", "", block), encoding="utf-8")
+        ini.write_text(block, encoding="utf-8")
         resolved = config.resolve(str(ini))  # a key the schema lacks raises ConfigError
         listed = configparser.ConfigParser(interpolation=None)
         listed.read(ini, encoding="utf-8")
@@ -313,6 +312,13 @@ class TestGuards:
         (("train", "--beta", "0"), "[training] beta"),
         (("train", "--lambda", "-1"), "[training] lambda"),
         (("train", "--learning-rate", "-1"), "[training] learning_rate"),
+        (("run-all", "--margin-t", "inf"), "[training] margin_t"),
+        (("train", "--margin-t", "nan"), "[training] margin_t"),
+        (("train", "--beta", "inf"), "[training] beta"),
+        (("train", "--lambda", "inf"), "[training] lambda"),
+        (("train", "--lambda", "nan"), "[training] lambda"),
+        (("train", "--learning-rate", "inf"), "[training] learning_rate"),
+        (("train", "--learning-rate", "nan"), "[training] learning_rate"),
         (("pairs", "--eta", "-1"), "[pairs] eta"),
         (("train", "--hidden-dims", "0,3"), "[network] hidden_dims"),
         (("train", "--hidden-dims", "3"), "[network] hidden_dims"),

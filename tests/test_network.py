@@ -230,6 +230,28 @@ class TestGradients:
         for got, want in zip(grads["weights"] + grads["biases"], fd_w + fd_b):
             assert rel_err(got, want) < 1e-4
 
+    def test_reused_workspace_matches_fresh_buffers(self):
+        # one workspace across networks and pairs: nothing of a step may leak into the next
+        rng = np.random.default_rng(14)
+        for seed in range(3):
+            net = MetricNetwork.create(3, mode="avg", output_dim=3, n_layers=3,
+                                       activation=("tanh", "identity")[seed % 2], seed=seed)
+            net.biases[0][:] = rng.normal(size=net.biases[0].size)
+            workspace = network.gradient_workspace(net)
+            for _ in range(4):
+                x_i, x_j = rng.normal(size=6), rng.normal(size=6)
+                label = int(rng.choice([1, -1]))
+                fresh = pair_gradients(net, x_i, x_j, label, CFG)
+                reused = pair_gradients(net, x_i, x_j, label, CFG, workspace=workspace)
+                assert reused["flat"] is workspace[0][0]
+                assert reused["flat"].tobytes() == fresh["flat"].tobytes()
+                for key in ("x_i", "x_j"):
+                    assert reused[key].tobytes() == fresh[key].tobytes()
+                assert reused["omega"] == fresh["omega"]
+                for got, want in zip(reused["weights"] + reused["biases"],
+                                     fresh["weights"] + fresh["biases"]):
+                    assert got.tobytes() == want.tobytes()
+
 
 class TestComposeBackward:
     def test_matches_finite_differences(self):
@@ -574,30 +596,39 @@ def reference_train(net, pairs, table, cfg, mode):
 class TestReferenceLoop:
     """train() reproduces the separate-array loop bit for bit."""
 
-    # reg_lambda None keeps the TrainConfig default and is left out of the id.
-    @pytest.mark.parametrize("mode, layers, activation, reg_lambda, frozen", [
+    # reg_lambda None keeps the TrainConfig default, inputs None the fixture
+    # table; None is left out of the id.
+    @pytest.mark.parametrize("mode, layers, activation, reg_lambda, frozen, inputs", [
         pytest.param(*case, id="-".join(str(v) for v in case if v is not None))
         for case in [
-            ("attention", 3, "tanh", 0.0, False),    # attention tuned, no L2 penalty
-            ("attention", 3, "tanh", 0.5, False),    # attention tuned, strong L2 penalty
-            ("avg", 3, "tanh", None, False),         # static inputs
-            ("avg", 1, "identity", None, False),
-            ("attention", 2, "tanh", None, True),    # attention frozen: composed once
+            ("attention", 3, "tanh", 0.0, False, None),   # attention tuned, no L2 penalty
+            ("attention", 3, "tanh", 0.5, False, None),   # attention tuned, strong L2 penalty
+            ("avg", 3, "tanh", None, False, None),        # static inputs
+            ("avg", 1, "identity", None, False, None),
+            ("attention", 2, "tanh", None, True, None),   # attention frozen: composed once
+            # a zero last vector column zeroes two components of every composed
+            # input, so every step multiplies exact zeros into weight gradients
+            ("attention", 3, "tanh", None, False, "zero-column"),
         ]
     ])
     def test_bitwise_equal(self, fixture_pairs, fixture_table,
-                           mode, layers, activation, reg_lambda, frozen):
+                           mode, layers, activation, reg_lambda, frozen, inputs):
+        table = fixture_table
+        if inputs == "zero-column":
+            table = WordVectorTable(table.dimension, {
+                token: np.append(vec[:-1], 0.0) for token, vec in table.vectors.items()})
         penalty = {} if reg_lambda is None else {"reg_lambda": reg_lambda}
         cfg = TrainConfig(epochs=2, seed=7, finetune_attention=not frozen, **penalty)
-        net = MetricNetwork.create(fixture_table.dimension, mode=mode, output_dim=6,
+        net = MetricNetwork.create(table.dimension, mode=mode, output_dim=6,
                                    n_layers=layers, activation=activation, seed=7)
         want_w, want_b, want_wa, want_history = reference_train(
-            net, fixture_pairs, fixture_table, cfg, mode)
-        _, history = train(net, fixture_pairs, fixture_table, cfg, mode=mode)
+            net, fixture_pairs, table, cfg, mode)
+        _, history = train(net, fixture_pairs, table, cfg, mode=mode)
         assert history == want_history
-        for got, want in zip(net.weights + net.biases, want_w + want_b):
-            assert np.array_equal(got, want)
-        assert np.array_equal(net.attention.w_a, want_wa)
+        # tobytes() tells -0.0 from 0.0, which np.array_equal does not
+        for got, want in zip(net.weights + net.biases + [net.attention.w_a],
+                             want_w + want_b + [want_wa]):
+            assert got.tobytes() == want.tobytes()
         if mode == "attention":
             assert (not want_wa.any()) == frozen
 
@@ -665,6 +696,12 @@ class TestTrainConfig:
     def test_lambda_nonnegative(self):
         with pytest.raises(ValueError):
             TrainConfig(reg_lambda=-0.1)
+
+    @pytest.mark.parametrize("field", ["margin_t", "beta", "reg_lambda", "learning_rate"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            TrainConfig(**{field: value})
 
 
 class TestDims:
