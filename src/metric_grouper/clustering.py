@@ -160,15 +160,14 @@ def kmeans(points, k, metric="euclidean", seed=0, n_init=10, max_iter=100, trace
     )
 
 
-def phrase_points(corpus, table, net=None, mode="attention", params=None):
+def phrase_points(corpus, table, net=None, mode="attention"):
     """One representation per distinct phrase.
 
     Returns (composed, projected): the raw composed vectors and, when a
     network is given, their mapped outputs (otherwise the same dict).
-    Attention parameters default to the network's, else to zeros.
+    Attention parameters come from the network, else are zeros.
     """
-    if params is None:
-        params = net.attention if net is not None else AttentionParams.zeros(table.dimension)
+    params = net.attention if net is not None else AttentionParams.zeros(table.dimension)
     composed = {}
     projected = {}
     for phrase in corpus.phrases():
@@ -183,7 +182,7 @@ def phrase_points(corpus, table, net=None, mode="attention", params=None):
 
 
 def cluster_corpus(corpus, table, k, net=None, mode="attention", metric=None,
-                   seed=0, n_init=10, max_iter=100, params=None):
+                   seed=0, n_init=10, max_iter=100):
     """Cluster every distinct phrase of the corpus.
 
     With a network the points are its evaluation-mode outputs and the
@@ -192,5 +191,5 @@ def cluster_corpus(corpus, table, k, net=None, mode="attention", metric=None,
     """
     if metric is None:
         metric = "euclidean" if net is not None else "cosine"
-    _, projected = phrase_points(corpus, table, net=net, mode=mode, params=params)
+    _, projected = phrase_points(corpus, table, net=net, mode=mode)
     return kmeans(projected, k, metric=metric, seed=seed, n_init=n_init, max_iter=max_iter)

@@ -1,6 +1,6 @@
 """Turn a (phrase, context) pair into one fixed-length input vector.
 
-The attention mode scores every context word against the phrase vector,
+The attention mode scores every context word with one learned vector,
 softmax-normalizes the scores into weights, and concatenates the weighted
 context average with the phrase vector. The avg/min/max modes replace the
 weighted average with an elementwise reduction; the ap mode drops context
@@ -20,7 +20,7 @@ MODES = ("attention", "avg", "min", "max", "ap")
 
 @dataclass
 class AttentionParams:
-    """Score weights, one scalar per component of [context_word; phrase]."""
+    """Score weights, one scalar per component of a context word vector."""
     w_a: np.ndarray
 
     def __post_init__(self):
@@ -33,7 +33,7 @@ class AttentionParams:
     @classmethod
     def zeros(cls, word_dim):
         """Zero scores, which make the weighting start out uniform."""
-        return cls(np.zeros(2 * word_dim))
+        return cls(np.zeros(word_dim))
 
 
 @dataclass
@@ -44,14 +44,14 @@ class ComposedInput:
 
 
 def check_w_a(params, d):
-    """Raise DimensionMismatchError unless ``params.w_a`` has length 2d."""
-    if params.w_a.shape != (2 * d,):
+    """Raise DimensionMismatchError unless ``params.w_a`` has length d."""
+    if params.w_a.shape != (d,):
         raise DimensionMismatchError(
-            f"attention parameter has shape {params.w_a.shape}, expected ({2 * d},)")
+            f"attention parameter has shape {params.w_a.shape}, expected ({d},)")
 
 
 def attention_weights(context, p, params):
-    """Softmax over per-word scores w_a . [e_i; p], max-subtracted.
+    """Softmax over per-word scores w_a . e_i, max-subtracted.
 
     ``context`` is (n, d), ``p`` is (d,); returns n nonnegative weights summing to one.
     """
@@ -59,16 +59,16 @@ def attention_weights(context, p, params):
 
 
 def attend(context, p, w_a):
-    """Unchecked attention composition of (n, d) ``context``, (d,) ``p`` and (2d,) ``w_a``.
+    """Unchecked attention composition of (n, d) ``context``, (d,) ``p`` and (d,) ``w_a``.
 
-    The word weights are a softmax over the max-subtracted scores w_a . [e_i; p].
+    The word weights are a softmax over the max-subtracted scores w_a . e_i.
+    A phrase term in the score would add one constant to every word's score,
+    which the max-subtraction cancels, so the weights do not depend on ``p``.
     """
-    d = p.shape[0]
-    weights = np.dot(context, w_a[:d])
-    weights += np.dot(p, w_a[d:])
-    weights -= weights.max()
+    weights = np.dot(context, w_a)
+    weights -= np.maximum.reduce(weights)
     np.exp(weights, out=weights)
-    weights /= weights.sum()
+    weights /= np.add.reduce(weights)
     return ComposedInput(np.concatenate([np.dot(weights, context), p]), weights)
 
 

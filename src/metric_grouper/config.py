@@ -76,6 +76,9 @@ def _positive(parse):
     return _check(parse, lambda v: v >= 1, "at least 1")
 
 
+_ratio = _check(float, lambda v: 0 <= v <= 1, "between 0 and 1")
+
+
 # section -> key -> (parser, default-as-string)
 SCHEMA = {
     "pairs": {
@@ -101,7 +104,6 @@ SCHEMA = {
         "learning_rate": (_check(float, lambda v: 0 <= v < inf, "nonnegative and finite"), "0.03"),
         "epochs": (_positive(int), "30"),
         "seed": (int, "42"),
-        "finetune_attention": (_parse_bool, "true"),
     },
     "clustering": {
         "k": (_positive(_parse_opt_int), ""),
@@ -116,9 +118,9 @@ SCHEMA = {
         "methods": (_choices(METHODS), "metric,avg,ap"),
     },
     "split": {
-        "train_ratio": (float, "0.3"),
-        "test_ratio": (float, "0.5"),
-        "dev_ratio": (float, "0.2"),
+        "train_ratio": (_ratio, "0.3"),
+        "test_ratio": (_ratio, "0.5"),
+        "dev_ratio": (_ratio, "0.2"),
         "seed": (int, "42"),
     },
     "ablation": {
@@ -225,5 +227,4 @@ def train_config_from(resolved):
         learning_rate=t["learning_rate"],
         epochs=t["epochs"],
         seed=t["seed"],
-        finetune_attention=t["finetune_attention"],
     )

@@ -176,7 +176,6 @@ lambda = 0.002
 learning_rate = 0.03
 epochs = 30
 seed = 42
-finetune_attention = true
 
 [clustering]
 n_init = 10

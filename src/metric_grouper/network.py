@@ -26,7 +26,7 @@ from .composition import (MODES, AttentionParams, attend, check_w_a, compose_vec
                           ingredients)
 from .errors import ConfigError, DimensionMismatchError, DivergenceError, FormatError
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 def softplus(omega, beta):
@@ -75,7 +75,6 @@ class TrainConfig:
     learning_rate: float = 0.03
     epochs: int = 30
     seed: int = 42
-    finetune_attention: bool = True
 
     def __post_init__(self):
         if not 1 < self.margin_t < math.inf:
@@ -317,20 +316,16 @@ def pair_gradients(net, x_i, x_j, label, cfg, input_grads=True, workspace=None):
             "x_i": gx_i, "x_j": gx_j, "omega": omega}
 
 
-def compose_backward(context, p, weights, grad_x):
+def compose_backward(context, weights, grad_x):
     """Gradient of w_a from a gradient on an attention-composed [c~; p].
 
     ``weights`` are the attention weights of the forward composition.
     Inputs are unchecked; train() checks their shapes before the first step.
     """
-    d = p.shape[0]
-    ds = np.dot(context, grad_x[:d])      # per-word influence on c~
+    ds = np.dot(context, grad_x[:context.shape[1]])  # per-word influence on c~
     ds -= float(np.dot(weights, ds))
-    ds *= weights                         # softmax Jacobian applied
-    grad_wa = np.empty(2 * d)
-    np.dot(context.T, ds, out=grad_wa[:d])
-    np.multiply(p, ds.sum(), out=grad_wa[d:])  # exactly zero up to rounding
-    return grad_wa
+    ds *= weights                                    # softmax Jacobian applied
+    return np.dot(context.T, ds)
 
 
 def train(net, pairs, table, cfg, mode="attention"):
@@ -338,12 +333,11 @@ def train(net, pairs, table, cfg, mode="attention"):
 
     Every epoch visits a seeded shuffle of the pairs, taking one gradient
     step per pair with L2 weight decay on the MLP parameters. In attention
-    mode with ``finetune_attention`` each step also moves ``w_a``, so
-    samples are recomposed at every step with its live value; otherwise
-    they are composed once. The word embeddings are never tuned. The
-    history records the mean objective after each epoch; ``cfg.seed``
-    draws the pair order, so identical seeds and data reproduce it
-    bitwise.
+    mode each step also moves ``w_a``, so samples are recomposed at every
+    step with its live value; the other modes compose them once. The word
+    embeddings are never tuned. The history records the mean objective
+    after each epoch; ``cfg.seed`` draws the pair order, so identical seeds
+    and data reproduce it bitwise.
 
     Labels, token lookups (see composition.ingredients()), the composed
     input width and the length of ``w_a`` are checked before the first
@@ -370,11 +364,11 @@ def train(net, pairs, table, cfg, mode="attention"):
     if width != net.input_dim:
         raise DimensionMismatchError(
             f"composed inputs have width {width}, network expects {net.input_dim}")
-    if mode == "attention":
-        check_w_a(net.attention, d)
-    recompose = cfg.finetune_attention and mode == "attention"
+    recompose = mode == "attention"
     w_a = net.attention.w_a
     if recompose:
+        check_w_a(net.attention, d)
+
         def composed(k):
             return attend(parts[k].context, parts[k].p, w_a)
     else:
@@ -401,10 +395,8 @@ def train(net, pairs, table, cfg, mode="attention"):
             np.add(grads["flat"], np.multiply(lam, mlp, out=step), out=step)
             mlp -= np.multiply(lr, step, out=step)  # mlp -= lr * (g + lam * mlp)
             if recompose:
-                for parts_k, weights_k, gx in (
-                        (parts[a], left.attention_weights, grads["x_i"]),
-                        (parts[b], right.attention_weights, grads["x_j"])):
-                    w_a -= lr * compose_backward(parts_k.context, parts_k.p, weights_k, gx)
+                for idx, comp, gx in ((a, left, grads["x_i"]), (b, right, grads["x_j"])):
+                    w_a -= lr * compose_backward(parts[idx].context, comp.attention_weights, gx)
             if not net.params_finite():
                 raise DivergenceError(
                     f"non-finite parameter at epoch {epoch + 1}, pair index {int(k)}")

@@ -117,7 +117,7 @@ def test_criterion_3_attention_normalization():
         n, d = int(rng.integers(1, 10)), int(rng.integers(1, 7))
         weights = attention_weights(
             rng.normal(size=(n, d)) * 4, rng.normal(size=d) * 4,
-            AttentionParams(rng.normal(size=2 * d) * 4))
+            AttentionParams(rng.normal(size=d) * 4))
         nonneg = nonneg and bool((weights >= 0).all())
         worst_sum = max(worst_sum, abs(float(weights.sum()) - 1.0))
     worst_uniform = 0.0
@@ -125,10 +125,10 @@ def test_criterion_3_attention_normalization():
         n, d = int(rng.integers(1, 10)), int(rng.integers(1, 7))
         equal = attention_weights(
             np.tile(rng.normal(size=d), (n, 1)), rng.normal(size=d),
-            AttentionParams(rng.normal(size=2 * d)))
+            AttentionParams(rng.normal(size=d)))
         zero = attention_weights(
             rng.normal(size=(n, d)), rng.normal(size=d),
-            AttentionParams(np.zeros(2 * d)))
+            AttentionParams(np.zeros(d)))
         for weights in (equal, zero):
             worst_uniform = max(worst_uniform, float(np.abs(weights - 1.0 / n).max()))
     ok = nonneg and worst_sum <= 1e-9 and worst_uniform <= 1e-12

@@ -260,8 +260,9 @@ class TestGuards:
 
     def test_unknown_config_key(self, fixture_files, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
-        # dropout_rate was a [network] key until dropout was removed
-        for section, key in (("training", "momentum"), ("network", "dropout_rate")):
+        # dropout_rate and finetune_attention were keys until their features were removed
+        for section, key in (("training", "momentum"), ("network", "dropout_rate"),
+                             ("training", "finetune_attention")):
             cfg.write_text(f"[{section}]\n{key} = 0.5\n", encoding="utf-8")
             code = run("pairs", "--corpus", fixture_files["corpus"],
                        "--taxonomy", fixture_files["taxonomy"],
@@ -325,13 +326,23 @@ class TestGuards:
         (("run-all", "--hidden-dims", "3"), "[network] hidden_dims"),
         (("ablate", "--hidden-dims", "3", "--combos", "attention:3:trained"),
          "[network] hidden_dims"),
+        (("split", "split.train_ratio=nan"), "[split] train_ratio"),
+        (("split", "split.train_ratio=-0.5"), "[split] train_ratio"),
+        (("split", "split.test_ratio=1.2"), "[split] test_ratio"),
+        (("split", "split.dev_ratio=inf"), "[split] dev_ratio"),
     ]
 
     @pytest.mark.parametrize("argv, setting", OUT_OF_RANGE,
                              ids=["_".join(argv).replace("--", "") for argv, _ in OUT_OF_RANGE])
-    def test_out_of_range_setting_rejected(self, fixture_files, tmp_path, capsys,
-                                           argv, setting):
-        code = run(*argv, *data_args(fixture_files), "--out-dir", str(tmp_path))
+    def test_out_of_range_setting_rejected(self, fixture_files, tmp_path, tmp_path_factory,
+                                           capsys, argv, setting):
+        args = data_args(fixture_files)
+        if "=" in argv[-1]:  # "section.key=value": a setting with no flag, given by --config
+            section, line = argv[-1].split(".", 1)
+            ini = tmp_path_factory.mktemp("config") / "bad.ini"
+            ini.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
+            argv, args = argv[:-1], args[:-1] + [str(ini)]
+        code = run(*argv, *args, "--out-dir", str(tmp_path))
         err = capsys.readouterr().err
         assert code == 1
         assert f"error: {setting}: " in err

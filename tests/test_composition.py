@@ -21,21 +21,21 @@ class TestAttentionWeights:
     def test_identical_context_vectors_are_uniform(self):
         context = np.tile([0.3, -0.7], (4, 1))
         rng = np.random.default_rng(0)
-        params = AttentionParams(rng.normal(size=4))
+        params = AttentionParams(rng.normal(size=2))
         weights = attention_weights(context, np.array([1.0, 2.0]), params)
         assert np.array_equal(weights, np.full(4, 0.25))
 
     def test_zero_parameter_is_uniform(self):
         rng = np.random.default_rng(1)
         context = rng.normal(size=(5, 3))
-        weights = attention_weights(context, rng.normal(size=3), AttentionParams(np.zeros(6)))
+        weights = attention_weights(context, rng.normal(size=3), AttentionParams(np.zeros(3)))
         assert np.array_equal(weights, np.full(5, 0.2))
 
     def test_hand_softmax(self):
         # scores are 1 and 2, so weights are softmax(1, 2)
         weights = attention_weights(
             np.array([[1.0], [2.0]]), np.array([1.0]),
-            AttentionParams(np.array([1.0, 0.0])))
+            AttentionParams(np.array([1.0])))
         assert weights == pytest.approx([0.2689414213699951, 0.7310585786300049])
 
     def test_normalized_and_nonnegative(self):
@@ -44,7 +44,7 @@ class TestAttentionWeights:
             n, d = int(rng.integers(1, 9)), int(rng.integers(1, 6))
             weights = attention_weights(
                 rng.normal(size=(n, d)) * 3, rng.normal(size=d) * 3,
-                AttentionParams(rng.normal(size=2 * d) * 3))
+                AttentionParams(rng.normal(size=d) * 3))
             assert (weights >= 0).all()
             assert weights.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -52,7 +52,7 @@ class TestAttentionWeights:
         rng = np.random.default_rng(3)
         context = rng.normal(size=(6, 4))
         p = rng.normal(size=4)
-        params = AttentionParams(rng.normal(size=8))
+        params = AttentionParams(rng.normal(size=4))
         weights = attention_weights(context, p, params)
         perm = rng.permutation(6)
         permuted = attention_weights(context[perm], p, params)
@@ -65,17 +65,17 @@ class TestAttentionWeights:
         rng = np.random.default_rng(4)
         context = rng.normal(size=(5, 3))
         p = rng.normal(size=3)
-        wa = rng.normal(size=6)
+        wa = rng.normal(size=3)
         weights = attention_weights(context, p, AttentionParams(wa))
-        scores = context @ wa[:3] + p @ wa[3:]
+        scores = context @ wa
         naive = np.exp(scores) / np.exp(scores).sum()
         assert weights == pytest.approx(naive, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            attention_weights(np.ones((2, 3)), np.ones(2), AttentionParams(np.zeros(6)))
+            attention_weights(np.ones((2, 3)), np.ones(2), AttentionParams(np.zeros(3)))
         with pytest.raises(DimensionMismatchError):
-            attention_weights(np.ones((2, 3)), np.ones(3), AttentionParams(np.zeros(4)))
+            attention_weights(np.ones((2, 3)), np.ones(3), AttentionParams(np.zeros(6)))
 
 
 CONTEXT = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -92,7 +92,7 @@ class TestComposeVectors:
         assert np.array_equal(compose_vectors(CONTEXT, P, None, "max").x, [1, 1, 2, 2])
 
     def test_attention_uniform_weights(self):
-        out = compose_vectors(CONTEXT, P, AttentionParams(np.zeros(4)), "attention")
+        out = compose_vectors(CONTEXT, P, AttentionParams(np.zeros(2)), "attention")
         assert out.x == pytest.approx([0.5, 0.5, 2.0, 2.0])
         assert out.attention_weights == pytest.approx([0.5, 0.5])
 
@@ -131,7 +131,7 @@ class TestCompose:
         table = small_table(policy=SKIP_TOKEN)
         sample = AspectSample("picture", ("zzz", "qqq"), (0,))
         with pytest.raises(EmptyContextError):
-            compose(sample, table, AttentionParams(np.zeros(4)), "attention")
+            compose(sample, table, AttentionParams(np.zeros(2)), "attention")
 
 
 def tiny_corpus():
@@ -149,7 +149,7 @@ class TestComposeTestPhrase:
     def test_single_sentence_equals_compose(self):
         corpus = tiny_corpus()
         table = small_table()
-        params = AttentionParams(np.array([0.5, -0.2, 0.1, 0.3]))
+        params = AttentionParams(np.array([0.5, -0.2]))
         via_phrase = compose_test_phrase("bright", corpus, table, params, "attention")
         sample = AspectSample("bright", corpus.sentences[1].tokens, (1,))
         direct = compose(sample, table, params, "attention")
@@ -158,23 +158,23 @@ class TestComposeTestPhrase:
     def test_context_length_is_additive(self):
         corpus = tiny_corpus()
         table = small_table()
-        params = AttentionParams(np.zeros(4))
+        params = AttentionParams(np.zeros(2))
         out = compose_test_phrase("picture", corpus, table, params, "attention")
         # sentences of 3 and 4 tokens mention it
         assert len(out.attention_weights) == 7
 
     def test_phrase_term_cancels_in_weights_but_not_in_x(self):
-        # The score is linear in [e_i; p], so the phrase contributes the
-        # same addend to every word's score and softmax removes it:
-        # weights over a shared context are identical across phrases. The
-        # composed vectors still differ through the phrase half.
+        # The score w_a . e_i has no phrase term (one would add the same
+        # constant to every word's score, which softmax removes), so the
+        # weights over a shared context are the same bits for every phrase.
+        # The composed vectors still differ through their phrase half.
         corpus = tiny_corpus()
         table = small_table()
-        params = AttentionParams(np.array([1.0, -1.0, 0.4, 0.2]))
+        params = AttentionParams(np.array([1.0, -1.0]))
         samples = [AspectSample(ph, corpus.sentences[1].tokens, (1,))
                    for ph in ("picture", "bright")]
         out = [compose(s, table, params, "attention") for s in samples]
-        assert out[0].attention_weights == pytest.approx(out[1].attention_weights, abs=1e-12)
+        assert np.array_equal(out[0].attention_weights, out[1].attention_weights)
         assert not np.allclose(out[0].x, out[1].x)
 
     def test_unknown_phrase(self):

@@ -259,7 +259,7 @@ class TestComposeBackward:
         d = 3
         net = MetricNetwork.create(d, mode="attention", output_dim=2, n_layers=2,
                                    seed=8)
-        net.attention = AttentionParams(rng.normal(size=2 * d) * 0.5)
+        net.attention = AttentionParams(rng.normal(size=d) * 0.5)
         ctx_i, ctx_j = rng.normal(size=(4, d)), rng.normal(size=(3, d))
         p_i, p_j = rng.normal(size=d), rng.normal(size=d)
 
@@ -269,8 +269,8 @@ class TestComposeBackward:
 
         a, b = compose_pair()
         grads = pair_gradients(net, a.x, b.x, -1, CFG)
-        g_wa = (compose_backward(ctx_i, p_i, a.attention_weights, grads["x_i"])
-                + compose_backward(ctx_j, p_j, b.attention_weights, grads["x_j"]))
+        g_wa = (compose_backward(ctx_i, a.attention_weights, grads["x_i"])
+                + compose_backward(ctx_j, b.attention_weights, grads["x_j"]))
 
         step = 1e-6
         w_a = net.attention.w_a
@@ -284,16 +284,6 @@ class TestComposeBackward:
             w_a[idx] = orig
             fd[idx] = (values[0] - values[1]) / (2 * step)
         assert rel_err(g_wa, fd) < 1e-4
-
-    def test_attention_phrase_half_gets_zero_gradient(self):
-        # the p term shifts every score equally, so softmax blocks it
-        rng = np.random.default_rng(13)
-        d = 4
-        params = AttentionParams(rng.normal(size=2 * d))
-        ctx, p = rng.normal(size=(5, d)), rng.normal(size=d)
-        comp = compose_vectors(ctx, p, params, "attention")
-        g_wa = compose_backward(ctx, p, comp.attention_weights, rng.normal(size=2 * d))
-        assert np.abs(g_wa[d:]).max() < 1e-12
 
 
 def toy_training_setup():
@@ -362,12 +352,10 @@ class TestTrain:
 
     def test_attention_parameter_moves_when_tuned(self):
         table, pairs = toy_training_setup()
-        cfg = TrainConfig(epochs=5, seed=2, finetune_attention=True)
+        cfg = TrainConfig(epochs=5, seed=2)
         net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=2)
         train(net, pairs, table, cfg, mode="attention")
-        assert np.abs(net.attention.w_a[:2]).max() > 0
-        # phrase half never receives gradient
-        assert np.abs(net.attention.w_a[2:]).max() < 1e-12
+        assert np.abs(net.attention.w_a).max() > 0
 
 
 class TestTrainChecks:
@@ -496,8 +484,7 @@ def _reference_compose(context, p, w_a, mode):
     if mode == "ap":
         return p.copy(), None
     if mode == "attention":
-        d = context.shape[1]
-        scores = context @ w_a[:d] + p @ w_a[d:]
+        scores = context @ w_a
         shifted = scores - scores.max()
         exp = np.exp(shifted)
         weights = exp / exp.sum()
@@ -506,17 +493,12 @@ def _reference_compose(context, p, w_a, mode):
     return np.concatenate([reduce(context, axis=0), p]), None
 
 
-def _reference_grad_wa(context, p, weights, grad_x):
+def _reference_grad_wa(context, weights, grad_x):
     """Gradient of w_a through the attention composition."""
-    d = p.shape[0]
-    gc = grad_x[:d]
-    grad_wa = np.zeros(2 * d)
-    g = context @ gc
+    g = context @ grad_x[:context.shape[1]]
     q = float(weights @ g)
     ds = weights * (g - q)
-    grad_wa[:d] = context.T @ ds
-    grad_wa[d:] = p * ds.sum()
-    return grad_wa
+    return context.T @ ds
 
 
 def reference_train(net, pairs, table, cfg, mode):
@@ -543,7 +525,7 @@ def reference_train(net, pairs, table, cfg, mode):
                 index[s] = len(samples)
                 samples.append(s)
     pair_idx = [(index[p.left], index[p.right], p.label) for p in pairs]
-    recompose = cfg.finetune_attention and mode == "attention"
+    recompose = mode == "attention"
     parts = [_reference_parts(s, table.get, table.dimension,
                               table.unknown_policy == "zero-vector", mode) for s in samples]
 
@@ -587,8 +569,8 @@ def reference_train(net, pairs, table, cfg, mode):
                 weights[m] -= lr * ((gw_i[m] + gw_j[m]) + lam * weights[m])
                 biases[m] -= lr * ((gb_i[m] + gb_j[m]) + lam * biases[m])
             if recompose:
-                for (context, p), att, gx in ((parts[a], att_i, gx_i), (parts[b], att_j, gx_j)):
-                    w_a -= lr * _reference_grad_wa(context, p, att, gx)
+                for (context, _), att, gx in ((parts[a], att_i, gx_i), (parts[b], att_j, gx_j)):
+                    w_a -= lr * _reference_grad_wa(context, att, gx)
         history.append(epoch_objective())
     return weights, biases, w_a, history
 
@@ -597,28 +579,29 @@ class TestReferenceLoop:
     """train() reproduces the separate-array loop bit for bit."""
 
     # reg_lambda None keeps the TrainConfig default, inputs None the fixture
-    # table; None is left out of the id.
-    @pytest.mark.parametrize("mode, layers, activation, reg_lambda, frozen, inputs", [
-        pytest.param(*case, id="-".join(str(v) for v in case if v is not None))
+    # table; None is left out of the id. The "False" in each id is kept from
+    # when a case with frozen attention ran beside these.
+    @pytest.mark.parametrize("mode, layers, activation, reg_lambda, inputs", [
+        pytest.param(*case, id="-".join(str(v) for v in (*case[:4], False, case[4])
+                                        if v is not None))
         for case in [
-            ("attention", 3, "tanh", 0.0, False, None),   # attention tuned, no L2 penalty
-            ("attention", 3, "tanh", 0.5, False, None),   # attention tuned, strong L2 penalty
-            ("avg", 3, "tanh", None, False, None),        # static inputs
-            ("avg", 1, "identity", None, False, None),
-            ("attention", 2, "tanh", None, True, None),   # attention frozen: composed once
+            ("attention", 3, "tanh", 0.0, None),    # no L2 penalty
+            ("attention", 3, "tanh", 0.5, None),    # strong L2 penalty
+            ("avg", 3, "tanh", None, None),         # static inputs: composed once
+            ("avg", 1, "identity", None, None),
             # a zero last vector column zeroes two components of every composed
             # input, so every step multiplies exact zeros into weight gradients
-            ("attention", 3, "tanh", None, False, "zero-column"),
+            ("attention", 3, "tanh", None, "zero-column"),
         ]
     ])
     def test_bitwise_equal(self, fixture_pairs, fixture_table,
-                           mode, layers, activation, reg_lambda, frozen, inputs):
+                           mode, layers, activation, reg_lambda, inputs):
         table = fixture_table
         if inputs == "zero-column":
             table = WordVectorTable(table.dimension, {
                 token: np.append(vec[:-1], 0.0) for token, vec in table.vectors.items()})
         penalty = {} if reg_lambda is None else {"reg_lambda": reg_lambda}
-        cfg = TrainConfig(epochs=2, seed=7, finetune_attention=not frozen, **penalty)
+        cfg = TrainConfig(epochs=2, seed=7, **penalty)
         net = MetricNetwork.create(table.dimension, mode=mode, output_dim=6,
                                    n_layers=layers, activation=activation, seed=7)
         want_w, want_b, want_wa, want_history = reference_train(
@@ -629,8 +612,7 @@ class TestReferenceLoop:
         for got, want in zip(net.weights + net.biases + [net.attention.w_a],
                              want_w + want_b + [want_wa]):
             assert got.tobytes() == want.tobytes()
-        if mode == "attention":
-            assert (not want_wa.any()) == frozen
+        assert want_wa.any() == (mode == "attention")
 
 
 class TestParameterBuffer:
@@ -645,9 +627,9 @@ class TestParameterBuffer:
     def test_assigning_attention_keeps_the_layout(self):
         net = MetricNetwork.create(3, mode="attention", output_dim=2, n_layers=2, seed=3)
         weights = [w.copy() for w in net.weights]
-        net.attention = AttentionParams(np.arange(6.0))
+        net.attention = AttentionParams(np.arange(3.0))
         assert np.shares_memory(net.attention.w_a, net.params)
-        assert np.array_equal(net.params[net.n_mlp:], np.arange(6.0))
+        assert np.array_equal(net.params[net.n_mlp:], np.arange(3.0))
         for got, want in zip(net.weights, weights):
             assert np.shares_memory(got, net.params) and np.array_equal(got, want)
 
@@ -655,7 +637,7 @@ class TestParameterBuffer:
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         net = MetricNetwork.create(3, mode="attention", output_dim=2, n_layers=3, seed=11)
-        net.attention = AttentionParams(np.random.default_rng(0).normal(size=6))
+        net.attention = AttentionParams(np.random.default_rng(0).normal(size=3))
         path = str(tmp_path / "model.json")
         save_model(net, path, config_hash="abc123", extra={"loss_history": [0.5, 0.25]})
         loaded, meta = load_model(path)
@@ -676,11 +658,16 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="malformed checkpoint"):
             load_model(str(path))
 
-    def test_version_1_checkpoint_rejected(self, tmp_path):
+    # version 1 had a dropout_rate field, version 2 a 2d-long attention_w
+    @pytest.mark.parametrize("version, extra", [
+        (1, {"dropout_rate": 0.5}),
+        (2, {"attention_w": [0.0] * 6}),
+    ], ids=["1", "2"])
+    def test_old_format_version_rejected(self, tmp_path, version, extra):
         net = MetricNetwork.create(3, mode="attention", output_dim=2, n_layers=2, seed=11)
         path = str(tmp_path / "model.json")
-        save_model(net, path, extra={"format_version": 1, "dropout_rate": 0.5})
-        with pytest.raises(FormatError, match="unsupported format version 1$"):
+        save_model(net, path, extra={"format_version": version, **extra})
+        with pytest.raises(FormatError, match=f"unsupported format version {version}$"):
             load_model(path)
 
 
@@ -717,4 +704,4 @@ class TestDims:
         limit = math.sqrt(6.0 / (200 + 126))
         assert np.abs(net.weights[0]).max() <= limit
         assert all(np.array_equal(b, np.zeros_like(b)) for b in net.biases)
-        assert np.array_equal(net.attention.w_a, np.zeros(200))
+        assert np.array_equal(net.attention.w_a, np.zeros(100))
