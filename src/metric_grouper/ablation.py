@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .composition import MODES
 from .errors import ConfigError
-from .evaluation import score_runs
+from .evaluation import gold_and_k, score_runs
 from .network import MetricNetwork, check_hidden_dims, train
 
 REFERENCE_KEY = "ap:0:raw"
@@ -78,11 +78,7 @@ def run_ablation(corpus, table, combos, train_pairs=None, train_cfg=None,
         if train_cfg is None:
             raise ValueError("training combos need a TrainConfig")
 
-    gold = corpus.gold_groups()
-    if k is None:
-        if not gold:
-            raise ValueError("k must be given for an unlabeled corpus")
-        k = len(set(gold.values()))
+    gold, k = gold_and_k(corpus, k)
     seeds = [seed + r for r in range(runs)]
 
     results = {}
@@ -99,10 +95,8 @@ def run_ablation(corpus, table, combos, train_pairs=None, train_cfg=None,
                 seed=train_cfg.seed,
             )
             _, history = train(net, train_pairs, table, train_cfg, mode=combo.mode)
-        row, _ = score_runs(
-            corpus, table, gold, k, seeds, net=net, mode=combo.mode,
-            metric="euclidean" if net is not None else "cosine",
-            n_init=n_init, max_iter=max_iter)
+        row, _ = score_runs(corpus, table, gold, k, seeds, net=net, mode=combo.mode,
+                            n_init=n_init, max_iter=max_iter)
         entry = {
             "mode": combo.mode,
             "mlp_layers": combo.mlp_layers,

@@ -200,8 +200,7 @@ def cmd_make_fixture(args):
 def cmd_split(args):
     import numpy as np
 
-    _require(args, "corpus")
-    out_dir = _out_dir(args)
+    _require(args, "corpus", "out_dir")
     resolved = _resolved(args)
     chash = config_hash(resolved)
     section = resolved["split"]
@@ -220,6 +219,7 @@ def cmd_split(args):
     }
     from .corpus import AnnotatedCorpus
 
+    out_dir = _out_dir(args)
     outputs = {}
     for name, idxs in buckets.items():
         part = AnnotatedCorpus(corpus.sentences[i] for i in sorted(idxs))
@@ -233,8 +233,7 @@ def cmd_split(args):
 
 
 def cmd_pairs(args, loaded=None):
-    _require(args, "corpus", "taxonomy")
-    out_dir = _out_dir(args)
+    _require(args, "corpus", "taxonomy", "out_dir")
     resolved = _resolved(args)
     chash = config_hash(resolved)
     section = resolved["pairs"]
@@ -254,6 +253,7 @@ def cmd_pairs(args, loaded=None):
         "positives": positives,
         "negatives": len(pairs) - positives,
     }
+    out_dir = _out_dir(args)
     path = os.path.join(out_dir, PAIRS_FILE)
     _atomic_write(path, lambda tmp: save_pairs(pairs, tmp, header=header))
     print(f"wrote {path} ({positives} positive / {len(pairs) - positives} negative pairs)")
@@ -264,8 +264,8 @@ def cmd_pairs(args, loaded=None):
 
 
 def cmd_train(args, loaded=None):
-    out_dir = _out_dir(args)
     resolved = _resolved(args)
+    out_dir = _out_dir(args)
     chash = config_hash(resolved)
     net_sec = resolved["network"]
     check_hidden_dims(net_sec["hidden_dims"], net_sec["layers"])
@@ -308,8 +308,8 @@ def _load_net(out_dir, chash):
 
 def cmd_cluster(args, loaded=None):
     _require(args, "corpus")
-    out_dir = _out_dir(args)
     resolved = _resolved(args)
+    out_dir = _out_dir(args)
     chash = config_hash(resolved)
     corpus = loaded["corpus"] if loaded else load_corpus(args.corpus)
     table = _load_table(args, loaded)
@@ -330,7 +330,7 @@ def cmd_cluster(args, loaded=None):
         if not gold:
             raise MetricGrouperError("k is not configured and the corpus has no gold labels")
         k = len(set(gold.values()))
-    metric = section["metric"] or ("euclidean" if net is not None else "cosine")
+    metric = _clustering.metric_for(net)
     composed, projected = _clustering.phrase_points(corpus, table, net=net, mode=mode)
     result = _clustering.kmeans(
         projected, k, metric=metric,
@@ -364,8 +364,8 @@ def cmd_cluster(args, loaded=None):
 
 def cmd_eval(args, loaded=None):
     _require(args, "corpus")
-    out_dir = _out_dir(args)
     resolved = _resolved(args)
+    out_dir = _out_dir(args)
     chash = config_hash(resolved)
     corpus = loaded["corpus"] if loaded else load_corpus(args.corpus)
     table = _load_table(args, loaded)
@@ -392,8 +392,7 @@ def cmd_eval(args, loaded=None):
 
 
 def cmd_ablate(args):
-    _require(args, "corpus", "taxonomy")
-    out_dir = _out_dir(args)
+    _require(args, "corpus", "taxonomy", "out_dir")
     resolved = _resolved(args)
     chash = config_hash(resolved)
     corpus = load_corpus(args.corpus)
@@ -418,6 +417,7 @@ def cmd_ablate(args):
         n_init=resolved["clustering"]["n_init"],
         max_iter=resolved["clustering"]["max_iter"])
     report["config_hash"] = chash
+    out_dir = _out_dir(args)
     ablation_path = os.path.join(out_dir, ABLATION_FILE)
     _atomic_write(ablation_path, json.dumps(report, sort_keys=True, indent=1) + "\n")
     print(format_ablation(report))
@@ -459,7 +459,6 @@ def build_parser():
         "learning_rate": "SGD step size",
         "epochs": "training epochs",
         "k": "cluster count (default: number of gold groups)",
-        "metric": "clustering metric: " + "|".join(_clustering.METRICS),
         "n_init": "k-means restarts per run",
         "max_iter": "k-means iteration cap",
         "runs": "clustering repetitions averaged in reports",

@@ -160,6 +160,11 @@ def kmeans(points, k, metric="euclidean", seed=0, n_init=10, max_iter=100, trace
     )
 
 
+def metric_for(net):
+    """Euclidean on the outputs of network ``net``, cosine on raw compositions (no net)."""
+    return "euclidean" if net is not None else "cosine"
+
+
 def phrase_points(corpus, table, net=None, mode="attention"):
     """One representation per distinct phrase.
 
@@ -181,15 +186,13 @@ def phrase_points(corpus, table, net=None, mode="attention"):
     return composed, projected
 
 
-def cluster_corpus(corpus, table, k, net=None, mode="attention", metric=None,
-                   seed=0, n_init=10, max_iter=100):
-    """Cluster every distinct phrase of the corpus.
+def cluster_corpus(corpus, table, k, net=None, mode="attention", seed=0, n_init=10,
+                   max_iter=100):
+    """Cluster every distinct phrase of the corpus under metric_for(net).
 
-    With a network the points are its evaluation-mode outputs and the
-    metric defaults to Euclidean; without one the raw composed vectors
-    are clustered with cosine, matching the baseline convention.
+    With a network the points are its outputs; without one they are the
+    raw composed vectors.
     """
-    if metric is None:
-        metric = "euclidean" if net is not None else "cosine"
     _, projected = phrase_points(corpus, table, net=net, mode=mode)
-    return kmeans(projected, k, metric=metric, seed=seed, n_init=n_init, max_iter=max_iter)
+    return kmeans(projected, k, metric=metric_for(net), seed=seed, n_init=n_init,
+                  max_iter=max_iter)

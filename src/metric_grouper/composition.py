@@ -106,13 +106,13 @@ class Ingredients(NamedTuple):
 def ingredients(phrase, context_tokens, table, mode):
     """One sample's vectors, read through WordVectorTable.lookup().
 
-    Raises AllUnknownError when no phrase token is kept, and
-    EmptyContextError when a mode that reads context keeps no context token.
+    Raises EmptyPhraseError for a phrase with no tokens, and
+    EmptyContextError when a mode that reads context gets no context token.
     """
-    p, _ = table.phrase_lookup(phrase)
+    p = table.phrase_lookup(phrase)
     if mode == "ap":
         return Ingredients(np.zeros((0, table.dimension)), p)
-    context, _ = table.lookup(context_tokens)
+    context = table.lookup(context_tokens)
     if not len(context):
         raise EmptyContextError(f"mode {mode!r} needs a context vector for {phrase!r}")
     return Ingredients(context, p)
@@ -122,7 +122,7 @@ def compose(sample, table, params, mode="attention"):
     """Compose one aspect sample into its input vector.
 
     ``sample`` needs ``phrase`` and ``context_tokens`` attributes. Unknown
-    tokens follow the table's policy; see ingredients().
+    tokens give zero rows; see ingredients().
     """
     return compose_vectors(*ingredients(sample.phrase, sample.context_tokens, table, mode),
                            params, mode)

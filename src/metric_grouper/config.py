@@ -15,7 +15,6 @@ import configparser
 import hashlib
 from math import inf
 
-from .clustering import METRICS
 from .composition import MODES
 from .errors import ConfigError
 from .evaluation import METHODS
@@ -107,7 +106,6 @@ SCHEMA = {
     },
     "clustering": {
         "k": (_positive(_parse_opt_int), ""),
-        "metric": (_choice(("",) + METRICS), ""),
         "n_init": (_positive(int), "10"),
         "max_iter": (_positive(int), "100"),
         "seed": (int, "42"),
@@ -144,7 +142,6 @@ FLAG_MAP = {
     "learning_rate": ("training", "learning_rate"),
     "epochs": ("training", "epochs"),
     "k": ("clustering", "k"),
-    "metric": ("clustering", "metric"),
     "n_init": ("clustering", "n_init"),
     "max_iter": ("clustering", "max_iter"),
     "runs": ("evaluation", "runs"),

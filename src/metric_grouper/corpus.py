@@ -18,33 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AllUnknownError,
-    DimensionMismatchError,
-    EmptyError,
-    EmptyPhraseError,
-    FormatError,
-)
-
-ZERO_VECTOR = "zero-vector"
-SKIP_TOKEN = "skip-token"
-UNKNOWN_POLICIES = (ZERO_VECTOR, SKIP_TOKEN)
+from .errors import DimensionMismatchError, EmptyError, EmptyPhraseError, FormatError
 
 
 class WordVectorTable:
-    """Token -> fixed-length vector lookup.
+    """Token -> fixed-length vector lookup; an out-of-vocabulary token looks up as a zero row."""
 
-    ``unknown_policy`` says what an out-of-vocabulary token gives in
-    lookup(): a zero vector (``zero-vector``) or nothing (``skip-token``).
-    """
-
-    def __init__(self, dimension, vectors, unknown_policy=ZERO_VECTOR, duplicate_count=0):
-        if unknown_policy not in UNKNOWN_POLICIES:
-            raise ValueError(f"unknown_policy must be one of {UNKNOWN_POLICIES}")
+    def __init__(self, dimension, vectors, duplicate_count=0):
         self.dimension = int(dimension)
         if self.dimension <= 0:
             raise ValueError("dimension must be positive")
-        self.unknown_policy = unknown_policy
         self.duplicate_count = duplicate_count
         self.vectors: dict[str, np.ndarray] = {}
         for token, vec in vectors.items():
@@ -67,40 +50,21 @@ class WordVectorTable:
         return token.lower() in self.vectors
 
     def get(self, token):
-        """Vector for ``token`` or None when absent (policy not applied)."""
+        """Vector for ``token`` or None when absent."""
         return self.vectors.get(token.lower())
 
     def lookup(self, tokens):
-        """(n, d) rows for ``tokens`` and the lowercased token of each row.
-
-        The one place the unknown-token policy applies: zero-vector gives
-        an unknown token a zero row, skip-token drops it (leaving possibly
-        no rows).
-        """
-        rows, kept = [], []
-        for tok in tokens:
-            key = tok.lower()
-            vec = self.vectors.get(key)
-            if vec is None:
-                if self.unknown_policy == SKIP_TOKEN:
-                    continue
-                vec = np.zeros(self.dimension)
-            rows.append(vec)
-            kept.append(key)
-        return (np.array(rows) if rows else np.zeros((0, self.dimension))), kept
+        """(n, d) rows for ``tokens``, a zero row for each unknown token."""
+        zero = np.zeros(self.dimension)
+        rows = [self.vectors.get(tok.lower(), zero) for tok in tokens]
+        return np.array(rows) if rows else np.zeros((0, self.dimension))
 
     def phrase_lookup(self, phrase):
-        """Mean of the kept token vectors of ``phrase``, and the tokens kept.
-
-        Raises EmptyPhraseError for no tokens, AllUnknownError for none kept.
-        """
+        """Mean of the token rows of ``phrase``; raises EmptyPhraseError for no tokens."""
         tokens = phrase.split()
         if not tokens:
             raise EmptyPhraseError("phrase has no tokens")
-        rows, kept = self.lookup(tokens)
-        if not kept:
-            raise AllUnknownError(f"every token of {phrase!r} is out of vocabulary")
-        return np.mean(rows, axis=0), kept
+        return np.mean(self.lookup(tokens), axis=0)
 
     def coverage(self, tokens):
         """(known, total) over the distinct lowercased tokens given."""
@@ -109,7 +73,7 @@ class WordVectorTable:
         return known, len(distinct)
 
 
-def load_word_vectors(path, unknown_policy=ZERO_VECTOR, errors=None):
+def load_word_vectors(path, errors=None):
     """Parse a word-vector text file into a WordVectorTable.
 
     The first non-empty line fixes the dimension; later lines with a
@@ -158,7 +122,7 @@ def load_word_vectors(path, unknown_policy=ZERO_VECTOR, errors=None):
             raise EmptyError(f"{path}: no word vectors loaded")
         errors.append("no word vectors loaded")
         return None
-    return WordVectorTable(dimension, entries, unknown_policy, duplicate_count=duplicates)
+    return WordVectorTable(dimension, entries, duplicate_count=duplicates)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,6 @@ class EmptyPhraseError(MetricGrouperError):
     """A phrase with zero tokens was supplied."""
 
 
-class AllUnknownError(MetricGrouperError):
-    """Every token of a phrase is out of vocabulary under skip-token policy."""
-
-
 class UnknownConceptError(MetricGrouperError):
     """A concept id is not present in the taxonomy."""
 

@@ -78,15 +78,27 @@ def entropy(clustering, gold, allow_missing=False):
     return _scores(counts, n)[1]
 
 
+def gold_and_k(corpus, k=None):
+    """Gold groups of ``corpus``, and ``k`` or else the number of distinct groups.
+
+    Raises MissingLabelError when the corpus carries no gold groups.
+    """
+    gold = corpus.gold_groups()
+    if not gold:
+        raise MissingLabelError("corpus carries no gold groups")
+    return gold, len(set(gold.values())) if k is None else k
+
+
 def score_runs(corpus, table, gold, k, seeds, net=None, mode="attention",
-               metric="cosine", n_init=10, max_iter=100):
+               n_init=10, max_iter=100):
     """Per-seed and mean Purity/Entropy, and the count of unlabeled phrases.
 
     Evaluation and ablation share this loop. Phrases are composed (and
-    mapped through ``net``) once; only K-means repeats per seed, scored
-    from one contingency table per run.
+    mapped through ``net``) once; only K-means repeats per seed, under
+    clustering.metric_for(net), scored from one contingency table per run.
     """
     _, points = _clustering.phrase_points(corpus, table, net=net, mode=mode)
+    metric = _clustering.metric_for(net)
     purities, entropies = [], []
     skipped = 0
     for s in seeds:
@@ -105,9 +117,9 @@ def _method_setup(method, net):
     if method == LEARNED_METHOD:
         if net is None:
             raise ValueError("method 'metric' needs a trained network")
-        return {"net": net, "mode": net.composition_mode, "metric": "euclidean"}
+        return {"net": net, "mode": net.composition_mode}
     if method in BASELINE_METHODS:
-        return {"net": None, "mode": method, "metric": "cosine"}
+        return {"net": None, "mode": method}
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -119,11 +131,7 @@ def evaluate_run(corpus, table, methods, net=None, k=None, runs=10, seed=0,
     gold groups. Returns a report dict; format_report renders it as an
     aligned table.
     """
-    gold = corpus.gold_groups()
-    if not gold:
-        raise MissingLabelError("corpus carries no gold groups")
-    if k is None:
-        k = len(set(gold.values()))
+    gold, k = gold_and_k(corpus, k)
     seeds = [seed + r for r in range(runs)]
     report = {
         "k": k,
@@ -136,7 +144,8 @@ def evaluate_run(corpus, table, methods, net=None, k=None, runs=10, seed=0,
         setup = _method_setup(method, net)
         row, skipped = score_runs(
             corpus, table, gold, k, seeds, n_init=n_init, max_iter=max_iter, **setup)
-        report["methods"][method] = {**row, "metric": setup["metric"], "mode": setup["mode"]}
+        report["methods"][method] = {
+            **row, "metric": _clustering.metric_for(setup["net"]), "mode": setup["mode"]}
         report["skipped_unlabeled"] = skipped
     return report
 

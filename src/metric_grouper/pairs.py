@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InsufficientNegativesError
+from .errors import EmptyError, FormatError, InsufficientNegativesError
 from .lexicon import incompatible
 
 
@@ -52,10 +52,9 @@ def generate_pairs(samples, tax, eta, seed=0, max_pos=None, allow_replacement=Fa
     negatives is drawn uniformly over sample pairs with incompatible
     phrases, without replacement unless ``allow_replacement`` permits
     topping up a short pool. Output order is a seeded shuffle; identical
-    inputs and seed reproduce the list exactly.
+    inputs and seed reproduce the list exactly. Raises EmptyError when
+    there is no positive pair.
     """
-    if len(samples) < 2:
-        raise ValueError("need at least two samples")
     rng = np.random.default_rng(seed)
 
     by_phrase: dict[str, list[int]] = {}
@@ -68,6 +67,9 @@ def generate_pairs(samples, tax, eta, seed=0, max_pos=None, allow_replacement=Fa
         for a in range(len(idxs)):
             for b in range(a + 1, len(idxs)):
                 positives.append((idxs[a], idxs[b]))
+    if not positives:
+        raise EmptyError(f"no positive pairs: none of the {len(by_phrase)} distinct "
+                         f"phrase(s) occurs in two samples")
     if max_pos is not None and len(positives) > max_pos:
         chosen = rng.choice(len(positives), size=max_pos, replace=False)
         positives = [positives[i] for i in sorted(chosen)]

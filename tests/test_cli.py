@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from metric_grouper import ablation as ablation_mod
 from metric_grouper import cli
 from metric_grouper import clustering as clustering_mod
 from metric_grouper import config
@@ -189,7 +190,7 @@ class TestPipeline:
         table = load_word_vectors(fixture_files["vectors"])
         net, _ = load_model(str(out / "model.json"))
         expected = cluster_corpus(corpus, table, 2, net=net, mode=net.composition_mode,
-                                  metric="euclidean", seed=42, n_init=10, max_iter=100)
+                                  seed=42, n_init=10, max_iter=100)
         rows = [line.split("\t") for line in clusters_before.splitlines()[1:]]
         assert {p: int(c) for p, c in rows} == expected.assignments
         composed, _ = clustering_mod.phrase_points(corpus, table, net=net,
@@ -260,9 +261,9 @@ class TestGuards:
 
     def test_unknown_config_key(self, fixture_files, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
-        # dropout_rate and finetune_attention were keys until their features were removed
+        # dropout_rate, finetune_attention and metric were keys until they were removed
         for section, key in (("training", "momentum"), ("network", "dropout_rate"),
-                             ("training", "finetune_attention")):
+                             ("training", "finetune_attention"), ("clustering", "metric")):
             cfg.write_text(f"[{section}]\n{key} = 0.5\n", encoding="utf-8")
             code = run("pairs", "--corpus", fixture_files["corpus"],
                        "--taxonomy", fixture_files["taxonomy"],
@@ -347,6 +348,55 @@ class TestGuards:
         assert code == 1
         assert f"error: {setting}: " in err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["split", "pairs", "train", "cluster", "eval", "ablate"])
+    def test_rejected_setting_creates_no_out_dir(self, fixture_files, tmp_path, capsys, command):
+        out = tmp_path / "new"
+        code = run(command, *data_args(fixture_files), "--k", "0", "--out-dir", str(out))
+        assert code == 1
+        assert "error: [clustering] k: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", [None, "2"], ids=["default_k", "k_2"])
+    def test_ablate_rejects_unlabeled_corpus_before_training(self, fixture_files, tmp_path,
+                                                             capsys, monkeypatch, k):
+        lines = Path(fixture_files["corpus"]).read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        for rec in records:
+            for mention in rec["mentions"]:
+                del mention["group"]
+        corpus = tmp_path / "unlabeled.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        monkeypatch.setattr(ablation_mod, "train",
+                            lambda *a, **kw: pytest.fail("ablate trained before checking labels"))
+        out = tmp_path / "out"
+        argv = data_args(dict(fixture_files, corpus=str(corpus))) + ["--out-dir", str(out)]
+        code = run("ablate", *argv, *(["--k", k] if k else []))
+        assert code == 1
+        assert "error: corpus carries no gold groups" in capsys.readouterr().err
+        assert not out.exists()
+
+    NO_POSITIVES = {  # distant supervision needs one phrase in two samples for a positive pair
+        "one_mention": [(("the", "picture", "is", "sharp"), "picture", 1)],
+        "each_phrase_once": [(("the", "picture", "is", "sharp"), "picture", 1),
+                             (("the", "sound", "is", "loud"), "sound", 1)],
+    }
+
+    @pytest.mark.parametrize("command", ["pairs", "run-all", "ablate"])
+    @pytest.mark.parametrize("corpus", sorted(NO_POSITIVES))
+    def test_no_positive_pairs_rejected(self, fixture_files, tmp_path, capsys, command, corpus):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(
+            json.dumps({"tokens": list(tokens), "mentions": [
+                {"phrase": phrase, "start": start, "end": start + 1, "group": group}]}) + "\n"
+            for group, (tokens, phrase, start) in enumerate(self.NO_POSITIVES[corpus])),
+            encoding="utf-8")
+        out = tmp_path / "out"
+        code = run(command, *data_args(dict(fixture_files, corpus=str(path))),
+                   "--out-dir", str(out))
+        assert code == 1
+        assert "error: no positive pairs" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSplit:

@@ -8,7 +8,7 @@ from metric_grouper.composition import (
     compose_test_phrase,
     compose_vectors,
 )
-from metric_grouper.corpus import SKIP_TOKEN, WordVectorTable
+from metric_grouper.corpus import WordVectorTable
 from metric_grouper.errors import (
     DimensionMismatchError,
     EmptyContextError,
@@ -110,12 +110,12 @@ class TestComposeVectors:
             compose_vectors(CONTEXT, P, None, "cnn")
 
 
-def small_table(policy="zero-vector"):
+def small_table():
     return WordVectorTable(2, {
         "picture": np.array([2.0, 2.0]),
         "clear": np.array([1.0, 0.0]),
         "bright": np.array([0.0, 1.0]),
-    }, unknown_policy=policy)
+    })
 
 
 class TestCompose:
@@ -127,9 +127,9 @@ class TestCompose:
         x2 = compose(s2, table, None, "ap").x
         assert x1.tobytes() == x2.tobytes()
 
-    def test_skip_policy_can_empty_context(self):
-        table = small_table(policy=SKIP_TOKEN)
-        sample = AspectSample("picture", ("zzz", "qqq"), (0,))
+    def test_empty_context_raises(self):
+        table = small_table()
+        sample = AspectSample("picture", (), (0,))
         with pytest.raises(EmptyContextError):
             compose(sample, table, AttentionParams(np.zeros(2)), "attention")
 

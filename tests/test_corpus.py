@@ -4,19 +4,13 @@ import numpy as np
 import pytest
 
 from metric_grouper.corpus import (
-    SKIP_TOKEN,
     AnnotatedCorpus,
     WordVectorTable,
     load_corpus,
     load_word_vectors,
     save_corpus,
 )
-from metric_grouper.errors import (
-    AllUnknownError,
-    EmptyError,
-    EmptyPhraseError,
-    FormatError,
-)
+from metric_grouper.errors import EmptyError, EmptyPhraseError, FormatError
 
 
 def write(tmp_path, name, text):
@@ -42,7 +36,7 @@ class TestLoadWordVectors:
         path = write(tmp_path, "v.txt", "a 1.0 0.0\nb 0.0 1.0\n")
         table = load_word_vectors(path)
         assert table.get("zzz") is None
-        assert np.array_equal(table.phrase_lookup("zzz")[0], [0.0, 0.0])
+        assert np.array_equal(table.phrase_lookup("zzz"), [0.0, 0.0])
 
     def test_non_numeric_field(self, tmp_path):
         path = write(tmp_path, "v.txt", "a 1.0 oops\n")
@@ -89,51 +83,35 @@ class TestLoadWordVectors:
 
 
 class TestPhraseVector:
-    def make_table(self, policy="zero-vector"):
+    def make_table(self):
         return WordVectorTable(
-            2, {"picture": np.array([1.0, 0.0]), "quality": np.array([0.0, 1.0])},
-            unknown_policy=policy)
+            2, {"picture": np.array([1.0, 0.0]), "quality": np.array([0.0, 1.0])})
 
     def test_single_token_is_identity(self):
         table = self.make_table()
-        assert np.array_equal(table.phrase_lookup("picture")[0], [1.0, 0.0])
+        assert np.array_equal(table.phrase_lookup("picture"), [1.0, 0.0])
 
     def test_two_token_mean(self):
         table = self.make_table()
-        assert np.array_equal(table.phrase_lookup("picture quality")[0], [0.5, 0.5])
+        assert np.array_equal(table.phrase_lookup("picture quality"), [0.5, 0.5])
 
     def test_all_unknown_zero_policy(self):
         table = self.make_table()
-        assert np.array_equal(table.phrase_lookup("zzz qqq")[0], [0.0, 0.0])
-
-    def test_all_unknown_skip_policy(self):
-        table = self.make_table(policy=SKIP_TOKEN)
-        with pytest.raises(AllUnknownError):
-            table.phrase_lookup("zzz qqq")
-
-    def test_partial_unknown_skip_policy(self):
-        table = self.make_table(policy=SKIP_TOKEN)
-        assert np.array_equal(table.phrase_lookup("picture zzz")[0], [1.0, 0.0])
+        assert np.array_equal(table.phrase_lookup("zzz qqq"), [0.0, 0.0])
 
     def test_empty_phrase(self):
         with pytest.raises(EmptyPhraseError):
             self.make_table().phrase_lookup("  ")
 
     def test_context_vectors_policies(self):
-        cases = [  # policy, tokens, rows, kept tokens
-            ("zero-vector", ["Picture", "zzz", "quality"],
-             [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], ["picture", "zzz", "quality"]),
-            (SKIP_TOKEN, ["Picture", "zzz", "quality"],
-             [[1.0, 0.0], [0.0, 1.0]], ["picture", "quality"]),
-            (SKIP_TOKEN, ["zzz"], np.zeros((0, 2)), []),
+        cases = [  # tokens, rows: an unknown token gives a zero row, no tokens no rows
+            (["Picture", "zzz", "quality"], [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]),
+            ([], np.zeros((0, 2))),
         ]
-        for policy, tokens, rows, kept in cases:
-            table = self.make_table(policy=policy)
-            got_rows, got_kept = table.lookup(tokens)
+        table = self.make_table()
+        for tokens, rows in cases:
+            got_rows = table.lookup(tokens)
             assert got_rows.shape == np.shape(rows) and np.array_equal(got_rows, rows)
-            assert got_kept == kept
-            if kept:
-                assert table.phrase_lookup(" ".join(tokens))[1] == kept
 
 
 RECORD = {"tokens": ["the", "picture", "is", "clear"],

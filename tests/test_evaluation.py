@@ -147,8 +147,7 @@ class TestEvaluateRun:
         from metric_grouper.clustering import cluster_corpus
 
         report = evaluate_run(fixture_corpus, fixture_table, ["avg"], k=2, runs=1, seed=9)
-        single = cluster_corpus(fixture_corpus, fixture_table, 2, mode="avg",
-                                metric="cosine", seed=9)
+        single = cluster_corpus(fixture_corpus, fixture_table, 2, mode="avg", seed=9)
         gold = fixture_corpus.gold_groups()
         assert report["methods"]["avg"]["purity_mean"] == purity(
             single.assignments, gold, allow_missing=True)

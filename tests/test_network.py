@@ -6,8 +6,8 @@ import pytest
 
 from metric_grouper import network
 from metric_grouper.composition import AttentionParams, compose_vectors
-from metric_grouper.corpus import SKIP_TOKEN, WordVectorTable
-from metric_grouper.errors import (AllUnknownError, DimensionMismatchError, DivergenceError,
+from metric_grouper.corpus import WordVectorTable
+from metric_grouper.errors import (DimensionMismatchError, DivergenceError, EmptyContextError,
                                    FormatError)
 from metric_grouper.network import (
     MetricNetwork,
@@ -380,15 +380,14 @@ class TestTrainChecks:
                   mode="avg")
         assert np.array_equal(net.params, before)
 
-    def test_all_unknown_phrase_raises_before_first_step(self):
+    def test_empty_context_raises_before_first_step(self):
         table, pairs = toy_training_setup()
-        skip = WordVectorTable(2, table.vectors, unknown_policy=SKIP_TOKEN)
-        ghost = AspectSample("qqq zzz", ("the", "picture", "clear"), (4,))
+        ghost = AspectSample("qqq zzz", (), (4,))
         bad = pairs + [SamplePair(pairs[0].left, ghost, -1)]
         net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=1)
         before = net.params.copy()
-        with pytest.raises(AllUnknownError, match="'qqq zzz'"):
-            train(net, bad, skip, TrainConfig(epochs=2, seed=1))
+        with pytest.raises(EmptyContextError, match="'qqq zzz'"):
+            train(net, bad, table, TrainConfig(epochs=2, seed=1))
         assert np.array_equal(net.params, before)
 
     def test_attention_length_mismatch_raises_before_first_step(self):
@@ -526,8 +525,7 @@ def reference_train(net, pairs, table, cfg, mode):
                 samples.append(s)
     pair_idx = [(index[p.left], index[p.right], p.label) for p in pairs]
     recompose = mode == "attention"
-    parts = [_reference_parts(s, table.get, table.dimension,
-                              table.unknown_policy == "zero-vector", mode) for s in samples]
+    parts = [_reference_parts(s, table.get, table.dimension, True, mode) for s in samples]
 
     def compose_now(k):
         return _reference_compose(*parts[k], w_a, mode)
