@@ -30,7 +30,7 @@ from .errors import (
     UnknownWordError,
 )
 from .composition import MODES
-from .evaluation import LEARNED_METHOD, METHODS, evaluate_run, format_report
+from .evaluation import LEARNED_METHOD, METHODS, evaluate_run, format_report, gold_and_k
 from .fixture import write_fixture
 from .lexicon import load_taxonomy
 from .network import (ACTIVATIONS, MetricNetwork, check_hidden_dims, load_model, save_model,
@@ -242,9 +242,8 @@ def cmd_pairs(args, loaded=None):
     print(f"phrases with no concept mapping (never incompatible): "
           f"{len(corpus.phrase_index) - _mapped_count(corpus, tax)}/{len(corpus.phrase_index)}")
     samples = generate_samples(corpus)
-    pairs = generate_pairs(
-        samples, tax, section["eta"], seed=section["seed"],
-        max_pos=section["max_pos"], allow_replacement=section["allow_replacement"])
+    pairs = generate_pairs(samples, tax, section["eta"], seed=section["seed"],
+                           max_pos=section["max_pos"])
     positives = sum(1 for p in pairs if p.label == 1)
     header = {
         "config_hash": chash,
@@ -324,12 +323,7 @@ def cmd_cluster(args, loaded=None):
     else:
         net, mode = None, method
 
-    k = section["k"]
-    if k is None:
-        gold = corpus.gold_groups()
-        if not gold:
-            raise MetricGrouperError("k is not configured and the corpus has no gold labels")
-        k = len(set(gold.values()))
+    k = section["k"] if section["k"] is not None else gold_and_k(corpus)[1]
     metric = _clustering.metric_for(net)
     composed, projected = _clustering.phrase_points(corpus, table, net=net, mode=mode)
     result = _clustering.kmeans(
@@ -396,6 +390,7 @@ def cmd_ablate(args):
     resolved = _resolved(args)
     chash = config_hash(resolved)
     corpus = load_corpus(args.corpus)
+    gold_and_k(corpus)  # an unlabeled corpus cannot be scored: stop before any pair is drawn
     table = _load_table(args)
     tax = load_taxonomy(args.taxonomy)
     combos = parse_combos(resolved["ablation"]["combos"])
@@ -403,10 +398,8 @@ def cmd_ablate(args):
     train_pairs = None
     if any(c.train for c in combos):
         samples = generate_samples(corpus)
-        train_pairs = generate_pairs(
-            samples, tax, pair_sec["eta"], seed=pair_sec["seed"],
-            max_pos=pair_sec["max_pos"],
-            allow_replacement=pair_sec["allow_replacement"])
+        train_pairs = generate_pairs(samples, tax, pair_sec["eta"], seed=pair_sec["seed"],
+                                     max_pos=pair_sec["max_pos"])
     report = run_ablation(
         corpus, table, combos,
         train_pairs=train_pairs, train_cfg=train_config_from(resolved),
@@ -437,6 +430,7 @@ def cmd_run_all(args):
     code = cmd_validate(args, loaded)
     if code:
         return code
+    gold_and_k(loaded["corpus"])  # eval needs gold groups: fail before pairs.jsonl is written
     for step in (cmd_pairs, cmd_train, cmd_cluster, cmd_eval):
         code = step(args, loaded)
         if code:

@@ -21,15 +21,6 @@ from .evaluation import METHODS
 from .network import ACTIVATIONS, TrainConfig
 
 
-def _parse_bool(raw):
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _parse_int_list(raw):
     raw = raw.strip()
     if not raw:
@@ -84,7 +75,6 @@ SCHEMA = {
         "eta": (_check(float, lambda v: v > 0, "positive"), "0.3"),
         "seed": (int, "42"),
         "max_pos": (_positive(_parse_opt_int), ""),
-        "allow_replacement": (_parse_bool, "false"),
     },
     "composition": {
         "mode": (_choice(MODES), "attention"),

@@ -2,14 +2,18 @@
 
 Positive pairs are two occurrences of the same aspect phrase in different
 contexts; negative pairs combine occurrences of two phrases whose lexicon
-similarity falls below the incompatibility threshold. Negatives are drawn
-uniformly without replacement and balanced one-to-one with the positives.
-Gold group labels are never consulted here.
+similarity falls below the incompatibility threshold. Both labels come
+from one sampler: each pool is a list of phrase pairs, a draw picks
+distinct pool indices uniformly without replacement and decodes each one
+into its sample pair, so only the drawn pairs are ever built. Negatives are
+balanced one-to-one with the positives. Gold group labels are never
+consulted here.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import inf, isqrt
 
 import numpy as np
 
@@ -44,79 +48,76 @@ def generate_samples(corpus):
     return samples
 
 
-def generate_pairs(samples, tax, eta, seed=0, max_pos=None, allow_replacement=False):
+def _draw(groups, by_phrase, needed, rng):
+    """``needed`` distinct sample-index pairs drawn uniformly from a pool.
+
+    The pool is a list of phrase pairs: ``(p, p)`` holds the m_p(m_p-1)/2
+    pairs of two of ``p``'s samples, ``(p, q)`` the m_p·m_q pairs of one
+    sample of each. Pool indices run group by group and, inside a group,
+    in nested-loop order. The drawn indices are sorted before decoding, so
+    ``needed >= pool``, which takes every index, enumerates the pool in
+    that order. Each pair is returned as (smaller, larger) sample index.
+    """
+    sizes = np.array([len(by_phrase[p]) * (len(by_phrase[p]) - 1) // 2 if p == q
+                      else len(by_phrase[p]) * len(by_phrase[q]) for p, q in groups],
+                     dtype=np.int64)
+    ends = np.cumsum(sizes)
+    pool = int(sizes.sum())
+    if needed >= pool:
+        picks = np.arange(pool)
+    else:
+        picks = np.sort(rng.choice(pool, size=needed, replace=False))
+    found = np.searchsorted(ends, picks, side="right")
+    pairs = []
+    for g, r in zip(found.tolist(), (picks - (ends - sizes)[found]).tolist()):
+        p, q = groups[g]
+        xs, ys = by_phrase[p], by_phrase[q]
+        if p == q:
+            # Lexicographic a < b order is colex order read backwards.
+            m = len(xs)
+            t = m * (m - 1) // 2 - 1 - r
+            j = (1 + isqrt(8 * t + 1)) // 2
+            a, b = m - 1 - j, m - 1 - (t - j * (j - 1) // 2)
+        else:
+            a, b = divmod(r, len(ys))
+        x, y = xs[a], ys[b]
+        pairs.append((x, y) if x < y else (y, x))
+    return pairs
+
+
+def generate_pairs(samples, tax, eta, seed=0, max_pos=None):
     """Build the balanced positive/negative training pair list.
 
-    Positives are all unordered pairs of distinct samples sharing a
-    phrase, subsampled to ``max_pos`` when set. The same number of
-    negatives is drawn uniformly over sample pairs with incompatible
-    phrases, without replacement unless ``allow_replacement`` permits
-    topping up a short pool. Output order is a seeded shuffle; identical
-    inputs and seed reproduce the list exactly. Raises EmptyError when
-    there is no positive pair.
+    Positives are drawn uniformly without replacement from all unordered
+    pairs of distinct samples sharing a phrase: ``max_pos`` of them when
+    set, all of them otherwise. The same number of negatives is drawn the
+    same way from the sample pairs whose phrases are incompatible. Output
+    order is a seeded shuffle; identical inputs and seed reproduce the
+    list exactly. Raises EmptyError when there is no positive pair and
+    InsufficientNegativesError when the negative pool is smaller than the
+    positive count.
     """
     rng = np.random.default_rng(seed)
 
     by_phrase: dict[str, list[int]] = {}
     for idx, s in enumerate(samples):
         by_phrase.setdefault(s.phrase, []).append(idx)
+    phrases = sorted(by_phrase)
 
-    positives: list[tuple[int, int]] = []
-    for phrase in sorted(by_phrase):
-        idxs = by_phrase[phrase]
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                positives.append((idxs[a], idxs[b]))
-    if not positives:
+    if all(len(idxs) < 2 for idxs in by_phrase.values()):
         raise EmptyError(f"no positive pairs: none of the {len(by_phrase)} distinct "
                          f"phrase(s) occurs in two samples")
-    if max_pos is not None and len(positives) > max_pos:
-        chosen = rng.choice(len(positives), size=max_pos, replace=False)
-        positives = [positives[i] for i in sorted(chosen)]
+    positives = _draw([(p, p) for p in phrases], by_phrase,
+                      inf if max_pos is None else max_pos, rng)
 
-    # Eligible negative pool, grouped by incompatible phrase pair.
-    phrases = sorted(by_phrase)
-    groups: list[tuple[str, str, int]] = []
-    pool_size = 0
-    for i in range(len(phrases)):
-        for j in range(i + 1, len(phrases)):
-            p, q = phrases[i], phrases[j]
-            if incompatible(p, q, tax, eta):
-                n = len(by_phrase[p]) * len(by_phrase[q])
-                groups.append((p, q, n))
-                pool_size += n
-
+    incompatible_pairs = [(p, q) for i, p in enumerate(phrases) for q in phrases[i + 1:]
+                          if incompatible(p, q, tax, eta)]
     needed = len(positives)
-    if pool_size < needed and not allow_replacement:
+    negatives = _draw(incompatible_pairs, by_phrase, needed, rng)
+    if len(negatives) < needed:
         raise InsufficientNegativesError(
-            f"need {needed} negatives but only {pool_size} incompatible "
-            f"sample combinations exist (short by {needed - pool_size})")
-
-    negatives: list[tuple[int, int]] = []
-    if pool_size and (allow_replacement and pool_size < needed or 3 * needed >= pool_size):
-        # Small pool: materialize it and take a seeded permutation.
-        full = []
-        for p, q, _n in groups:
-            for a in by_phrase[p]:
-                for b in by_phrase[q]:
-                    full.append((a, b) if a < b else (b, a))
-        order = rng.permutation(len(full))
-        negatives = [full[i] for i in order[:min(needed, len(full))]]
-        while len(negatives) < needed:  # only reachable with allow_replacement
-            negatives.append(full[int(rng.integers(len(full)))])
-    elif pool_size:
-        # Large pool: weighted rejection sampling over phrase-pair groups.
-        weights = np.cumsum([n for _p, _q, n in groups])
-        taken = set()
-        while len(negatives) < needed:
-            g = int(np.searchsorted(weights, rng.random() * weights[-1], side="right"))
-            p, q, _n = groups[g]
-            a = by_phrase[p][int(rng.integers(len(by_phrase[p])))]
-            b = by_phrase[q][int(rng.integers(len(by_phrase[q])))]
-            pair = (a, b) if a < b else (b, a)
-            if pair not in taken:
-                taken.add(pair)
-                negatives.append(pair)
+            f"need {needed} negatives but only {len(negatives)} incompatible "
+            f"sample combinations exist (short by {needed - len(negatives)})")
 
     result = [SamplePair(samples[a], samples[b], 1) for a, b in positives]
     result += [SamplePair(samples[a], samples[b], -1) for a, b in negatives]

@@ -357,9 +357,14 @@ class TestGuards:
         assert "error: [clustering] k: " in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("k", [None, "2"], ids=["default_k", "k_2"])
+    @pytest.mark.parametrize("command,k", [
+        pytest.param("ablate", None, id="default_k"),
+        pytest.param("ablate", "2", id="k_2"),
+        pytest.param("run-all", None, id="run_all-default_k"),
+        pytest.param("run-all", "2", id="run_all-k_2"),
+    ])
     def test_ablate_rejects_unlabeled_corpus_before_training(self, fixture_files, tmp_path,
-                                                             capsys, monkeypatch, k):
+                                                             capsys, monkeypatch, command, k):
         lines = Path(fixture_files["corpus"]).read_text(encoding="utf-8").splitlines()
         records = [json.loads(line) for line in lines]
         for rec in records:
@@ -369,9 +374,11 @@ class TestGuards:
         corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         monkeypatch.setattr(ablation_mod, "train",
                             lambda *a, **kw: pytest.fail("ablate trained before checking labels"))
+        monkeypatch.setattr(cli, "generate_pairs",
+                            lambda *a, **kw: pytest.fail("pairs drawn before checking labels"))
         out = tmp_path / "out"
         argv = data_args(dict(fixture_files, corpus=str(corpus))) + ["--out-dir", str(out)]
-        code = run("ablate", *argv, *(["--k", k] if k else []))
+        code = run(command, *argv, *(["--k", k] if k else []))
         assert code == 1
         assert "error: corpus carries no gold groups" in capsys.readouterr().err
         assert not out.exists()

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,32 @@ def corpus_of(mentioned_phrases):
         tokens = ("the", phrase, "works")
         sentences.append(AnnotatedSentence(tokens, (Mention(phrase, 1, 2),)))
     return AnnotatedCorpus(sentences)
+
+
+def reference_positives(samples):
+    """Every unordered same-phrase sample pair, in the order of a nested a < b loop."""
+    by_phrase = {}
+    for idx, s in enumerate(samples):
+        by_phrase.setdefault(s.phrase, []).append(idx)
+    positives = []
+    for phrase in sorted(by_phrase):
+        idxs = by_phrase[phrase]
+        for a in range(len(idxs)):
+            for b in range(a + 1, len(idxs)):
+                positives.append((idxs[a], idxs[b]))
+    return positives
+
+
+def index_pairs(pairs, label):
+    """(left, right) sample indices of the pairs with ``label``; corpus_of sample i is sentence i."""
+    return [(p.left.source[0], p.right.source[0]) for p in pairs if p.label == label]
+
+
+def random_corpus(rng, low, high):
+    """Each of the four taxonomy words mentioned between ``low`` and ``high`` - 1 times, shuffled."""
+    mentioned = [w for w in ("alpha", "beta", "gamma", "delta")
+                 for _ in range(int(rng.integers(low, high)))]
+    return corpus_of([mentioned[i] for i in rng.permutation(len(mentioned))])
 
 
 def two_branch_taxonomy():
@@ -71,6 +99,10 @@ class TestGeneratePairs:
         samples = generate_samples(corpus_of(["alpha"] * 3))
         with pytest.raises(InsufficientNegativesError, match="short by 3"):
             generate_pairs(samples, tax, 0.5, seed=0)
+        # 4 alpha samples give 6 positives but only 4 cross combinations
+        samples = generate_samples(corpus_of(["alpha"] * 4 + ["gamma"]))
+        with pytest.raises(InsufficientNegativesError, match=r"only 4 .*\(short by 2\)"):
+            generate_pairs(samples, tax, 0.5, seed=0)
 
     def test_two_by_two_balanced(self):
         tax = two_branch_taxonomy()
@@ -114,18 +146,6 @@ class TestGeneratePairs:
         assert sum(1 for p in pairs if p.label == 1) == 4
         assert sum(1 for p in pairs if p.label == -1) == 4
 
-    def test_allow_replacement_tops_up(self):
-        tax = two_branch_taxonomy()
-        # 4 alpha samples give 6 positives but only 4 cross combinations
-        samples = generate_samples(corpus_of(["alpha"] * 4 + ["gamma"]))
-        with pytest.raises(InsufficientNegativesError, match="short by 2"):
-            generate_pairs(samples, tax, 0.5, seed=0)
-        pairs = generate_pairs(samples, tax, 0.5, seed=0, allow_replacement=True)
-        negatives = [p for p in pairs if p.label == -1]
-        assert len(negatives) == 6
-        # the pool holds only 4 distinct combinations, so some repeat
-        assert len({(n.left, n.right) for n in negatives}) == 4
-
     def test_never_pairs_identical_occurrence(self):
         tax = two_branch_taxonomy()
         samples = generate_samples(corpus_of(["alpha", "alpha", "gamma", "gamma"]))
@@ -156,6 +176,66 @@ class TestGeneratePairs:
             checked += len(pairs)
         assert checked > 100
 
+    @pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
+    def test_positives_match_enumeration_reference(self, capped):
+        tax = two_branch_taxonomy()
+        rng = np.random.default_rng(23)
+        checked = 0
+        for seed in range(10):
+            samples = generate_samples(random_corpus(rng, 1, 8))
+            ref = reference_positives(samples)
+            max_pos = int(rng.integers(1, len(ref) + 1)) if capped else None
+            try:
+                pairs = generate_pairs(samples, tax, 0.5, seed=seed, max_pos=max_pos)
+            except InsufficientNegativesError:
+                continue
+            if max_pos is not None and max_pos < len(ref):
+                chosen = np.random.default_rng(seed).choice(len(ref), max_pos, replace=False)
+                ref = [ref[i] for i in sorted(chosen)]
+            assert sorted(index_pairs(pairs, 1)) == sorted(ref)
+            checked += 1
+        assert checked >= 5
+
+    def test_no_repeated_or_self_pairs(self):
+        tax = two_branch_taxonomy()
+        rng = np.random.default_rng(31)
+        for seed in range(10):
+            samples = generate_samples(random_corpus(rng, 2, 12))
+            pairs = generate_pairs(samples, tax, 0.5, seed=seed,
+                                   max_pos=int(rng.integers(1, 40)))
+            for label in (1, -1):
+                drawn = index_pairs(pairs, label)
+                assert all(a < b for a, b in drawn)
+                assert len(set(drawn)) == len(drawn)
+
+    def test_dense_negative_pool_taken_whole(self):
+        tax = two_branch_taxonomy()
+        # 6 alpha and 3 gamma samples: 15 + 3 positives and exactly 6 * 3 cross pairs
+        mentioned = ["alpha", "gamma", "alpha"] * 3
+        samples = generate_samples(corpus_of(mentioned))
+        pairs = generate_pairs(samples, tax, 0.5, seed=4)
+        alphas = [i for i, w in enumerate(mentioned) if w == "alpha"]
+        gammas = [i for i, w in enumerate(mentioned) if w == "gamma"]
+        pool = sorted((min(a, g), max(a, g)) for a in alphas for g in gammas)
+        assert sorted(index_pairs(pairs, -1)) == pool
+        assert sorted(index_pairs(pairs, 1)) == sorted(reference_positives(samples))
+        # capping positives at their whole pool takes every one of them too
+        capped = generate_pairs(samples, tax, 0.5, seed=4, max_pos=18)
+        assert sorted(index_pairs(capped, 1)) == sorted(reference_positives(samples))
+
+    def test_memory_is_not_quadratic_in_mentions(self):
+        # Enumerating the ~4M same-phrase pairs of 2 x 2000 mentions would take hundreds of MB.
+        tax = two_branch_taxonomy()
+        samples = generate_samples(corpus_of(["alpha", "gamma"] * 2000))
+        tracemalloc.start()
+        try:
+            pairs = generate_pairs(samples, tax, 0.5, seed=0, max_pos=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 2000
+        assert peak < 10e6
+
 
 class TestPairIo:
     def test_round_trip_with_header(self, tmp_path):
@@ -175,6 +255,6 @@ class TestPairIo:
             AspectSample("alpha", ("alpha", "works"), (3,)), 1)
         path = str(tmp_path / "pairs.jsonl")
         save_pairs([pair], path)
-        record = json.loads(open(path, encoding="utf-8").read().splitlines()[0])
+        record = json.loads(Path(path).read_text(encoding="utf-8").splitlines()[0])
         assert set(record) == {"label", "left", "right"}
         assert set(record["left"]) == {"phrase", "tokens", "source"}
