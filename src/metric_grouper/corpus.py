@@ -22,26 +22,40 @@ from .errors import DimensionMismatchError, EmptyError, EmptyPhraseError, Format
 
 
 class WordVectorTable:
-    """Token -> fixed-length vector lookup; an out-of-vocabulary token looks up as a zero row."""
+    """Token -> fixed-length vector lookup; an out-of-vocabulary token looks up as a zero row.
+
+    ``matrix`` is one read-only ``(n, d)`` float64 array and ``vectors``
+    maps each lowercased token to a read-only view of its row.
+    """
 
     def __init__(self, dimension, vectors, duplicate_count=0):
-        self.dimension = int(dimension)
-        if self.dimension <= 0:
+        dimension = int(dimension)
+        if dimension <= 0:
             raise ValueError("dimension must be positive")
+        tokens = [token.lower() for token in vectors]
+        rows = list(vectors.values())
+        try:
+            matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, dimension))
+        except (TypeError, ValueError):
+            matrix = None
+        if (matrix is None or matrix.shape != (len(rows), dimension)
+                or not np.isfinite(matrix).all() or len(set(tokens)) != len(tokens)):
+            _raise_first_defect(dimension, vectors)
+        self._adopt(tokens, matrix, duplicate_count)
+
+    @classmethod
+    def _from_matrix(cls, tokens, matrix, duplicate_count):
+        """Table over an already checked matrix, taken without a copy."""
+        table = cls.__new__(cls)
+        table._adopt(tokens, matrix, duplicate_count)
+        return table
+
+    def _adopt(self, tokens, matrix, duplicate_count):
+        matrix.flags.writeable = False
+        self.matrix = matrix
+        self.dimension = matrix.shape[1]
         self.duplicate_count = duplicate_count
-        self.vectors: dict[str, np.ndarray] = {}
-        for token, vec in vectors.items():
-            key = token.lower()
-            arr = np.asarray(vec, dtype=float)
-            if arr.shape != (self.dimension,):
-                raise DimensionMismatchError(
-                    f"vector for {token!r} has length {arr.shape}, expected {self.dimension}")
-            if not np.all(np.isfinite(arr)):
-                raise FormatError(f"vector for {token!r} has non-finite components")
-            if key in self.vectors:
-                raise ValueError(f"duplicate token {key!r}")
-            arr.flags.writeable = False
-            self.vectors[key] = arr
+        self.vectors: dict[str, np.ndarray] = dict(zip(tokens, matrix))
 
     def __len__(self):
         return len(self.vectors)
@@ -73,6 +87,40 @@ class WordVectorTable:
         return known, len(distinct)
 
 
+def _raise_first_defect(dimension, vectors):
+    """Raise for the first token whose vector is misshapen, non-finite or a duplicate."""
+    seen = set()
+    for token, vec in vectors.items():
+        arr = np.asarray(vec, dtype=float)
+        if arr.shape != (dimension,):
+            raise DimensionMismatchError(
+                f"vector for {token!r} has length {arr.shape}, expected {dimension}")
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"vector for {token!r} has non-finite components")
+        key = token.lower()
+        if key in seen:
+            raise ValueError(f"duplicate token {key!r}")
+        seen.add(key)
+
+
+def _component_fields(fh, tokens):
+    """Yield each non-blank line's components, appending its lowercased token to ``tokens``.
+
+    Raises ValueError where ``np.loadtxt`` would go wrong without one: it
+    would skip a token-only line as blank, and warn on a file with no rows.
+    """
+    for line in fh:
+        parts = line.split(None, 1)
+        if not parts:
+            continue
+        if len(parts) == 1:
+            raise ValueError("entry has no vector components")
+        tokens.append(parts[0].lower())
+        yield parts[1]
+    if not tokens:
+        raise ValueError("no word vectors")
+
+
 def load_word_vectors(path, errors=None):
     """Parse a word-vector text file into a WordVectorTable.
 
@@ -80,7 +128,30 @@ def load_word_vectors(path, errors=None):
     different arity are format errors. When ``errors`` is a list, problems
     are appended as ``"line N: message"`` strings and bad lines are
     skipped instead of raising.
+
+    A clean file is parsed in one ``np.loadtxt`` pass. Any other file is
+    re-read line by line, which names the offending line.
     """
+    tokens = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            matrix = np.loadtxt(_component_fields(fh, tokens), dtype=np.float64,
+                                comments=None, ndmin=2)
+    except ValueError:
+        matrix = None
+    if matrix is None or not np.isfinite(matrix).all():
+        return _load_line_by_line(path, errors)
+    first_row = {}
+    for row, token in enumerate(tokens):
+        first_row.setdefault(token, row)  # first occurrence wins
+    duplicates = len(tokens) - len(first_row)
+    if duplicates:
+        matrix = matrix[list(first_row.values())]
+    return WordVectorTable._from_matrix(list(first_row), matrix, duplicates)
+
+
+def _load_line_by_line(path, errors):
+    """``load_word_vectors`` one line at a time, naming each defective line."""
     entries: dict[str, np.ndarray] = {}
     dimension = None
     duplicates = 0

@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from metric_grouper import corpus as corpus_module
 from metric_grouper.corpus import (
     AnnotatedCorpus,
     WordVectorTable,
@@ -10,7 +12,7 @@ from metric_grouper.corpus import (
     load_word_vectors,
     save_corpus,
 )
-from metric_grouper.errors import EmptyError, EmptyPhraseError, FormatError
+from metric_grouper.errors import DimensionMismatchError, EmptyError, EmptyPhraseError, FormatError
 
 
 def write(tmp_path, name, text):
@@ -27,26 +29,11 @@ class TestLoadWordVectors:
         assert len(table) == 2
         assert np.array_equal(table.get("a"), [1.0, 0.0])
 
-    def test_inconsistent_dimension(self, tmp_path):
-        path = write(tmp_path, "v.txt", "a 1.0 0.0\nb 2.0\n")
-        with pytest.raises(FormatError, match="line 2.*dimension"):
-            load_word_vectors(path)
-
     def test_absent_token_zero_policy(self, tmp_path):
         path = write(tmp_path, "v.txt", "a 1.0 0.0\nb 0.0 1.0\n")
         table = load_word_vectors(path)
         assert table.get("zzz") is None
         assert np.array_equal(table.phrase_lookup("zzz"), [0.0, 0.0])
-
-    def test_non_numeric_field(self, tmp_path):
-        path = write(tmp_path, "v.txt", "a 1.0 oops\n")
-        with pytest.raises(FormatError, match="non-numeric"):
-            load_word_vectors(path)
-
-    def test_non_finite_component(self, tmp_path):
-        path = write(tmp_path, "v.txt", "a 1.0 nan\n")
-        with pytest.raises(FormatError, match="non-finite"):
-            load_word_vectors(path)
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "v.txt", "\n\n")
@@ -80,6 +67,140 @@ class TestLoadWordVectors:
         table = load_word_vectors(path)
         assert "APPLE" in table
         assert np.array_equal(table.get("apple"), [1.0, 0.0])
+
+    @pytest.mark.parametrize("mode", ["raise", "errors"])
+    @pytest.mark.parametrize("text, lineno, message, kept", [
+        ("a\nb 1.0 2.0\n", 1, "entry has no vector components", ["b"]),
+        ("a 1.0 0.0\nb\nc 0.0 1.0\n", 2, "inconsistent dimension: got 0, expected 2", ["a", "c"]),
+        ("a 1.0 0.0\nb 2.0\nc 0.0 1.0\n", 2, "inconsistent dimension: got 1, expected 2", ["a", "c"]),
+        ("a 1.0 0.0\n\nb 1.0 oops\n", 3, "non-numeric vector component", ["a"]),
+        ("a 1.0 nan\nb 1 2\n", 1, "non-finite vector component", ["b"]),
+        ("a 1 2\nb -inf 1e999\n", 2, "non-finite vector component", ["a"]),
+    ], ids=["token-only-first", "token-only", "arity-change", "non-numeric", "nan", "inf"])
+    def test_line_defect(self, tmp_path, mode, text, lineno, message, kept):
+        path = write(tmp_path, "v.txt", text)
+        if mode == "raise":
+            with pytest.raises(FormatError) as info:
+                load_word_vectors(path)
+            assert str(info.value) == f"{path}: line {lineno}: {message}"
+        else:
+            errors = []
+            table = load_word_vectors(path, errors=errors)
+            assert errors == [f"line {lineno}: {message}"]
+            assert list(table.vectors) == kept
+
+    def test_finite_duplicate_after_non_finite_first_wins(self, tmp_path):
+        path = write(tmp_path, "v.txt", "a nan 1\nb 0 1\nA 1 2\n")
+        errors = []
+        table = load_word_vectors(path, errors=errors)
+        assert errors == ["line 1: non-finite vector component"]
+        assert table.duplicate_count == 0
+        assert list(table.vectors) == ["b", "a"]
+        assert np.array_equal(table.get("a"), [1.0, 2.0])
+
+    @pytest.mark.parametrize("mode", ["raise", "errors"])
+    def test_python_float_syntax_outside_loadtxt(self, tmp_path, mode):
+        # float() takes underscores and non-ASCII digits; np.loadtxt does not
+        path = write(tmp_path, "v.txt", "a 1_000 \u0661\u0662\nb 0.5 2\n")
+        errors = None if mode == "raise" else []
+        table = load_word_vectors(path, errors=errors)
+        assert errors in (None, [])
+        assert table.get("a").tolist() == [1000.0, 12.0]
+        assert table.get("b").tolist() == [0.5, 2.0]
+
+    @pytest.mark.parametrize("text", ["", "\n\n", " \t\r\n\n"])
+    def test_empty_file_without_warning(self, tmp_path, text):
+        path = write(tmp_path, "v.txt", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyError, match="no word vectors loaded"):
+                load_word_vectors(path)
+            errors = []
+            assert load_word_vectors(path, errors=errors) is None
+            assert errors == ["no word vectors loaded"]
+
+    def test_table_is_one_read_only_matrix(self, tmp_path):
+        path = write(tmp_path, "v.txt", "a 1 2\nB 3 4\nA 5 6\n")
+        table = load_word_vectors(path)
+        assert table.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert not table.matrix.flags.writeable
+        for vec in table.vectors.values():
+            assert np.shares_memory(vec, table.matrix) and not vec.flags.writeable
+
+
+def random_vector_text(rng):
+    """A clean vector file mixing float syntaxes, separators, line endings and duplicates."""
+    dim = int(rng.integers(1, 6))
+    special = [5e-324, 2.5e-310, -0.0, 0.0, 1e300, -1e300, 1.7976931348623157e308]
+    lines = []
+    for _ in range(60):
+        if rng.random() < 0.15:
+            lines.append(str(rng.choice(["", "   ", "\t", " \t "])))
+        token = f"tok{int(rng.integers(25))}"
+        if rng.random() < 0.4:
+            token = token.upper() if rng.random() < 0.5 else token.capitalize()
+        fields = [str(rng.choice(["", " ", "\t"])) + token]
+        for _ in range(dim):
+            if rng.random() < 0.2:
+                x = special[int(rng.integers(len(special)))]
+            else:
+                x = float(rng.normal()) * 10.0 ** int(rng.integers(-40, 40))
+            fields.append(repr(x) if rng.random() < 0.5 else "%.6f" % x)
+        seps = rng.choice([" ", "  ", "\t", " \t  "], size=dim)
+        line = fields[0] + "".join(str(sep) + field for sep, field in zip(seps, fields[1:]))
+        lines.append(line + str(rng.choice(["", " ", "\t"])))
+    return "".join(line + str(rng.choice(["\n", "\r\n"])) for line in lines)
+
+
+class TestBulkParseReference:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bulk_parse_equals_line_loop(self, tmp_path, monkeypatch, seed):
+        path = write(tmp_path, "v.txt", random_vector_text(np.random.default_rng(seed)))
+        want = corpus_module._load_line_by_line(path, None)
+
+        def no_fallback(*args):
+            raise AssertionError("a clean file fell back to the line loop")
+
+        monkeypatch.setattr(corpus_module, "_load_line_by_line", no_fallback)
+        got = load_word_vectors(path)
+        assert list(got.vectors) == list(want.vectors)
+        assert got.duplicate_count == want.duplicate_count > 0
+        assert got.dimension == want.dimension
+        for token, vec in want.vectors.items():
+            assert got.vectors[token].tobytes() == vec.tobytes()
+
+
+class TestMappingConstructor:
+    def test_ends_matrix_backed(self):
+        a = np.array([1.0, 2.0])
+        table = WordVectorTable(2, {"A": a, "b": [3, 4]})
+        assert list(table.vectors) == ["a", "b"]
+        assert table.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert not table.matrix.flags.writeable
+        for vec in table.vectors.values():
+            assert np.shares_memory(vec, table.matrix) and not vec.flags.writeable
+        assert a.flags.writeable  # the caller's array is copied, not frozen
+
+    def test_empty_mapping(self):
+        table = WordVectorTable(3, {})
+        assert len(table) == 0 and table.matrix.shape == (0, 3)
+
+    @pytest.mark.parametrize("vectors, error, message", [
+        ({"a": [1, 2], "B": [1, 2, 3]}, DimensionMismatchError,
+         "vector for 'B' has length (3,), expected 2"),
+        ({"a": [1, 2], "b": [[1, 2]]}, DimensionMismatchError,
+         "vector for 'b' has length (1, 2), expected 2"),
+        ({"a": [1, 2], "b": [np.inf, 0]}, FormatError, "vector for 'b' has non-finite components"),
+        ({"a": [1, 2], "A": [3, 4]}, ValueError, "duplicate token 'a'"),
+        ({"a": [1, 2], "b": [1], "c": [np.nan, 0]}, DimensionMismatchError,
+         "vector for 'b' has length (1,), expected 2"),
+        ({"a": [np.nan, 0], "b": [1], "A": [0, 0]}, FormatError,
+         "vector for 'a' has non-finite components"),
+    ], ids=["length", "rank", "non-finite", "duplicate", "first-is-shape", "first-is-finite"])
+    def test_first_defect_named(self, vectors, error, message):
+        with pytest.raises(error) as info:
+            WordVectorTable(2, vectors)
+        assert type(info.value) is error and str(info.value) == message
 
 
 class TestPhraseVector:
