@@ -32,15 +32,21 @@ class WordVectorTable:
         dimension = int(dimension)
         if dimension <= 0:
             raise ValueError("dimension must be positive")
-        tokens = [token.lower() for token in vectors]
-        rows = list(vectors.values())
-        try:
-            matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, dimension))
-        except (TypeError, ValueError):
-            matrix = None
-        if (matrix is None or matrix.shape != (len(rows), dimension)
-                or not np.isfinite(matrix).all() or len(set(tokens)) != len(tokens)):
-            _raise_first_defect(dimension, vectors)
+        tokens, rows, seen = [], [], set()
+        for token, vec in vectors.items():
+            arr = np.asarray(vec, dtype=float)
+            if arr.shape != (dimension,):
+                raise DimensionMismatchError(
+                    f"vector for {token!r} has length {arr.shape}, expected {dimension}")
+            if not np.all(np.isfinite(arr)):
+                raise FormatError(f"vector for {token!r} has non-finite components")
+            key = token.lower()
+            if key in seen:
+                raise ValueError(f"duplicate token {key!r}")
+            seen.add(key)
+            tokens.append(key)
+            rows.append(arr)
+        matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, dimension))
         self._adopt(tokens, matrix, duplicate_count)
 
     @classmethod
@@ -85,22 +91,6 @@ class WordVectorTable:
         distinct = {t.lower() for t in tokens}
         known = sum(1 for t in distinct if t in self.vectors)
         return known, len(distinct)
-
-
-def _raise_first_defect(dimension, vectors):
-    """Raise for the first token whose vector is misshapen, non-finite or a duplicate."""
-    seen = set()
-    for token, vec in vectors.items():
-        arr = np.asarray(vec, dtype=float)
-        if arr.shape != (dimension,):
-            raise DimensionMismatchError(
-                f"vector for {token!r} has length {arr.shape}, expected {dimension}")
-        if not np.all(np.isfinite(arr)):
-            raise FormatError(f"vector for {token!r} has non-finite components")
-        key = token.lower()
-        if key in seen:
-            raise ValueError(f"duplicate token {key!r}")
-        seen.add(key)
 
 
 def _component_fields(fh, tokens):
