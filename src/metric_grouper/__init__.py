@@ -7,7 +7,7 @@ K-means in the learned subspace, Purity/Entropy scoring.
 
 __version__ = "0.1.0"
 
-from .clustering import Clustering, cluster_corpus, kmeans
+from .clustering import Clustering, kmeans, phrase_points
 from .composition import AttentionParams, ComposedInput, attention_weights, compose, compose_test_phrase
 from .corpus import AnnotatedCorpus, AnnotatedSentence, Mention, WordVectorTable, load_corpus, load_word_vectors
 from .evaluation import entropy, evaluate_run, purity
@@ -29,7 +29,6 @@ __all__ = [
     "TrainConfig",
     "WordVectorTable",
     "attention_weights",
-    "cluster_corpus",
     "compose",
     "compose_test_phrase",
     "entropy",
@@ -46,6 +45,7 @@ __all__ = [
     "load_taxonomy",
     "load_word_vectors",
     "pair_loss",
+    "phrase_points",
     "purity",
     "save_model",
     "train",

@@ -263,16 +263,16 @@ def cmd_pairs(args, loaded=None):
 
 
 def cmd_train(args, loaded=None):
+    _require(args, "out_dir")
     resolved = _resolved(args)
-    out_dir = _out_dir(args)
     chash = config_hash(resolved)
     net_sec = resolved["network"]
     check_hidden_dims(net_sec["hidden_dims"], net_sec["layers"])
     table = _load_table(args, loaded)
-    pairs_path = os.path.join(out_dir, PAIRS_FILE)
+    pairs_path = os.path.join(args.out_dir, PAIRS_FILE)
     if not os.path.exists(pairs_path):
         raise MetricGrouperError(
-            f"no {PAIRS_FILE} in {out_dir}; run the pairs command first")
+            f"no {PAIRS_FILE} in {args.out_dir}; run the pairs command first")
     pairs, header = load_pairs(pairs_path)
     _check_hash(pairs_path, (header or {}).get("config_hash"), chash)
     cfg = train_config_from(resolved)
@@ -285,11 +285,11 @@ def cmd_train(args, loaded=None):
     net, history = train(net, pairs, table, cfg, mode=mode)
     for epoch, value in enumerate(history, 1):
         print(f"epoch {epoch}: mean objective {value:.6f}")
-    model_path = os.path.join(out_dir, MODEL_FILE)
+    model_path = os.path.join(_out_dir(args), MODEL_FILE)
     _atomic_write(model_path, lambda tmp: save_model(
         net, tmp, config_hash=chash, extra={"loss_history": history}))
     print(f"wrote {model_path}")
-    _update_manifest(out_dir, "train", chash, cfg.seed,
+    _update_manifest(args.out_dir, "train", chash, cfg.seed,
                      {"vectors": args.vectors, PAIRS_FILE: pairs_path},
                      {MODEL_FILE: model_path})
     return 0
@@ -306,9 +306,8 @@ def _load_net(out_dir, chash):
 
 
 def cmd_cluster(args, loaded=None):
-    _require(args, "corpus")
+    _require(args, "corpus", "out_dir")
     resolved = _resolved(args)
-    out_dir = _out_dir(args)
     chash = config_hash(resolved)
     corpus = loaded["corpus"] if loaded else load_corpus(args.corpus)
     table = _load_table(args, loaded)
@@ -317,49 +316,46 @@ def cmd_cluster(args, loaded=None):
 
     inputs = {"corpus": args.corpus, "vectors": args.vectors}
     if method == LEARNED_METHOD:
-        net, model_path = _load_net(out_dir, chash)
+        net, model_path = _load_net(args.out_dir, chash)
         mode = net.composition_mode
         inputs[MODEL_FILE] = model_path
     else:
         net, mode = None, method
 
     k = section["k"] if section["k"] is not None else gold_and_k(corpus)[1]
-    metric = _clustering.metric_for(net)
-    composed, projected = _clustering.phrase_points(corpus, table, net=net, mode=mode)
+    phrases, composed, points = _clustering.phrase_points(corpus, table, net=net, mode=mode)
     result = _clustering.kmeans(
-        projected, k, metric=metric,
-        seed=section["seed"], n_init=section["n_init"], max_iter=section["max_iter"])
+        points, k, seed=section["seed"], n_init=section["n_init"], max_iter=section["max_iter"])
 
     lines = [f"# config_hash={chash}"]
-    for phrase in sorted(result.assignments):
-        lines.append(f"{phrase}\t{result.assignments[phrase]}")
-    clusters_path = os.path.join(out_dir, CLUSTERS_FILE)
+    lines += [f"{phrase}\t{label}" for phrase, label in zip(phrases, result.labels.tolist())]
+    clusters_path = os.path.join(_out_dir(args), CLUSTERS_FILE)
     _atomic_write(clusters_path, "\n".join(lines) + "\n")
-    print(f"wrote {clusters_path} (k={k}, metric={metric}, inertia={result.inertia:.6f})")
+    print(f"wrote {clusters_path} (k={k}, metric={_clustering.metric_for(net)}, "
+          f"inertia={result.inertia:.6f})")
     if result.empty_clusters:
         print(f"warning: empty clusters {list(result.empty_clusters)}")
     outputs = {CLUSTERS_FILE: clusters_path}
 
     if getattr(args, "dump_composed", None):
-        rows = [f"{p}\t" + " ".join(repr(float(v)) for v in composed[p])
-                for p in sorted(composed)]
+        rows = [f"{p}\t" + " ".join(repr(float(v)) for v in row)
+                for p, row in zip(phrases, composed)]
         _atomic_write(args.dump_composed, "\n".join(rows) + "\n")
-        outputs[os.path.basename(args.dump_composed)] = args.dump_composed
+        outputs["dump-composed"] = args.dump_composed
         print(f"wrote {args.dump_composed}")
     if getattr(args, "dump_centroids", None):
         rows = [" ".join(repr(float(v)) for v in c) for c in result.centroids]
         _atomic_write(args.dump_centroids, "\n".join(rows) + "\n")
-        outputs[os.path.basename(args.dump_centroids)] = args.dump_centroids
+        outputs["dump-centroids"] = args.dump_centroids
         print(f"wrote {args.dump_centroids}")
 
-    _update_manifest(out_dir, "cluster", chash, section["seed"], inputs, outputs)
+    _update_manifest(args.out_dir, "cluster", chash, section["seed"], inputs, outputs)
     return 0
 
 
 def cmd_eval(args, loaded=None):
-    _require(args, "corpus")
+    _require(args, "corpus", "out_dir")
     resolved = _resolved(args)
-    out_dir = _out_dir(args)
     chash = config_hash(resolved)
     corpus = loaded["corpus"] if loaded else load_corpus(args.corpus)
     table = _load_table(args, loaded)
@@ -367,7 +363,7 @@ def cmd_eval(args, loaded=None):
     inputs = {"corpus": args.corpus, "vectors": args.vectors}
     net = None
     if LEARNED_METHOD in methods:
-        net, model_path = _load_net(out_dir, chash)
+        net, model_path = _load_net(args.out_dir, chash)
         inputs[MODEL_FILE] = model_path
     report = evaluate_run(
         corpus, table, methods, net=net,
@@ -376,11 +372,11 @@ def cmd_eval(args, loaded=None):
         n_init=resolved["clustering"]["n_init"],
         max_iter=resolved["clustering"]["max_iter"])
     report["config_hash"] = chash
-    metrics_path = os.path.join(out_dir, METRICS_FILE)
+    metrics_path = os.path.join(_out_dir(args), METRICS_FILE)
     _atomic_write(metrics_path, json.dumps(report, sort_keys=True, indent=1) + "\n")
     print(format_report(report))
     print(f"wrote {metrics_path}")
-    _update_manifest(out_dir, "eval", chash, resolved["evaluation"]["seed"],
+    _update_manifest(args.out_dir, "eval", chash, resolved["evaluation"]["seed"],
                      inputs, {METRICS_FILE: metrics_path})
     return 0
 

@@ -1,10 +1,10 @@
-"""K-means over per-phrase representations.
+"""K-means over one matrix of phrase points.
 
-The learned path maps each phrase's composed vector through the trained
-network and clusters the outputs with Euclidean distance; baseline paths
-cluster the raw composed vectors with cosine similarity, implemented as
-unit-normalization followed by Euclidean Lloyd iterations (the argmin is
-the same on the unit sphere).
+phrase_points() builds the rows K-means measures. With a trained network
+they are its outputs, compared by Euclidean distance. Without one they
+are the raw composed vectors scaled to unit length, which phrase_points()
+does once per phrase: on the unit sphere Euclidean distance ranks like
+cosine similarity. kmeans() itself is plain Euclidean K-means.
 """
 from __future__ import annotations
 
@@ -16,27 +16,20 @@ import numpy as np
 from .composition import AttentionParams, compose_test_phrase
 from .errors import DimensionMismatchError, TooFewPointsError
 
-METRICS = ("euclidean", "cosine")
-
 
 @dataclass
 class Clustering:
-    """Assignments, centroids and inertia of one finished run.
+    """Labels, centroids and inertia of one finished run.
 
+    ``labels[i]`` is the cluster of row i of the clustered matrix.
     ``empty_clusters`` flags cluster ids that ended up with no members,
     which can only happen when duplicate points make K distinct centroids
     impossible.
     """
-    assignments: dict[str, int]
+    labels: np.ndarray
     centroids: np.ndarray
     inertia: float
     empty_clusters: tuple[int, ...] = ()
-    metric: str = "euclidean"
-    seed: int | None = None
-
-    @property
-    def k(self):
-        return self.centroids.shape[0]
 
 
 def _sq_dists(points, x2, centers):
@@ -106,39 +99,25 @@ def _lloyd(points, x2, centers, max_iter, trace=None):
     return assign, centers, inertia
 
 
-def kmeans(points, k, metric="euclidean", seed=0, n_init=10, max_iter=100, trace=None):
-    """Best-of-``n_init`` K-means over a phrase -> vector mapping.
+def kmeans(points, k, seed=0, n_init=10, max_iter=100, trace=None):
+    """Best-of-``n_init`` Euclidean K-means over the rows of an (n, d) matrix.
 
-    Points are sorted by phrase before seeding, so insertion order never
-    changes the outcome for a given seed. Cosine metric normalizes each
-    point to unit length first (zero vectors stay put).
+    When ``trace`` is a list, each restart appends its per-iteration inertias.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}")
-    names = sorted(points)
-    if len(names) < k:
-        raise TooFewPointsError(f"{len(names)} points cannot fill {k} clusters")
-    matrix = [np.asarray(points[name], dtype=float) for name in names]
-    width = matrix[0].shape
-    for name, vec in zip(names, matrix):
-        if vec.shape != width:
-            raise DimensionMismatchError(
-                f"point {name!r} has shape {vec.shape}, expected {width}")
-    data = np.array(matrix)
-    if metric == "cosine":
-        norms = np.linalg.norm(data, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        data = data / norms
-
-    x2 = (data ** 2).sum(axis=1)
+    points = np.asarray(points, dtype=float)
+    if len(points) < k:
+        raise TooFewPointsError(f"{len(points)} points cannot fill {k} clusters")
+    if points.ndim != 2:
+        raise DimensionMismatchError(f"points have shape {points.shape}, expected (n, d)")
+    x2 = (points ** 2).sum(axis=1)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(n_init):
-        centers = _kmeanspp(data, x2, k, rng)
+        centers = _kmeanspp(points, x2, k, rng)
         restart_trace = [] if trace is not None else None
-        assign, centers, inertia = _lloyd(data, x2, centers, max_iter, restart_trace)
+        assign, centers, inertia = _lloyd(points, x2, centers, max_iter, restart_trace)
         if trace is not None:
             trace.append(restart_trace)
         if best is None or inertia < best[2]:
@@ -150,49 +129,30 @@ def kmeans(points, k, metric="euclidean", seed=0, n_init=10, max_iter=100, trace
         warnings.warn(
             f"{len(empty)} cluster(s) ended up empty; duplicate points make "
             f"{k} distinct centroids impossible", stacklevel=2)
-    return Clustering(
-        assignments={name: int(c) for name, c in zip(names, assign)},
-        centroids=centers,
-        inertia=inertia,
-        empty_clusters=empty,
-        metric=metric,
-        seed=seed,
-    )
+    return Clustering(labels=assign, centroids=centers, inertia=inertia, empty_clusters=empty)
 
 
 def metric_for(net):
-    """Euclidean on the outputs of network ``net``, cosine on raw compositions (no net)."""
+    """The distance K-means ranks by: Euclidean on network outputs, cosine on raw rows."""
     return "euclidean" if net is not None else "cosine"
 
 
 def phrase_points(corpus, table, net=None, mode="attention"):
-    """One representation per distinct phrase.
+    """Every distinct phrase, its composed row and the row K-means measures.
 
-    Returns (composed, projected): the raw composed vectors and, when a
-    network is given, their mapped outputs (otherwise the same dict).
-    Attention parameters come from the network, else are zeros.
+    Returns (phrases, composed, points): ``corpus.phrases()`` in sorted order
+    and two matrices with one row per phrase in that order. With a network,
+    ``points`` are its outputs. Without one they are the composed rows
+    scaled to unit length, zero rows left at zero. Attention parameters come
+    from the network, else are zeros.
     """
     params = net.attention if net is not None else AttentionParams.zeros(table.dimension)
-    composed = {}
-    projected = {}
-    for phrase in corpus.phrases():
-        comp = compose_test_phrase(phrase, corpus, table, params, mode)
-        composed[phrase] = comp.x
-        if net is not None:
-            h, _ = net.forward(comp.x)
-            projected[phrase] = h
-        else:
-            projected[phrase] = comp.x
-    return composed, projected
-
-
-def cluster_corpus(corpus, table, k, net=None, mode="attention", seed=0, n_init=10,
-                   max_iter=100):
-    """Cluster every distinct phrase of the corpus under metric_for(net).
-
-    With a network the points are its outputs; without one they are the
-    raw composed vectors.
-    """
-    _, projected = phrase_points(corpus, table, net=net, mode=mode)
-    return kmeans(projected, k, metric=metric_for(net), seed=seed, n_init=n_init,
-                  max_iter=max_iter)
+    phrases = corpus.phrases()
+    rows = [compose_test_phrase(phrase, corpus, table, params, mode).x for phrase in phrases]
+    composed = np.array(rows)
+    if net is not None:
+        return phrases, composed, np.array([net.forward(x)[0] for x in rows])
+    # axis -1 also serves a corpus with no phrase, whose (0,) array kmeans rejects
+    norms = np.linalg.norm(composed, axis=-1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return phrases, composed, composed / norms

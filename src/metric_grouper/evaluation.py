@@ -23,14 +23,13 @@ LEARNED_METHOD = "metric"
 METHODS = (LEARNED_METHOD,) + BASELINE_METHODS
 
 
-def contingency(clustering, gold, allow_missing=False):
-    """Cluster x gold-group counts.
+def contingency(assignments, gold, allow_missing=False):
+    """Cluster x gold-group counts of a phrase -> cluster id mapping.
 
     Returns (counts, n, skipped) where counts maps cluster id to a
     {group: count} dict. Phrases without a gold label raise unless
     ``allow_missing``, in which case they are skipped and counted.
     """
-    assignments = getattr(clustering, "assignments", clustering)
     counts: dict[int, dict[int, int]] = {}
     n = 0
     skipped = 0
@@ -66,15 +65,15 @@ def _scores(counts, n):
     return correct / n, total
 
 
-def purity(clustering, gold, allow_missing=False):
+def purity(assignments, gold, allow_missing=False):
     """Majority-mass purity in [0, 1]."""
-    counts, n, _ = contingency(clustering, gold, allow_missing)
+    counts, n, _ = contingency(assignments, gold, allow_missing)
     return _scores(counts, n)[0]
 
 
-def entropy(clustering, gold, allow_missing=False):
+def entropy(assignments, gold, allow_missing=False):
     """Weighted within-cluster gold-label entropy, in bits."""
-    counts, n, _ = contingency(clustering, gold, allow_missing)
+    counts, n, _ = contingency(assignments, gold, allow_missing)
     return _scores(counts, n)[1]
 
 
@@ -94,17 +93,16 @@ def score_runs(corpus, table, gold, k, seeds, net=None, mode="attention",
     """Per-seed and mean Purity/Entropy, and the count of unlabeled phrases.
 
     Evaluation and ablation share this loop. Phrases are composed (and
-    mapped through ``net``) once; only K-means repeats per seed, under
-    clustering.metric_for(net), scored from one contingency table per run.
+    mapped through ``net``) once; only K-means repeats per seed, scored
+    from one contingency table per run.
     """
-    _, points = _clustering.phrase_points(corpus, table, net=net, mode=mode)
-    metric = _clustering.metric_for(net)
+    phrases, _, points = _clustering.phrase_points(corpus, table, net=net, mode=mode)
     purities, entropies = [], []
     skipped = 0
     for s in seeds:
-        result = _clustering.kmeans(
-            points, k, metric=metric, seed=s, n_init=n_init, max_iter=max_iter)
-        counts, n, skipped = contingency(result, gold, allow_missing=True)
+        labels = _clustering.kmeans(points, k, seed=s, n_init=n_init, max_iter=max_iter).labels
+        counts, n, skipped = contingency(
+            dict(zip(phrases, labels.tolist())), gold, allow_missing=True)
         p, e = _scores(counts, n)
         purities.append(p)
         entropies.append(e)

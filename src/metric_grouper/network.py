@@ -444,7 +444,9 @@ def load_model(path):
             attention=AttentionParams(np.array(doc["attention_w"], dtype=float)),
             composition_mode=doc["composition_mode"],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed checkpoint ({exc})") from exc
+    if not net.params_finite():
+        raise FormatError(f"{path}: checkpoint holds a non-finite parameter")
     meta = {k: v for k, v in doc.items() if k not in ("layers", "attention_w")}
     return net, meta

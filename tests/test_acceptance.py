@@ -319,8 +319,7 @@ def test_criterion_7_kmeans_micro_optimality():
         if k > n:
             k = n
         data = rng.normal(size=(n, 2)) * rng.uniform(0.5, 2.0)
-        points = {f"p{i}": data[i] for i in range(n)}
-        result = kmeans(points, k, seed=int(rng.integers(1 << 31)), n_init=20)
+        result = kmeans(data, k, seed=int(rng.integers(1 << 31)), n_init=20)
         optimum = exhaustive_optimum(data, k)
         if result.inertia <= optimum * (1 + 1e-9) + 1e-12:
             hits += 1

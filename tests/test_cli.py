@@ -14,7 +14,6 @@ from metric_grouper import cli
 from metric_grouper import clustering as clustering_mod
 from metric_grouper import config
 from metric_grouper.cli import _atomic_write, main
-from metric_grouper.clustering import cluster_corpus
 from metric_grouper.corpus import load_corpus, load_word_vectors
 from metric_grouper.network import TrainConfig, load_model
 
@@ -189,15 +188,27 @@ class TestPipeline:
         corpus = load_corpus(fixture_files["corpus"])
         table = load_word_vectors(fixture_files["vectors"])
         net, _ = load_model(str(out / "model.json"))
-        expected = cluster_corpus(corpus, table, 2, net=net, mode=net.composition_mode,
-                                  seed=42, n_init=10, max_iter=100)
+        phrases, composed, points = clustering_mod.phrase_points(
+            corpus, table, net=net, mode=net.composition_mode)
+        expected = clustering_mod.kmeans(points, 2, seed=42, n_init=10, max_iter=100)
         rows = [line.split("\t") for line in clusters_before.splitlines()[1:]]
-        assert {p: int(c) for p, c in rows} == expected.assignments
-        composed, _ = clustering_mod.phrase_points(corpus, table, net=net,
-                                                   mode=net.composition_mode)
+        assert rows == [[p, str(c)] for p, c in zip(phrases, expected.labels.tolist())]
         assert composed_path.read_text(encoding="utf-8") == "".join(
-            f"{p}\t" + " ".join(repr(float(v)) for v in composed[p]) + "\n"
-            for p in sorted(composed))
+            f"{p}\t" + " ".join(repr(float(v)) for v in row) + "\n"
+            for p, row in zip(phrases, composed))
+
+    def test_dump_manifest_keys(self, pipeline_dir, tmp_path):
+        # A dump named like an artifact must not take that artifact's checksum.
+        out, args = pipeline_dir
+        composed, centroids = tmp_path / "clusters.tsv", tmp_path / "model.json"
+        assert run("cluster", *args, "--dump-composed", str(composed),
+                   "--dump-centroids", str(centroids)) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        outputs = manifest["commands"]["cluster"]["outputs"]
+        assert outputs == {"clusters.tsv": cli._sha256(out / "clusters.tsv"),
+                           "dump-composed": cli._sha256(composed),
+                           "dump-centroids": cli._sha256(centroids)}
+        assert outputs["clusters.tsv"] != outputs["dump-composed"]
 
 
 class TestGuards:
@@ -349,13 +360,41 @@ class TestGuards:
         assert f"error: {setting}: " in err
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("command", ["split", "pairs", "train", "cluster", "eval", "ablate"])
-    def test_rejected_setting_creates_no_out_dir(self, fixture_files, tmp_path, capsys, command):
+    NO_OUT_DIR = [
+        *(pytest.param(command, ["--k", "0"], "[clustering] k: ", id=command)
+          for command in ["split", "pairs", "train", "cluster", "eval", "ablate"]),
+        pytest.param("train", ["--hidden-dims", "3"], "[network] hidden_dims: ",
+                     id="train-hidden_dims"),
+        pytest.param("train", [], "no pairs.jsonl in ", id="train-no_pairs"),
+        pytest.param("cluster", [], "no model.json in ", id="cluster-no_model"),
+        pytest.param("eval", [], "no model.json in ", id="eval-no_model"),
+    ]
+
+    @pytest.mark.parametrize("command, flags, message", NO_OUT_DIR)
+    def test_rejected_setting_creates_no_out_dir(self, fixture_files, tmp_path, capsys, command,
+                                                 flags, message):
         out = tmp_path / "new"
-        code = run(command, *data_args(fixture_files), "--k", "0", "--out-dir", str(out))
+        code = run(command, *data_args(fixture_files), *flags, "--out-dir", str(out))
         assert code == 1
-        assert "error: [clustering] k: " in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["cluster", "eval"])
+    def test_non_finite_model_rejected(self, fixture_files, tmp_path, capsys, command):
+        args = data_args(fixture_files) + ["--out-dir", str(tmp_path), "--epochs", "1"]
+        assert run("pairs", *args) == 0
+        assert run("train", *args) == 0
+        path = tmp_path / "model.json"
+        model = json.loads(path.read_text(encoding="utf-8"))
+        model["layers"][0]["w"][0][0] = float("nan")
+        path.write_text(json.dumps(model), encoding="utf-8")
+        capsys.readouterr()
+        code = run(command, *args)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: {path}: checkpoint holds a non-finite parameter" in captured.err
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["manifest.json", "model.json", "pairs.jsonl"]
 
     @pytest.mark.parametrize("command,k", [
         pytest.param("ablate", None, id="default_k"),
@@ -530,6 +569,9 @@ class TestTraceContract:
         "composition.compose_test_phrase.calls": 24,
         "lexicon.incompatible.calls": 15,
         "clustering.kmeans.calls": 31,
+        "clustering.restarts": 310,
+        "clustering.lloyd_iters": 620,
+        "evaluation.contingency.calls": 30,
     }
 
     def test_traced_run_all(self, fixture_files, tmp_path):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from metric_grouper import clustering
-from metric_grouper.clustering import Clustering, cluster_corpus, kmeans, phrase_points
+from metric_grouper.clustering import kmeans, phrase_points
+from metric_grouper.composition import AttentionParams, compose_test_phrase
 from metric_grouper.corpus import AnnotatedCorpus, AnnotatedSentence, Mention, WordVectorTable
 from metric_grouper.errors import DimensionMismatchError, TooFewPointsError
 
@@ -23,10 +24,6 @@ def exhaustive_best_inertia(points, k):
                 cost += float(((members - center) ** 2).sum())
         best = min(best, cost)
     return best
-
-
-def named(points):
-    return {f"p{i:02d}": vec for i, vec in enumerate(points)}
 
 
 def reference_kmeanspp(points, k, rng):
@@ -80,63 +77,49 @@ def reference_lloyd(points, centers, max_iter, trace=None):
 class TestKmeans:
     def test_k_equals_n_gives_singletons(self):
         rng = np.random.default_rng(0)
-        pts = named(rng.normal(size=(5, 3)))
-        result = kmeans(pts, 5, seed=1)
+        result = kmeans(rng.normal(size=(5, 3)), 5, seed=1)
         assert result.inertia == pytest.approx(0.0, abs=1e-12)
-        assert sorted(result.assignments.values()) == [0, 1, 2, 3, 4]
+        assert sorted(result.labels.tolist()) == [0, 1, 2, 3, 4]
 
     def test_k_one_centroid_is_mean(self):
         rng = np.random.default_rng(1)
         data = rng.normal(size=(7, 2))
-        result = kmeans(named(data), 1, seed=0)
-        assert set(result.assignments.values()) == {0}
+        result = kmeans(data, 1, seed=0)
+        assert set(result.labels.tolist()) == {0}
         assert result.centroids[0] == pytest.approx(data.mean(axis=0))
 
     def test_square_corners(self):
-        pts = named(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
-        result = kmeans(pts, 2, seed=3, n_init=10)
-        data = np.array(list(pts.values()))
+        data = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        result = kmeans(data, 2, seed=3, n_init=10)
         assert result.inertia == pytest.approx(4.0)
         assert result.inertia == pytest.approx(exhaustive_best_inertia(data, 2))
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
-            kmeans(named(np.ones((2, 2))), 3, seed=0)
+            kmeans(np.ones((2, 2)), 3, seed=0)
 
-    def test_ragged_points(self):
-        with pytest.raises(DimensionMismatchError):
-            kmeans({"a": np.ones(2), "b": np.ones(3)}, 1, seed=0)
+    def test_points_must_be_a_matrix(self):
+        for shape in [(4,), (3, 2, 2)]:
+            with pytest.raises(DimensionMismatchError, match=r"expected \(n, d\)"):
+                kmeans(np.ones(shape), 1, seed=0)
 
     def test_duplicate_points_flag_empty_clusters(self):
-        pts = {"a": np.zeros(2), "b": np.zeros(2), "c": np.zeros(2)}
         with pytest.warns(UserWarning, match="empty"):
-            result = kmeans(pts, 3, seed=0)
+            result = kmeans(np.zeros((3, 2)), 3, seed=0)
         assert result.empty_clusters
         assert result.inertia == pytest.approx(0.0)
 
     def test_inertia_matches_recomputation(self):
         rng = np.random.default_rng(4)
-        pts = named(rng.normal(size=(20, 4)))
+        pts = rng.normal(size=(20, 4))
         result = kmeans(pts, 4, seed=9)
-        names = sorted(pts)
-        recomputed = sum(
-            float(((pts[n] - result.centroids[result.assignments[n]]) ** 2).sum())
-            for n in names)
+        recomputed = sum(float(((row - result.centroids[c]) ** 2).sum())
+                         for row, c in zip(pts, result.labels))
         assert result.inertia == pytest.approx(recomputed, abs=1e-9)
-
-    def test_insertion_order_invariance(self):
-        rng = np.random.default_rng(5)
-        data = rng.normal(size=(10, 3))
-        pts = named(data)
-        shuffled = {k: pts[k] for k in reversed(sorted(pts))}
-        a = kmeans(pts, 3, seed=11)
-        b = kmeans(shuffled, 3, seed=11)
-        assert a.assignments == b.assignments
-        assert a.inertia == b.inertia
 
     def test_inertia_nonincreasing_within_restart(self):
         rng = np.random.default_rng(6)
-        pts = named(rng.normal(size=(30, 2)))
+        pts = rng.normal(size=(30, 2))
         trace = []
         kmeans(pts, 3, seed=2, n_init=3, trace=trace)
         assert len(trace) == 3
@@ -144,17 +127,7 @@ class TestKmeans:
             for earlier, later in zip(restart, restart[1:]):
                 assert later <= earlier + 1e-9
 
-    def test_cosine_normalizes(self):
-        # colinear points with different norms collapse under cosine
-        pts = {"a": np.array([1.0, 0.0]), "b": np.array([5.0, 0.0]),
-               "c": np.array([0.0, 2.0]), "d": np.array([0.0, 0.1])}
-        result = kmeans(pts, 2, metric="cosine", seed=0)
-        assert result.assignments["a"] == result.assignments["b"]
-        assert result.assignments["c"] == result.assignments["d"]
-        assert result.assignments["a"] != result.assignments["c"]
-        assert result.inertia == pytest.approx(0.0, abs=1e-12)
-
-    # Cosine with d = 1 leaves two distinct points, so some cases end with
+    # Unit rows with d = 1 leave two distinct points, so some cases end with
     # empty clusters; both implementations must agree there too.
     @pytest.mark.filterwarnings("ignore:.*ended up empty")
     def test_matches_broadcast_reference(self, monkeypatch):
@@ -165,17 +138,18 @@ class TestKmeans:
             k = int(rng.integers(1, min(n, 10) + 1))
             d = int(rng.integers(1, 21))
             data = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0)
-            metric = clustering.METRICS[i % 2]
-            cases.append((named(data), k, metric, int(rng.integers(1 << 31))))
-        fast = [kmeans(pts, k, metric=metric, seed=seed) for pts, k, metric, seed in cases]
+            if i % 2:  # the unit rows phrase_points gives K-means without a network
+                data /= np.linalg.norm(data, axis=1, keepdims=True)
+            cases.append((data, k, int(rng.integers(1 << 31))))
+        fast = [kmeans(pts, k, seed=seed) for pts, k, seed in cases]
         monkeypatch.setattr(clustering, "_kmeanspp",
                             lambda points, x2, k, rng: reference_kmeanspp(points, k, rng))
         monkeypatch.setattr(clustering, "_lloyd",
                             lambda points, x2, centers, max_iter, trace=None:
                             reference_lloyd(points, centers, max_iter, trace))
-        for (pts, k, metric, seed), got in zip(cases, fast):
-            want = kmeans(pts, k, metric=metric, seed=seed)
-            assert got.assignments == want.assignments
+        for (pts, k, seed), got in zip(cases, fast):
+            want = kmeans(pts, k, seed=seed)
+            assert np.array_equal(got.labels, want.labels)
             assert got.inertia == pytest.approx(want.inertia, rel=1e-12, abs=1e-300)
 
     def test_empty_cluster_reseed_matches_reference(self):
@@ -197,7 +171,7 @@ class TestKmeans:
     def test_memory_is_not_n_by_k_by_d(self):
         # The (n, k, d) difference tensor alone would be 5000*100*50*8 B = 200 MB.
         rng = np.random.default_rng(8)
-        pts = named(rng.normal(size=(5000, 50)))
+        pts = rng.normal(size=(5000, 50))
         tracemalloc.start()
         try:
             kmeans(pts, 100, seed=0, n_init=1, max_iter=5)
@@ -208,10 +182,10 @@ class TestKmeans:
 
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(7)
-        pts = named(rng.normal(size=(12, 3)))
+        pts = rng.normal(size=(12, 3))
         a = kmeans(pts, 3, seed=5)
         b = kmeans(pts, 3, seed=5)
-        assert a.assignments == b.assignments
+        assert np.array_equal(a.labels, b.labels)
         assert a.inertia == b.inertia
 
 
@@ -233,10 +207,16 @@ def context_table():
     })
 
 
+def cluster(corpus, table, k, mode, seed=0):
+    """Phrase -> cluster id of one K-means run over phrase_points()."""
+    phrases, _, points = phrase_points(corpus, table, mode=mode)
+    return dict(zip(phrases, kmeans(points, k, seed=seed).labels.tolist()))
+
+
 class TestClusterCorpus:
     def test_k_equals_phrase_count_gives_singletons(self):
-        result = cluster_corpus(context_corpus(), context_table(), 3, mode="avg")
-        assert sorted(result.assignments.values()) == [0, 1, 2]
+        result = cluster(context_corpus(), context_table(), 3, mode="avg")
+        assert sorted(result.values()) == [0, 1, 2]
 
     def test_ap_mode_ignores_context(self):
         corpus = context_corpus()
@@ -245,24 +225,55 @@ class TestClusterCorpus:
             AnnotatedSentence(("beta", "down"), (Mention("beta", 0, 1, 0),)),
             AnnotatedSentence(("gamma", "up"), (Mention("gamma", 0, 1, 1),)),
         ])
-        a = cluster_corpus(corpus, context_table(), 2, mode="ap", seed=4)
-        b = cluster_corpus(swapped, context_table(), 2, mode="ap", seed=4)
-        assert a.assignments == b.assignments
+        a = cluster(corpus, context_table(), 2, mode="ap", seed=4)
+        b = cluster(swapped, context_table(), 2, mode="ap", seed=4)
+        assert a == b
 
     def test_avg_mode_uses_context(self):
-        result = cluster_corpus(context_corpus(), context_table(), 2, mode="avg", seed=0)
-        assert result.assignments["alpha"] == result.assignments["beta"]
-        assert result.assignments["alpha"] != result.assignments["gamma"]
+        result = cluster(context_corpus(), context_table(), 2, mode="avg", seed=0)
+        assert result["alpha"] == result["beta"]
+        assert result["alpha"] != result["gamma"]
 
     def test_phrase_points_shapes(self):
-        composed, projected = phrase_points(context_corpus(), context_table(), mode="avg")
-        assert set(composed) == {"alpha", "beta", "gamma"}
-        assert composed["alpha"].shape == (4,)
-        assert projected is not composed or projected == composed
+        phrases, composed, points = phrase_points(context_corpus(), context_table(), mode="avg")
+        assert phrases == ["alpha", "beta", "gamma"]
+        assert composed.shape == points.shape == (3, 4)
+
+    def test_rows_follow_sorted_phrases(self):
+        sentences = context_corpus().sentences
+        table = context_table()
+        zeros = AttentionParams.zeros(2)
+        seen = []
+        for order in itertools.permutations(sentences):
+            corpus = AnnotatedCorpus(order)
+            phrases, composed, points = phrase_points(corpus, table, mode="avg")
+            assert phrases == ["alpha", "beta", "gamma"]
+            for phrase, row in zip(phrases, composed):
+                want = compose_test_phrase(phrase, corpus, table, zeros, "avg").x
+                assert row.tobytes() == want.tobytes()
+            seen.append((composed.tobytes(), points.tobytes()))
+        assert len(set(seen)) == 1
+
+    def test_raw_rows_unit_norm(self):
+        # ap mode composes the phrase vector alone; "e" has no vector, so a zero row
+        table = WordVectorTable(2, {"a": np.array([1.0, 0.0]), "b": np.array([5.0, 0.0]),
+                                    "c": np.array([0.0, 2.0]), "d": np.array([0.0, 0.1])})
+        corpus = AnnotatedCorpus(
+            AnnotatedSentence((p, "x"), (Mention(p, 0, 1, 0),)) for p in "abcde")
+        phrases, composed, points = phrase_points(corpus, table, mode="ap")
+        assert composed[1].tolist() == [5.0, 0.0]
+        assert np.linalg.norm(points[:4], axis=1) == pytest.approx([1.0] * 4)
+        assert points[4].tolist() == [0.0, 0.0]
+        # colinear compositions with different norms share a cluster
+        result = kmeans(points, 3, seed=0)
+        a, b, c, d, e = result.labels.tolist()
+        assert a == b and c == d and len({a, c, e}) == 3
+        assert result.inertia == pytest.approx(0.0, abs=1e-12)
 
     def test_learned_path_projects(self, fixture_corpus, fixture_table, trained_net):
         net, _ = trained_net
-        composed, projected = phrase_points(
+        phrases, composed, points = phrase_points(
             fixture_corpus, fixture_table, net=net, mode="attention")
-        assert composed["picture"].shape == (16,)
-        assert projected["picture"].shape == (net.output_dim,)
+        assert composed.shape == (len(phrases), 16)
+        assert points.shape == (len(phrases), net.output_dim)
+        assert points[0].tobytes() == net.forward(composed[0])[0].tobytes()

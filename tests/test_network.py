@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -654,6 +655,22 @@ class TestCheckpoint:
         path.write_text(json.dumps({"format_version": network.MODEL_FORMAT_VERSION}),
                         encoding="utf-8")
         with pytest.raises(FormatError, match="malformed checkpoint"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("where", ["weight", "bias", "attention"])
+    def test_non_finite_parameter_rejected(self, tmp_path, where):
+        net = MetricNetwork.create(3, mode="attention", output_dim=2, n_layers=2, seed=11)
+        path = tmp_path / "model.json"
+        save_model(net, str(path))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if where == "weight":
+            doc["layers"][1]["w"][0][1] = float("nan")
+        elif where == "bias":
+            doc["layers"][0]["b"][0] = float("-inf")
+        else:
+            doc["attention_w"][2] = float("nan")
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*non-finite"):
             load_model(str(path))
 
     # version 1 had a dropout_rate field, version 2 a 2d-long attention_w
