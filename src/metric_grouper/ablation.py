@@ -55,6 +55,14 @@ def parse_combos(text):
     return [Combo.parse(part) for part in text.split(",") if part.strip()]
 
 
+def check_combos(combos, hidden_dims):
+    """Reject duplicate combos, and hidden widths that a 3-layer combo cannot use."""
+    if len({c.key for c in combos}) != len(combos):
+        raise ConfigError("duplicate combos")
+    if any(c.mlp_layers == 3 for c in combos):
+        check_hidden_dims(hidden_dims, 3)
+
+
 def run_ablation(corpus, table, combos, train_pairs=None, train_cfg=None,
                  output_dim=50, hidden_dims=None, k=None, runs=10, seed=0,
                  n_init=10, max_iter=100):
@@ -68,10 +76,7 @@ def run_ablation(corpus, table, combos, train_pairs=None, train_cfg=None,
     combos = list(combos)
     if not any(c.key == REFERENCE_KEY for c in combos):
         combos.append(Combo("ap", 0, False))
-    if len({c.key for c in combos}) != len(combos):
-        raise ConfigError("duplicate combos")
-    if any(c.mlp_layers == 3 for c in combos):
-        check_hidden_dims(hidden_dims, 3)
+    check_combos(combos, hidden_dims)
     if any(c.train for c in combos):
         if not train_pairs:
             raise ValueError("training combos need a pair list")
@@ -94,7 +99,7 @@ def run_ablation(corpus, table, combos, train_pairs=None, train_cfg=None,
                 activation="identity" if combo.mlp_layers == 1 else "tanh",
                 seed=train_cfg.seed,
             )
-            _, history = train(net, train_pairs, table, train_cfg, mode=combo.mode)
+            _, history = train(net, train_pairs, table, train_cfg)
         row, _ = score_runs(corpus, table, gold, k, seeds, net=net, mode=combo.mode,
                             n_init=n_init, max_iter=max_iter)
         entry = {

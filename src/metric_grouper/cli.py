@@ -20,8 +20,8 @@ import tempfile
 
 from . import __version__
 from . import clustering as _clustering
-from .ablation import format_ablation, parse_combos, run_ablation
-from .config import FLAG_MAP, config_hash, resolve, train_config_from
+from .ablation import check_combos, format_ablation, run_ablation
+from .config import FLAGS, config_hash, resolve, train_config_from
 from .corpus import load_corpus, load_word_vectors, save_corpus
 from .errors import (
     ArtifactMismatchError,
@@ -29,12 +29,10 @@ from .errors import (
     MissingModelError,
     UnknownWordError,
 )
-from .composition import MODES
 from .evaluation import LEARNED_METHOD, METHODS, evaluate_run, format_report, gold_and_k
 from .fixture import write_fixture
 from .lexicon import load_taxonomy
-from .network import (ACTIVATIONS, MetricNetwork, check_hidden_dims, load_model, save_model,
-                      train)
+from .network import MetricNetwork, check_hidden_dims, load_model, save_model, train
 from .pairs import generate_pairs, generate_samples, load_pairs, save_pairs
 
 PAIRS_FILE = "pairs.jsonl"
@@ -43,6 +41,8 @@ CLUSTERS_FILE = "clusters.tsv"
 METRICS_FILE = "metrics.json"
 ABLATION_FILE = "ablation.json"
 MANIFEST_FILE = "manifest.json"
+ARTIFACT_FILES = (PAIRS_FILE, MODEL_FILE, CLUSTERS_FILE, METRICS_FILE, ABLATION_FILE,
+                  MANIFEST_FILE)
 
 
 def _sha256(path):
@@ -98,12 +98,7 @@ def _update_manifest(out_dir, command, chash, seed, inputs, outputs):
 
 
 def _resolved(args):
-    overrides = {}
-    for flag in list(FLAG_MAP) + ["seed"]:
-        attr = flag.replace("-", "_")
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[flag] = value
+    overrides = {flag: getattr(args, flag, None) for flag in [*FLAGS, "seed"]}
     return resolve(getattr(args, "config", None), overrides)
 
 
@@ -276,13 +271,12 @@ def cmd_train(args, loaded=None):
     pairs, header = load_pairs(pairs_path)
     _check_hash(pairs_path, (header or {}).get("config_hash"), chash)
     cfg = train_config_from(resolved)
-    mode = resolved["composition"]["mode"]
     net = MetricNetwork.create(
-        table.dimension, mode=mode,
+        table.dimension, mode=resolved["composition"]["mode"],
         output_dim=net_sec["output_dim"], n_layers=net_sec["layers"],
         hidden_dims=net_sec["hidden_dims"], activation=net_sec["activation"],
         seed=cfg.seed)
-    net, history = train(net, pairs, table, cfg, mode=mode)
+    net, history = train(net, pairs, table, cfg)
     for epoch, value in enumerate(history, 1):
         print(f"epoch {epoch}: mean objective {value:.6f}")
     model_path = os.path.join(_out_dir(args), MODEL_FILE)
@@ -305,9 +299,25 @@ def _load_net(out_dir, chash):
     return net, model_path
 
 
+def _check_dumps(args):
+    """Reject dump paths that name one of --out-dir's artifacts, or one file twice."""
+    taken = {os.path.realpath(os.path.join(args.out_dir, name)): f"--out-dir's {name}"
+             for name in ARTIFACT_FILES}
+    for flag in ("dump_composed", "dump_centroids"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        option = "--" + flag.replace("_", "-")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise MetricGrouperError(f"{option} {path} would overwrite {taken[real]}")
+        taken[real] = option
+
+
 def cmd_cluster(args, loaded=None):
     _require(args, "corpus", "out_dir")
     resolved = _resolved(args)
+    _check_dumps(args)
     chash = config_hash(resolved)
     corpus = loaded["corpus"] if loaded else load_corpus(args.corpus)
     table = _load_table(args, loaded)
@@ -385,11 +395,12 @@ def cmd_ablate(args):
     _require(args, "corpus", "taxonomy", "out_dir")
     resolved = _resolved(args)
     chash = config_hash(resolved)
+    combos = resolved["ablation"]["combos"]
+    check_combos(combos, resolved["network"]["hidden_dims"])  # before any input is read
     corpus = load_corpus(args.corpus)
     gold_and_k(corpus)  # an unlabeled corpus cannot be scored: stop before any pair is drawn
     table = _load_table(args)
     tax = load_taxonomy(args.taxonomy)
-    combos = parse_combos(resolved["ablation"]["combos"])
     pair_sec = resolved["pairs"]
     train_pairs = None
     if any(c.train for c in combos):
@@ -435,26 +446,6 @@ def cmd_run_all(args):
 
 
 def build_parser():
-    flag_help = {
-        "eta": "incompatibility threshold on lexicon similarity",
-        "max_pos": "cap on positive pairs (seeded subsample)",
-        "mode": "composition mode: " + "|".join(MODES),
-        "output_dim": "network output width",
-        "layers": "number of weight layers",
-        "hidden_dims": "comma-separated hidden widths (default: geometric)",
-        "activation": " or ".join(ACTIVATIONS),
-        "margin_t": "distance margin threshold t",
-        "beta": "softplus sharpness",
-        "lambda": "L2 regularization weight",
-        "learning_rate": "SGD step size",
-        "epochs": "training epochs",
-        "k": "cluster count (default: number of gold groups)",
-        "n_init": "k-means restarts per run",
-        "max_iter": "k-means iteration cap",
-        "runs": "clustering repetitions averaged in reports",
-        "methods": f"comma-separated eval methods ({','.join(METHODS)})",
-        "combos": "ablation combos as mode:layers:trained|raw",
-    }
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="configuration file (INI)")
     common.add_argument("--corpus", help="corpus file (JSON lines)")
@@ -462,9 +453,8 @@ def build_parser():
     common.add_argument("--taxonomy", help="taxonomy file (JSON lines)")
     common.add_argument("--out-dir", help="directory for output artifacts")
     common.add_argument("--seed", type=int, help="override every section seed")
-    for flag in sorted(FLAG_MAP):
-        common.add_argument(f"--{flag.replace('_', '-')}", dest=flag.replace("-", "_"),
-                            help=flag_help[flag])
+    for flag, (_section, text) in sorted(FLAGS.items()):
+        common.add_argument(f"--{flag.replace('_', '-')}", dest=flag, help=text)
 
     parser = argparse.ArgumentParser(
         prog="metric-grouper",

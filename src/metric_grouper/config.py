@@ -1,13 +1,13 @@
 """Run configuration: defaults, INI file, flag overrides, content hash.
 
 A run is fully described by one key/value file with sections. Every
-hyperparameter lives here with its default; command-line flags of the
-same name override individual keys, and ``--seed`` overrides the seed of
-every section at once. The resolved configuration hashes to a hex digest
-that output artifacts embed, so downstream commands can reject inputs
-produced under different settings. Data file paths are deliberately not
-part of the hash; input files are checksummed by content in the manifest
-instead.
+hyperparameter lives in SCHEMA with its parser, default and flag help; a
+command-line flag of the same name overrides each key that has help, and
+``--seed`` overrides the seed of every section at once. The resolved
+configuration hashes to a hex digest that output artifacts embed, so
+downstream commands can reject inputs produced under different settings.
+Data file paths are deliberately not part of the hash; input files are
+checksummed by content in the manifest instead.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import configparser
 import hashlib
 from math import inf
 
+from .ablation import parse_combos
 from .composition import MODES
 from .errors import ConfigError
 from .evaluation import METHODS
@@ -69,75 +70,67 @@ def _positive(parse):
 _ratio = _check(float, lambda v: 0 <= v <= 1, "between 0 and 1")
 
 
-# section -> key -> (parser, default-as-string)
+# section -> key -> (parser, default-as-string, help of the flag named after the key).
+# A key whose help is None has no flag of its own: the seeds, which --seed sets
+# together, and the split ratios, which only a config file sets.
 SCHEMA = {
     "pairs": {
-        "eta": (_check(float, lambda v: v > 0, "positive"), "0.3"),
-        "seed": (int, "42"),
-        "max_pos": (_positive(_parse_opt_int), ""),
+        "eta": (_check(float, lambda v: v > 0, "positive"), "0.3",
+                "incompatibility threshold on lexicon similarity"),
+        "seed": (int, "42", None),
+        "max_pos": (_positive(_parse_opt_int), "", "cap on positive pairs (seeded subsample)"),
     },
     "composition": {
-        "mode": (_choice(MODES), "attention"),
+        "mode": (_choice(MODES), "attention", "composition mode: " + "|".join(MODES)),
     },
     "network": {
-        "output_dim": (_positive(int), "50"),
-        "layers": (_positive(int), "3"),
+        "output_dim": (_positive(int), "50", "network output width"),
+        "layers": (_positive(int), "3", "number of weight layers"),
         "hidden_dims": (_check(_parse_int_list, lambda dims: all(w >= 1 for w in dims),
-                               "widths of at least 1"), ""),
-        "activation": (_choice(ACTIVATIONS), "tanh"),
+                               "widths of at least 1"), "",
+                        "comma-separated hidden widths (default: geometric)"),
+        "activation": (_choice(ACTIVATIONS), "tanh", " or ".join(ACTIVATIONS)),
     },
     "training": {
-        "margin_t": (_check(float, lambda v: 1 < v < inf, "finite and greater than 1"), "3.0"),
-        "beta": (_check(float, lambda v: 0 < v < inf, "positive and finite"), "2.0"),
-        "lambda": (_check(float, lambda v: 0 <= v < inf, "nonnegative and finite"), "0.002"),
-        "learning_rate": (_check(float, lambda v: 0 <= v < inf, "nonnegative and finite"), "0.03"),
-        "epochs": (_positive(int), "30"),
-        "seed": (int, "42"),
+        "margin_t": (_check(float, lambda v: 1 < v < inf, "finite and greater than 1"), "3.0",
+                     "distance margin threshold t"),
+        "beta": (_check(float, lambda v: 0 < v < inf, "positive and finite"), "2.0",
+                 "softplus sharpness"),
+        "lambda": (_check(float, lambda v: 0 <= v < inf, "nonnegative and finite"), "0.002",
+                   "L2 regularization weight"),
+        "learning_rate": (_check(float, lambda v: 0 <= v < inf, "nonnegative and finite"),
+                          "0.03", "SGD step size"),
+        "epochs": (_positive(int), "30", "training epochs"),
+        "seed": (int, "42", None),
     },
     "clustering": {
-        "k": (_positive(_parse_opt_int), ""),
-        "n_init": (_positive(int), "10"),
-        "max_iter": (_positive(int), "100"),
-        "seed": (int, "42"),
+        "k": (_positive(_parse_opt_int), "", "cluster count (default: number of gold groups)"),
+        "n_init": (_positive(int), "10", "k-means restarts per run"),
+        "max_iter": (_positive(int), "100", "k-means iteration cap"),
+        "seed": (int, "42", None),
     },
     "evaluation": {
-        "runs": (_positive(int), "10"),
-        "seed": (int, "42"),
-        "methods": (_choices(METHODS), "metric,avg,ap"),
+        "runs": (_positive(int), "10", "clustering repetitions averaged in reports"),
+        "seed": (int, "42", None),
+        "methods": (_choices(METHODS), "metric,avg,ap",
+                    f"comma-separated eval methods ({','.join(METHODS)})"),
     },
     "split": {
-        "train_ratio": (_ratio, "0.3"),
-        "test_ratio": (_ratio, "0.5"),
-        "dev_ratio": (_ratio, "0.2"),
-        "seed": (int, "42"),
+        "train_ratio": (_ratio, "0.3", None),
+        "test_ratio": (_ratio, "0.5", None),
+        "dev_ratio": (_ratio, "0.2", None),
+        "seed": (int, "42", None),
     },
     "ablation": {
-        "combos": (str, "ap:0:raw,attention:1:trained,attention:3:trained"),
+        "combos": (parse_combos, "ap:0:raw,attention:1:trained,attention:3:trained",
+                   "ablation combos as mode:layers:trained|raw"),
     },
 }
 
-# flag name -> (section, key); the special flag "seed" fans out to every
-# section that has a seed.
-FLAG_MAP = {
-    "eta": ("pairs", "eta"),
-    "max_pos": ("pairs", "max_pos"),
-    "mode": ("composition", "mode"),
-    "output_dim": ("network", "output_dim"),
-    "layers": ("network", "layers"),
-    "hidden_dims": ("network", "hidden_dims"),
-    "activation": ("network", "activation"),
-    "margin_t": ("training", "margin_t"),
-    "beta": ("training", "beta"),
-    "lambda": ("training", "lambda"),
-    "learning_rate": ("training", "learning_rate"),
-    "epochs": ("training", "epochs"),
-    "k": ("clustering", "k"),
-    "n_init": ("clustering", "n_init"),
-    "max_iter": ("clustering", "max_iter"),
-    "runs": ("evaluation", "runs"),
-    "methods": ("evaluation", "methods"),
-    "combos": ("ablation", "combos"),
-}
+# flag name -> (section, help) for every key with help; "--seed" is the one
+# flag more, and sets every section's seed.
+FLAGS = {key: (section, spec[2]) for section, keys in SCHEMA.items()
+         for key, spec in keys.items() if spec[2] is not None}
 
 SEED_KEYS = [(section, "seed") for section in SCHEMA if "seed" in SCHEMA[section]]
 
@@ -145,7 +138,7 @@ SEED_KEYS = [(section, "seed") for section in SCHEMA if "seed" in SCHEMA[section
 def resolve(config_path=None, overrides=None):
     """Merge defaults, an optional INI file and flag overrides.
 
-    ``overrides`` maps flag names (see FLAG_MAP, plus "seed") to raw
+    ``overrides`` maps flag names (see FLAGS, plus "seed") to raw
     string values. Returns a nested dict of typed values with a "_raw"
     entry holding the canonical string form used for hashing. Unknown
     sections or keys are configuration errors.
@@ -176,19 +169,17 @@ def resolve(config_path=None, overrides=None):
                 for section, key in SEED_KEYS:
                     raw[section][key] = str(value)
                 continue
-            if flag not in FLAG_MAP:
+            if flag not in FLAGS:
                 raise ConfigError(f"unknown override {flag!r}")
-            section, key = FLAG_MAP[flag]
-            raw[section][key] = str(value)
+            raw[FLAGS[flag][0]][flag] = str(value)
 
     resolved = {}
     for section, keys in SCHEMA.items():
         resolved[section] = {}
-        for key, (parse, _default) in keys.items():
-            value = raw[section][key]
+        for key, (parse, _default, _help) in keys.items():
             try:
-                resolved[section][key] = parse(value)
-            except ValueError as exc:
+                resolved[section][key] = parse(raw[section][key])
+            except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
     resolved["_raw"] = raw
     return resolved

@@ -101,6 +101,8 @@ class MetricNetwork:
                  composition_mode="attention"):
         if activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}")
+        if composition_mode not in MODES:
+            raise ValueError(f"unknown composition mode {composition_mode!r}")
         if len(weights) != len(biases) or not weights:
             raise ValueError("need matching, non-empty weight and bias lists")
         weights = [np.array(w, dtype=float) for w in weights]
@@ -328,16 +330,17 @@ def compose_backward(context, weights, grad_x):
     return np.dot(context.T, ds)
 
 
-def train(net, pairs, table, cfg, mode="attention"):
+def train(net, pairs, table, cfg):
     """Stochastic per-pair training; mutates and returns ``net``.
 
     Every epoch visits a seeded shuffle of the pairs, taking one gradient
-    step per pair with L2 weight decay on the MLP parameters. In attention
-    mode each step also moves ``w_a``, so samples are recomposed at every
-    step with its live value; the other modes compose them once. The word
-    embeddings are never tuned. The history records the mean objective
-    after each epoch; ``cfg.seed`` draws the pair order, so identical seeds
-    and data reproduce it bitwise.
+    step per pair with L2 weight decay on the MLP parameters. Samples are
+    composed in ``net.composition_mode``. In attention mode each step also
+    moves ``w_a``, so samples are recomposed at every step with its live
+    value; the other modes compose them once. The word embeddings are never
+    tuned. The history records the mean objective after each epoch;
+    ``cfg.seed`` draws the pair order, so identical seeds and data
+    reproduce it bitwise.
 
     Labels, token lookups (see composition.ingredients()), the composed
     input width and the length of ``w_a`` are checked before the first
@@ -346,8 +349,7 @@ def train(net, pairs, table, cfg, mode="attention"):
     """
     if not pairs:
         raise ValueError("no training pairs")
-    if mode not in MODES:
-        raise ValueError(f"unknown composition mode {mode!r}")
+    mode = net.composition_mode
     rng = np.random.default_rng(cfg.seed)
 
     index = {}  # sample -> its position in parts
@@ -444,7 +446,7 @@ def load_model(path):
             attention=AttentionParams(np.array(doc["attention_w"], dtype=float)),
             composition_mode=doc["composition_mode"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DimensionMismatchError) as exc:
         raise FormatError(f"{path}: malformed checkpoint ({exc})") from exc
     if not net.params_finite():
         raise FormatError(f"{path}: checkpoint holds a non-finite parameter")

@@ -59,5 +59,5 @@ def trained_net(fixture_pairs, fixture_table):
     """
     cfg = fx.train_config()
     net = fx.make_network(seed=cfg.seed)
-    net, history = train(net, fixture_pairs, fixture_table, cfg, mode="attention")
+    net, history = train(net, fixture_pairs, fixture_table, cfg)
     return net, history

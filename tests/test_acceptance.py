@@ -194,7 +194,7 @@ def test_criterion_5_synthetic_end_to_end():
     pairs = generate_pairs(samples, tax, fx.FIXTURE_ETA, seed=42)
     cfg = fx.train_config()  # defaults, seed 42
     net = fx.make_network(seed=cfg.seed)
-    net, history = train(net, pairs, table, cfg, mode="attention")
+    net, history = train(net, pairs, table, cfg)
     decreasing = history[-1] < history[0]
 
     report = evaluate_run(corpus, table, ["metric", "avg"], net=net,
@@ -211,7 +211,7 @@ def test_criterion_5_synthetic_end_to_end():
         mg_pairs = generate_pairs(generate_samples(mg_corpus), mg_tax, 0.3, seed=seed)
         mg_net = MetricNetwork.create(mg_table.dimension, mode="attention", output_dim=8,
                                       n_layers=3, seed=seed)
-        train(mg_net, mg_pairs, mg_table, TrainConfig(epochs=3, seed=seed), mode="attention")
+        train(mg_net, mg_pairs, mg_table, TrainConfig(epochs=3, seed=seed))
         rows = evaluate_run(mg_corpus, mg_table, ["metric", "avg"], net=mg_net,
                             k=8, runs=5, seed=seed)["methods"]
         multi[seed] = (rows["metric"]["purity_mean"], rows["avg"]["purity_mean"])

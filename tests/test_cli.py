@@ -210,6 +210,25 @@ class TestPipeline:
                            "dump-centroids": cli._sha256(centroids)}
         assert outputs["clusters.tsv"] != outputs["dump-composed"]
 
+    @pytest.mark.parametrize("dumps, taken", [
+        (["--dump-composed", "{out}/clusters.tsv"], "--out-dir's clusters.tsv"),
+        (["--dump-centroids", "{out}/missing/../manifest.json"], "--out-dir's manifest.json"),
+        (["--dump-composed", "pairs.jsonl"], "--out-dir's pairs.jsonl"),  # run from --out-dir
+        (["--dump-composed", "{tmp}/both.txt", "--dump-centroids", "{tmp}/both.txt"],
+         "--dump-composed"),
+    ], ids=["artifact", "dotdot", "relative", "same_file"])
+    def test_dump_cannot_overwrite(self, pipeline_dir, tmp_path, monkeypatch, capsys,
+                                   dumps, taken):
+        out, args = pipeline_dir
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        monkeypatch.chdir(out)
+        dumps = [d.format(out=out, tmp=tmp_path) for d in dumps]
+        assert run("cluster", *args, *dumps) == 1
+        err = capsys.readouterr().err
+        assert f"error: {dumps[-2]} {dumps[-1]} would overwrite {taken}\n" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert os.listdir(tmp_path) == []
+
 
 class TestGuards:
     def test_cluster_before_train(self, fixture_files, tmp_path, capsys):
@@ -421,6 +440,40 @@ class TestGuards:
         assert code == 1
         assert "error: corpus carries no gold groups" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--combos", "bogus"], "[ablation] combos: combo 'bogus' is not mode:layers:trained|raw"),
+        (["--combos", "ap:0:raw,ap:0:raw"], "duplicate combos"),
+        (["--hidden-dims", "3", "--combos", "attention:3:trained"],
+         "[network] hidden_dims: 3 layers need 2 hidden widths, got 1"),
+    ], ids=["bad_combo", "duplicate_combo", "hidden_dims"])
+    def test_ablate_checks_settings_before_reading_input(self, fixture_files, tmp_path, capsys,
+                                                         monkeypatch, flags, message):
+        for name in ("load_corpus", "load_word_vectors", "load_taxonomy", "generate_pairs"):
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, **kw: pytest.fail(
+                f"ablate called {_name} before checking its settings"))
+        out = tmp_path / "out"
+        argv = data_args(dict(fixture_files, vectors=str(tmp_path / "missing.txt")))
+        code = run("ablate", *argv, *flags, "--out-dir", str(out))
+        assert code == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_flags_come_from_schema(self, command, capsys, monkeypatch):
+        # every key with help is a flag of every command, showing that help;
+        # a key without help has no flag of its own (--seed sets every seed)
+        monkeypatch.setenv("COLUMNS", "1000")  # no help line is wrapped
+        with pytest.raises(SystemExit):
+            run(command, "--help")
+        text = " ".join(capsys.readouterr().out.split())
+        for section, keys in config.SCHEMA.items():
+            for key, (_parse, _default, help_text) in keys.items():
+                flag = "--" + key.replace("_", "-")
+                if help_text is None:
+                    assert key == "seed" or f"{flag} " not in text, (section, key)
+                else:
+                    assert f"{flag} {key.upper()} {' '.join(help_text.split())}" in text
 
     NO_POSITIVES = {  # distant supervision needs one phrase in two samples for a positive pair
         "one_mention": [(("the", "picture", "is", "sharp"), "picture", 1)],

@@ -318,7 +318,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.0, epochs=3)
         net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=9)
         before = [w.copy() for w in net.weights] + [net.attention.w_a.copy()]
-        train(net, pairs, table, cfg, mode="attention")
+        train(net, pairs, table, cfg)
         after = net.weights + [net.attention.w_a]
         for b, a in zip(before, after):
             assert np.array_equal(b, a)
@@ -330,7 +330,7 @@ class TestTrain:
             cfg = TrainConfig(epochs=5, seed=21)
             net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=3,
                                        seed=21)
-            _, history = train(net, pairs, table, cfg, mode="attention")
+            _, history = train(net, pairs, table, cfg)
             runs.append(history)
         assert runs[0] == runs[1]
 
@@ -338,7 +338,7 @@ class TestTrain:
         table, pairs = toy_training_setup()
         cfg = TrainConfig(epochs=15, seed=3)
         net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=3)
-        _, history = train(net, pairs, table, cfg, mode="attention")
+        _, history = train(net, pairs, table, cfg)
         assert history[-1] < history[0]
 
     def test_divergence_reports_epoch_and_pair(self):
@@ -349,13 +349,13 @@ class TestTrain:
         net = MetricNetwork.create(2, mode="avg", output_dim=2, n_layers=2, seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match=r"epoch \d+, pair index \d+"):
-                train(net, pairs, table, cfg, mode="avg")
+                train(net, pairs, table, cfg)
 
     def test_attention_parameter_moves_when_tuned(self):
         table, pairs = toy_training_setup()
         cfg = TrainConfig(epochs=5, seed=2)
         net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=2)
-        train(net, pairs, table, cfg, mode="attention")
+        train(net, pairs, table, cfg)
         assert np.abs(net.attention.w_a).max() > 0
 
 
@@ -377,8 +377,7 @@ class TestTrainChecks:
         net = MetricNetwork.create(3, mode="avg", output_dim=2, n_layers=2, seed=1)
         before = net.params.copy()
         with pytest.raises(DimensionMismatchError, match="composed inputs"):
-            train(net, pairs, table, TrainConfig(epochs=2, seed=1),
-                  mode="avg")
+            train(net, pairs, table, TrainConfig(epochs=2, seed=1))
         assert np.array_equal(net.params, before)
 
     def test_empty_context_raises_before_first_step(self):
@@ -413,7 +412,7 @@ class TestTrainChecks:
         first = int(np.random.default_rng(4).permutation(len(pairs))[0])
         with np.errstate(invalid="ignore"):
             with pytest.raises(DivergenceError, match=rf"epoch 1, pair index {first}$"):
-                train(net, pairs, table, cfg, mode="attention")
+                train(net, pairs, table, cfg)
         assert np.isfinite(net.params[:net.n_mlp]).all()
         assert not np.isfinite(net.attention.w_a).all()
 
@@ -424,7 +423,7 @@ class TestTrainChecks:
         monkeypatch.setattr(network, "pair_gradients",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
         net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=2)
-        train(net, pairs, table, TrainConfig(epochs=3, seed=2), mode="attention")
+        train(net, pairs, table, TrainConfig(epochs=3, seed=2))
         assert len(calls) == 3 * len(pairs)
 
 
@@ -605,7 +604,7 @@ class TestReferenceLoop:
                                    n_layers=layers, activation=activation, seed=7)
         want_w, want_b, want_wa, want_history = reference_train(
             net, fixture_pairs, table, cfg, mode)
-        _, history = train(net, fixture_pairs, table, cfg, mode=mode)
+        _, history = train(net, fixture_pairs, table, cfg)
         assert history == want_history
         # tobytes() tells -0.0 from 0.0, which np.array_equal does not
         for got, want in zip(net.weights + net.biases + [net.attention.w_a],
@@ -652,10 +651,18 @@ class TestCheckpoint:
 
     def test_malformed_checkpoint(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps({"format_version": network.MODEL_FORMAT_VERSION}),
-                        encoding="utf-8")
-        with pytest.raises(FormatError, match="malformed checkpoint"):
-            load_model(str(path))
+        save_model(MetricNetwork.create(3, mode="attention", output_dim=2, n_layers=2, seed=11),
+                   str(path))
+        saved = json.loads(path.read_text(encoding="utf-8"))
+        short_bias = json.loads(json.dumps(saved))
+        short_bias["layers"][1]["b"].pop()
+        for doc in ({"format_version": network.MODEL_FORMAT_VERSION},  # no layers
+                    short_bias,
+                    dict(saved, composition_mode="bogus")):
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            with pytest.raises(FormatError,
+                               match=f"^{re.escape(str(path))}: malformed checkpoint"):
+                load_model(str(path))
 
     @pytest.mark.parametrize("where", ["weight", "bias", "attention"])
     def test_non_finite_parameter_rejected(self, tmp_path, where):
