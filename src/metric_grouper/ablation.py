@@ -39,15 +39,16 @@ class Combo:
 
     @classmethod
     def parse(cls, text):
-        parts = text.strip().split(":")
+        text = text.strip()
+        parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"combo {text!r} is not mode:layers:trained|raw")
         mode, layers, flag = parts
-        if flag not in ("trained", "raw"):
-            raise ConfigError(f"combo flag must be 'trained' or 'raw', got {flag!r}")
         try:
+            if flag not in ("trained", "raw"):
+                raise ConfigError(f"flag must be 'trained' or 'raw', got {flag!r}")
             return cls(mode.strip(), int(layers), flag == "trained")
-        except ValueError as exc:
+        except (ValueError, ConfigError) as exc:
             raise ConfigError(f"combo {text!r}: {exc}") from exc
 
 

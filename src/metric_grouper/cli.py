@@ -120,7 +120,7 @@ def _load_table(args, loaded=None):
 
 
 def _mapped_count(corpus, tax):
-    """Distinct phrases mapped to a concept of positive count, as lexicon.incompatible needs."""
+    """Distinct phrases mapped to a concept of positive count; lexicon.incompatible skips the rest."""
     mapped = 0
     for phrase in corpus.phrases():
         try:

@@ -8,7 +8,10 @@ a concept is the negative natural log of its propagated probability.
 
 Similarity between two phrases is the maximum, over all concept pairs the
 phrases map to, of 1 / (IC(c1) + IC(c2) - 2 * IC(lcs(c1, c2))), capped for
-identical or synonymous concepts whose denominator vanishes.
+identical or synonymous concepts whose denominator vanishes. One kernel
+computes it a row at a time: a phrase against every phrase of a list.
+``incompatible`` runs it once over a whole phrase list and returns the
+index pairs whose similarity falls below the threshold.
 
 Taxonomy file: UTF-8 line-delimited JSON with two record kinds,
 ``{"concept": id, "parents": [ids], "count": number}`` and
@@ -20,6 +23,8 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+
+import numpy as np
 
 from .errors import (
     FormatError,
@@ -160,38 +165,76 @@ def lcs(c1, c2, tax):
     return min(candidates, key=lambda c: (-information_content(c, tax), c))
 
 
+def _similarity_rows(concept_sets, tax, cap=JCN_CAP, eps=JCN_EPS):
+    """Jcn similarity of each concept set to every set, one row at a time.
+
+    Row ``i`` holds, for each set, the maximum over concept pairs of the
+    capped inverse distance to set ``i``. For a concept ``c``, the IC of
+    its LCS with every other concept is the largest IC among ``c``'s
+    ancestors that are also theirs: writing the ancestors in ascending IC
+    order onto the concepts below them leaves the largest. Ties in ``lcs``
+    only pick between equal ICs, and the distance and cap repeat the
+    scalar operations in order, so each value is bit for bit the
+    nested-loop one. A row holds O(#concepts + #sets) numbers.
+    """
+    used = sorted(set().union(*concept_sets))
+    column = {c: k for k, c in enumerate(used)}
+    ic = np.array([information_content(c, tax) for c in used])
+    under: dict[str, list[int]] = {}
+    for k, c in enumerate(used):
+        for a in tax.ancestors(c):
+            under.setdefault(a, []).append(k)
+    under = {a: (information_content(a, tax), np.array(ks, dtype=np.intp))
+             for a, ks in under.items()}
+    owned = [sorted(cs) for cs in concept_sets]
+    flat = np.array([column[c] for cs in owned for c in cs], dtype=np.intp)
+    starts = np.cumsum([0] + [len(cs) for cs in owned[:-1]])
+    ic_lcs = np.empty(len(used))
+    for cs in owned:
+        best = np.zeros(len(used))
+        for c in cs:
+            for value, ks in sorted((under[a] for a in tax.ancestors(c)), key=lambda t: t[0]):
+                ic_lcs[ks] = value
+            denom = ic[column[c]] + ic - 2.0 * ic_lcs
+            with np.errstate(divide="ignore"):
+                sim = np.where(denom <= eps, cap, np.minimum(cap, 1.0 / denom))
+            np.maximum(best, sim, out=best)
+        yield np.maximum.reduceat(best[flat], starts)
+
+
 def jcn_similarity(w1, w2, tax, cap=JCN_CAP, eps=JCN_EPS):
     """Lexicon similarity of two phrases, maximized over concept pairs.
 
     Denominators at or below ``eps`` (identical or synonym concepts) give
     the cap value; results are clamped to it.
     """
-    cs1 = tax.phrase_concepts(w1)
-    cs2 = tax.phrase_concepts(w2)
-    best = 0.0
-    for c1 in sorted(cs1):
-        ic1 = information_content(c1, tax)
-        for c2 in sorted(cs2):
-            ic2 = information_content(c2, tax)
-            denom = ic1 + ic2 - 2.0 * information_content(lcs(c1, c2, tax), tax)
-            sim = cap if denom <= eps else min(cap, 1.0 / denom)
-            if sim > best:
-                best = sim
-    return best
+    sets = [tax.phrase_concepts(w1), tax.phrase_concepts(w2)]
+    return float(next(_similarity_rows(sets, tax, cap, eps))[1])
 
 
-def incompatible(p1, p2, tax, eta):
-    """True when the lexicon similarity falls below ``eta``.
+def incompatible(phrases, tax, eta):
+    """Index pairs ``i < j`` of ``phrases`` whose lexicon similarity is below ``eta``.
 
-    Phrases without a concept mapping are never incompatible: missing
-    knowledge must not fabricate negatives.
+    Returns two int arrays, left and right indices, in nested-loop order
+    (by ``i``, then by ``j``). Phrases without a concept mapping are never
+    incompatible: missing knowledge must not fabricate negatives.
     """
     if not eta > 0:
         raise ValueError("eta must be positive")
-    try:
-        return jcn_similarity(p1, p2, tax) < eta
-    except UnknownWordError:
-        return False
+    mapped, sets = [], []
+    for i, phrase in enumerate(phrases):
+        try:
+            sets.append(tax.phrase_concepts(phrase))
+        except UnknownWordError:
+            continue
+        mapped.append(i)
+    mapped = np.array(mapped, dtype=np.intp)
+    counts, right = [], [np.empty(0, dtype=np.intp)]
+    for k, row in enumerate(_similarity_rows(sets, tax)):
+        hits = mapped[k + 1 + np.flatnonzero(row[k + 1:] < eta)]
+        counts.append(len(hits))
+        right.append(hits)
+    return np.repeat(mapped, counts), np.concatenate(right)
 
 
 def build_taxonomy(records):

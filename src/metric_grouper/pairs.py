@@ -3,7 +3,7 @@
 Positive pairs are two occurrences of the same aspect phrase in different
 contexts; negative pairs combine occurrences of two phrases whose lexicon
 similarity falls below the incompatibility threshold. Both labels come
-from one sampler: each pool is a list of phrase pairs, a draw picks
+from one sampler: each pool is an array of phrase pairs, a draw picks
 distinct pool indices uniformly without replacement and decodes each one
 into its sample pair, so only the drawn pairs are ever built. Negatives are
 balanced one-to-one with the positives. Gold group labels are never
@@ -48,19 +48,23 @@ def generate_samples(corpus):
     return samples
 
 
-def _draw(groups, by_phrase, needed, rng):
+def _draw(left, right, members, needed, rng):
     """``needed`` distinct sample-index pairs drawn uniformly from a pool.
 
-    The pool is a list of phrase pairs: ``(p, p)`` holds the m_p(m_p-1)/2
-    pairs of two of ``p``'s samples, ``(p, q)`` the m_p·m_q pairs of one
-    sample of each. Pool indices run group by group and, inside a group,
-    in nested-loop order. The drawn indices are sorted before decoding, so
-    ``needed >= pool``, which takes every index, enumerates the pool in
-    that order. Each pair is returned as (smaller, larger) sample index.
+    The pool is a list of phrase pairs, given as two index arrays into
+    ``members`` (each phrase's sample indices): ``(p, p)`` holds the
+    m_p(m_p-1)/2 pairs of two of ``p``'s samples, ``(p, q)`` the m_p·m_q
+    pairs of one sample of each. Pool indices run phrase pair by phrase
+    pair and, inside one, in nested-loop order. The drawn indices are
+    sorted before decoding, so ``needed >= pool``, which takes every index,
+    enumerates the pool in that order. Each pair is returned as (smaller,
+    larger) sample index.
     """
-    sizes = np.array([len(by_phrase[p]) * (len(by_phrase[p]) - 1) // 2 if p == q
-                      else len(by_phrase[p]) * len(by_phrase[q]) for p, q in groups],
-                     dtype=np.int64)
+    m = np.array([len(xs) for xs in members], dtype=np.int64)
+    sizes = m[left]
+    sizes *= m[right]
+    same = left == right
+    sizes[same] = (sizes[same] - m[left[same]]) // 2
     ends = np.cumsum(sizes)
     pool = int(sizes.sum())
     if needed >= pool:
@@ -68,16 +72,16 @@ def _draw(groups, by_phrase, needed, rng):
     else:
         picks = np.sort(rng.choice(pool, size=needed, replace=False))
     found = np.searchsorted(ends, picks, side="right")
+    offsets = picks - (ends[found] - sizes[found])
     pairs = []
-    for g, r in zip(found.tolist(), (picks - (ends - sizes)[found]).tolist()):
-        p, q = groups[g]
-        xs, ys = by_phrase[p], by_phrase[q]
+    for p, q, r in zip(left[found].tolist(), right[found].tolist(), offsets.tolist()):
+        xs, ys = members[p], members[q]
         if p == q:
             # Lexicographic a < b order is colex order read backwards.
-            m = len(xs)
-            t = m * (m - 1) // 2 - 1 - r
+            n = len(xs)
+            t = n * (n - 1) // 2 - 1 - r
             j = (1 + isqrt(8 * t + 1)) // 2
-            a, b = m - 1 - j, m - 1 - (t - j * (j - 1) // 2)
+            a, b = n - 1 - j, n - 1 - (t - j * (j - 1) // 2)
         else:
             a, b = divmod(r, len(ys))
         x, y = xs[a], ys[b]
@@ -91,7 +95,8 @@ def generate_pairs(samples, tax, eta, seed=0, max_pos=None):
     Positives are drawn uniformly without replacement from all unordered
     pairs of distinct samples sharing a phrase: ``max_pos`` of them when
     set, all of them otherwise. The same number of negatives is drawn the
-    same way from the sample pairs whose phrases are incompatible. Output
+    same way from the sample pairs whose phrases are incompatible; one
+    lexicon query over the sorted phrases gives those phrase pairs. Output
     order is a seeded shuffle; identical inputs and seed reproduce the
     list exactly. Raises EmptyError when there is no positive pair and
     InsufficientNegativesError when the negative pool is smaller than the
@@ -103,17 +108,17 @@ def generate_pairs(samples, tax, eta, seed=0, max_pos=None):
     for idx, s in enumerate(samples):
         by_phrase.setdefault(s.phrase, []).append(idx)
     phrases = sorted(by_phrase)
+    members = [by_phrase[p] for p in phrases]
 
     if all(len(idxs) < 2 for idxs in by_phrase.values()):
         raise EmptyError(f"no positive pairs: none of the {len(by_phrase)} distinct "
                          f"phrase(s) occurs in two samples")
-    positives = _draw([(p, p) for p in phrases], by_phrase,
-                      inf if max_pos is None else max_pos, rng)
+    every = np.arange(len(phrases))
+    positives = _draw(every, every, members, inf if max_pos is None else max_pos, rng)
 
-    incompatible_pairs = [(p, q) for i, p in enumerate(phrases) for q in phrases[i + 1:]
-                          if incompatible(p, q, tax, eta)]
+    left, right = incompatible(phrases, tax, eta)
     needed = len(positives)
-    negatives = _draw(incompatible_pairs, by_phrase, needed, rng)
+    negatives = _draw(left, right, members, needed, rng)
     if len(negatives) < needed:
         raise InsufficientNegativesError(
             f"need {needed} negatives but only {len(negatives)} incompatible "

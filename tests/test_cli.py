@@ -443,10 +443,12 @@ class TestGuards:
 
     @pytest.mark.parametrize("flags, message", [
         (["--combos", "bogus"], "[ablation] combos: combo 'bogus' is not mode:layers:trained|raw"),
+        (["--combos", "ap:0:raw,ap:2:raw"],
+         "[ablation] combos: combo 'ap:2:raw': mlp_layers must be 0, 1 or 3"),
         (["--combos", "ap:0:raw,ap:0:raw"], "duplicate combos"),
         (["--hidden-dims", "3", "--combos", "attention:3:trained"],
          "[network] hidden_dims: 3 layers need 2 hidden widths, got 1"),
-    ], ids=["bad_combo", "duplicate_combo", "hidden_dims"])
+    ], ids=["bad_combo", "bad_depth", "duplicate_combo", "hidden_dims"])
     def test_ablate_checks_settings_before_reading_input(self, fixture_files, tmp_path, capsys,
                                                          monkeypatch, flags, message):
         for name in ("load_corpus", "load_word_vectors", "load_taxonomy", "generate_pairs"):
@@ -620,7 +622,7 @@ class TestTraceContract:
     EXPECTED = {
         "network.steps": 16200,
         "composition.compose_test_phrase.calls": 24,
-        "lexicon.incompatible.calls": 15,
+        "lexicon.incompatible.calls": 1,
         "clustering.kmeans.calls": 31,
         "clustering.restarts": 310,
         "clustering.lloyd_iters": 620,

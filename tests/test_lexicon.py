@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from metric_grouper.errors import (
@@ -12,6 +13,7 @@ from metric_grouper.errors import (
 )
 from metric_grouper.lexicon import (
     JCN_CAP,
+    JCN_EPS,
     build_taxonomy,
     incompatible,
     information_content,
@@ -126,22 +128,108 @@ class TestJcn:
         assert jcn_similarity("picture gizmo", "sound", fixture_taxonomy) == pytest.approx(direct)
 
 
+def incompatible_pairs(phrases, tax, eta):
+    left, right = incompatible(phrases, tax, eta)
+    return list(zip(left.tolist(), right.tolist()))
+
+
+def reference_jcn(cs1, cs2, tax):
+    """Jcn of two concept sets by nested loops over concept pairs through ``lcs``."""
+    best = 0.0
+    for c1 in sorted(cs1):
+        for c2 in sorted(cs2):
+            denom = (information_content(c1, tax) + information_content(c2, tax)
+                     - 2.0 * information_content(lcs(c1, c2, tax), tax))
+            sim = JCN_CAP if denom <= JCN_EPS else min(JCN_CAP, 1.0 / denom)
+            if sim > best:
+                best = sim
+    return best
+
+
+def reference_similarities(phrases, tax):
+    """(i, j, similarity) of every mapped pair i < j, in nested-loop order."""
+    concepts = {}
+    for phrase in phrases:
+        try:
+            concepts[phrase] = tax.phrase_concepts(phrase)
+        except UnknownWordError:
+            pass
+    return [(i, j, reference_jcn(concepts[p], concepts[q], tax))
+            for i, p in enumerate(phrases) for j, q in enumerate(phrases)
+            if i < j and p in concepts and q in concepts]
+
+
+def random_taxonomy(rng, n_concepts=18, n_words=12):
+    """A random DAG: multi-parent and zero-count concepts, words on several concepts.
+
+    ``twin`` and ``w00`` share concept ``c01``, so their similarity is the cap.
+    """
+    name = "c{:02d}".format
+    records = [{"concept": name(0), "parents": [], "count": 0},
+               {"concept": name(1), "parents": [name(0)], "count": 2}]
+    for k in range(2, n_concepts):
+        parents = rng.choice(k, size=min(k, int(rng.integers(1, 4))), replace=False)
+        count = 0 if rng.random() < 0.35 else int(rng.integers(1, 6))
+        records.append({"concept": name(k), "parents": [name(p) for p in parents],
+                        "count": count})
+    for w in range(n_words):
+        picked = rng.choice(n_concepts, size=int(rng.integers(1, 4)), replace=False)
+        records.append({"word": f"w{w:02d}", "concepts": [name(c) for c in picked]})
+    records.append({"word": "twin", "concepts": [name(1)]})
+    records.append({"word": "w00", "concepts": [name(1)]})
+    return build_taxonomy(records)
+
+
 class TestIncompatible:
     def test_identical_never_incompatible(self, fixture_taxonomy):
-        assert not incompatible("picture", "picture", fixture_taxonomy, 0.3)
+        # the same phrase twice, and two phrases on the same head concept
+        assert incompatible_pairs(["picture", "picture"], fixture_taxonomy, 0.3) == []
+        assert incompatible_pairs(["crisp picture", "picture"], fixture_taxonomy, 0.3) == []
 
     def test_cross_subtree_at_eta_03(self, fixture_taxonomy):
-        assert incompatible("picture", "sound", fixture_taxonomy, 0.3)
+        assert incompatible_pairs(["picture", "sound"], fixture_taxonomy, 0.3) == [(0, 1)]
 
     def test_siblings_at_eta_03(self, fixture_taxonomy):
-        assert not incompatible("picture", "image", fixture_taxonomy, 0.3)
+        assert incompatible_pairs(["image", "picture"], fixture_taxonomy, 0.3) == []
 
     def test_unknown_word_is_conservative(self, fixture_taxonomy):
-        assert not incompatible("gizmo", "sound", fixture_taxonomy, 0.3)
+        assert incompatible_pairs(["gizmo", "sound"], fixture_taxonomy, 0.3) == []
+        assert incompatible_pairs(["gizmo", "picture", "sound"], fixture_taxonomy,
+                                  0.3) == [(1, 2)]
 
     def test_eta_must_be_positive(self, fixture_taxonomy):
-        with pytest.raises(ValueError):
-            incompatible("picture", "sound", fixture_taxonomy, 0.0)
+        for eta in (0.0, -0.3, math.nan):
+            with pytest.raises(ValueError):
+                incompatible(["picture", "sound"], fixture_taxonomy, eta)
+
+    def test_matches_brute_force_reference(self):
+        rng = np.random.default_rng(2016)
+        seen = {"cap": 0, "tie": 0, "unmapped": 0, "several_concepts": 0, "pairs": 0,
+                "multi_parent": 0, "zero_count": 0}
+        for _ in range(8):
+            tax = random_taxonomy(rng)
+            phrases = sorted([f"w{w:02d}" for w in range(12)]
+                             + ["twin", "no such word", "w03 w05", "w07 gizmo"])
+            sims = reference_similarities(phrases, tax)
+            finite = sorted({sim for _, _, sim in sims if sim < JCN_CAP})
+            tie = finite[len(finite) // 2]
+            for eta in (0.1, 0.3, 1.0, tie):
+                left, right = incompatible(phrases, tax, eta)
+                assert left.dtype.kind == right.dtype.kind == "i"
+                want = [(i, j) for i, j, sim in sims if sim < eta]
+                assert list(zip(left.tolist(), right.tolist())) == want
+                seen["pairs"] += len(want)
+            for i, j, sim in sims:
+                assert jcn_similarity(phrases[i], phrases[j], tax) == sim
+                assert jcn_similarity(phrases[j], phrases[i], tax) == sim
+            seen["cap"] += sum(sim == JCN_CAP for _, _, sim in sims)
+            seen["tie"] += sum(sim == tie for _, _, sim in sims)
+            mapped = {phrases[k] for i, j, _ in sims for k in (i, j)}
+            seen["unmapped"] += len(set(phrases) - mapped)
+            seen["several_concepts"] += sum(len(tax.phrase_concepts(p)) > 1 for p in mapped)
+            seen["multi_parent"] += sum(len(ps) > 1 for ps in tax.parents.values())
+            seen["zero_count"] += sum(p == 0 for p in tax.propagated.values())
+        assert min(seen.values()) > 0, seen
 
 
 class TestTaxonomyValidation:

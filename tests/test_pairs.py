@@ -236,6 +236,25 @@ class TestGeneratePairs:
         assert len(pairs) == 2000
         assert peak < 10e6
 
+    def test_memory_is_not_a_tuple_per_phrase_pair(self):
+        # 1500 phrases x 2 mentions under a flat root -> leaf taxonomy: every one of
+        # the 1,124,250 phrase pairs is incompatible. A list of one tuple per pair is 72 MB.
+        words = [f"w{k:04d}" for k in range(1500)]
+        records = [{"concept": "root", "parents": [], "count": 0}]
+        for word in words:
+            records.append({"concept": f"c-{word}", "parents": ["root"], "count": 1})
+            records.append({"word": word, "concepts": [f"c-{word}"]})
+        tax = build_taxonomy(records)
+        samples = generate_samples(corpus_of(words * 2))
+        tracemalloc.start()
+        try:
+            pairs = generate_pairs(samples, tax, 0.5, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 3000
+        assert peak < 50e6
+
 
 class TestPairIo:
     def test_round_trip_with_header(self, tmp_path):
