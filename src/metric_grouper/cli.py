@@ -1,28 +1,33 @@
 """Command-line pipeline: validate, pairs, train, cluster, eval, ablate.
 
-Every command resolves one configuration (defaults, optional INI file,
-flag overrides), writes its artifacts under --out-dir with fixed names,
-and records a manifest entry carrying the config hash, the seed it used
-and content checksums of its inputs and outputs. Artifacts embed the
-config hash and downstream commands reject inputs produced under a
-different configuration. All writes go to a temporary file first and are
-renamed into place, so a failed command never leaves a partial artifact.
-Reruns with identical inputs, configuration and seeds are byte-identical.
+Each invocation builds one ``Run``, which resolves the configuration (defaults,
+optional INI file, flag overrides) once, parses and hashes each input file at
+most once, and records per command a manifest entry carrying the config hash,
+the seed it used and checksums of its inputs and outputs. Artifacts embed the
+config hash; a command that reads ``pairs.jsonl`` or ``model.json`` from disk
+rejects one produced under a different configuration, while ``run-all`` hands
+the pairs and network of one step to the next in memory. All writes go to a
+temporary file first and are renamed into place, so a failed command never
+leaves a partial artifact. Reruns with identical inputs, configuration and
+seeds are byte-identical.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
 import tempfile
 
+import numpy as np
+
 from . import __version__
 from . import clustering as _clustering
 from .ablation import check_combos, format_ablation, run_ablation
 from .config import FLAGS, config_hash, resolve, train_config_from
-from .corpus import load_corpus, load_word_vectors, save_corpus
+from .corpus import AnnotatedCorpus, load_corpus, load_word_vectors, save_corpus
 from .errors import (
     ArtifactMismatchError,
     MetricGrouperError,
@@ -77,31 +82,6 @@ def _atomic_write(path, content):
         raise
 
 
-def _update_manifest(out_dir, command, chash, seed, inputs, outputs):
-    manifest_path = os.path.join(out_dir, MANIFEST_FILE)
-    manifest = {"commands": {}}
-    if os.path.exists(manifest_path):
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            try:
-                manifest = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise MetricGrouperError(
-                    f"{manifest_path} is not valid JSON ({exc}); move it aside") from exc
-        manifest.setdefault("commands", {})
-    manifest["commands"][command] = {
-        "config_hash": chash,
-        "seed": seed,
-        "inputs": {name: _sha256(path) for name, path in sorted(inputs.items())},
-        "outputs": {name: _sha256(path) for name, path in sorted(outputs.items())},
-    }
-    _atomic_write(manifest_path, json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-
-
-def _resolved(args):
-    overrides = {flag: getattr(args, flag, None) for flag in [*FLAGS, "seed"]}
-    return resolve(getattr(args, "config", None), overrides)
-
-
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
@@ -114,9 +94,95 @@ def _out_dir(args):
     return args.out_dir
 
 
-def _load_table(args, loaded=None):
-    _require(args, "vectors")
-    return loaded["vectors"] if loaded else load_word_vectors(args.vectors)
+def _read_manifest(path):
+    """A manifest's ``{"commands": {...}}`` object; an empty one if ``path`` does not exist."""
+    if not os.path.exists(path):
+        return {"commands": {}}
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MetricGrouperError(f"{path} is not valid JSON ({exc}); move it aside") from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("commands", {}), dict):
+        raise MetricGrouperError(f'{path} is not a {{"commands": {{...}}}} object; move it aside')
+    manifest.setdefault("commands", {})
+    return manifest
+
+
+class Run:
+    """One CLI invocation: its configuration, inputs, checksums, artifacts and manifest.
+
+    Each is computed on first use and kept. ``pairs`` and ``net`` hold what this
+    invocation generated or trained; ``stored`` reads what an earlier one wrote.
+    """
+
+    def __init__(self, args):
+        self.args = args
+        self.inputs = {}
+        self.digests = {}
+        self.pairs = None
+        self.net = None
+        self._manifest = None
+
+    @functools.cached_property
+    def config(self):
+        overrides = {flag: getattr(self.args, flag, None) for flag in [*FLAGS, "seed"]}
+        return resolve(getattr(self.args, "config", None), overrides)
+
+    @functools.cached_property
+    def chash(self):
+        return config_hash(self.config)
+
+    def load(self, name):
+        """The parsed --corpus, --vectors or --taxonomy file, read at most once."""
+        if self.inputs.get(name) is None:
+            _require(self.args, name)
+            loader = {"corpus": load_corpus, "vectors": load_word_vectors,
+                      "taxonomy": load_taxonomy}[name]
+            self.inputs[name] = loader(getattr(self.args, name))
+        return self.inputs[name]
+
+    def sha256(self, path):
+        if path not in self.digests:
+            self.digests[path] = _sha256(path)
+        return self.digests[path]
+
+    def manifest(self):
+        """--out-dir's manifest, read and checked on first use."""
+        if self._manifest is None:
+            self._manifest = _read_manifest(os.path.join(self.args.out_dir, MANIFEST_FILE))
+        return self._manifest
+
+    def write(self, path, content):
+        """``_atomic_write`` an artifact and record its digest, once the manifest is checked."""
+        self.manifest()  # a malformed manifest stops the command before it writes anything
+        _atomic_write(path, content)
+        self.digests[path] = _sha256(path)
+
+    def record(self, command, seed, inputs, outputs):
+        """Set ``command``'s manifest entry and rewrite manifest.json."""
+        self.manifest()["commands"][command] = {
+            "config_hash": self.chash,
+            "seed": seed,
+            "inputs": {name: self.sha256(path) for name, path in sorted(inputs.items())},
+            "outputs": {name: self.sha256(path) for name, path in sorted(outputs.items())},
+        }
+        _atomic_write(os.path.join(self.args.out_dir, MANIFEST_FILE),
+                      json.dumps(self.manifest(), sort_keys=True, indent=1) + "\n")
+
+    def stored(self, name, loader, step, error=MetricGrouperError):
+        """--out-dir's ``name`` as ``loader`` reads it, once its config hash is checked."""
+        path = os.path.join(self.args.out_dir, name)
+        if not os.path.exists(path):
+            raise error(f"no {name} in {self.args.out_dir}; run the {step} command first")
+        value, meta = loader(path)
+        embedded = (meta or {}).get("config_hash")
+        if embedded != self.chash:
+            found = "no config hash" if embedded is None else f"config hash {str(embedded)[:12]}..."
+            raise ArtifactMismatchError(
+                f"{path} carries {found}, current configuration hashes to {self.chash[:12]}...; "
+                f"regenerate it or restore the original configuration")
+        return value
 
 
 def _mapped_count(corpus, tax):
@@ -131,16 +197,9 @@ def _mapped_count(corpus, tax):
     return mapped
 
 
-def _check_hash(kind, embedded, current):
-    if embedded != current:
-        found = "no config hash" if embedded is None else f"config hash {str(embedded)[:12]}..."
-        raise ArtifactMismatchError(
-            f"{kind} carries {found}, current configuration hashes to {current[:12]}...; "
-            f"regenerate it or restore the original configuration")
-
-
-def cmd_validate(args, loaded=None):
-    """Check every input file; a clean run stores the parsed inputs in the ``loaded`` dict."""
+def cmd_validate(run):
+    """Check every input file; a clean check keeps the parsed inputs in ``run``."""
+    args = run.args
     _require(args, "corpus", "vectors")
     problems = []
 
@@ -179,30 +238,26 @@ def cmd_validate(args, loaded=None):
     for problem in problems:
         print(f"error: {problem}")
     print("validation: " + ("FAILED" if problems else "ok"))
-    if loaded is not None and not problems:
-        loaded.update(corpus=corpus, vectors=table, taxonomy=tax)
+    if not problems:
+        run.inputs.update(corpus=corpus, vectors=table, taxonomy=tax)
     return 1 if problems else 0
 
 
-def cmd_make_fixture(args):
-    out_dir = _out_dir(args)
+def cmd_make_fixture(run):
+    out_dir = _out_dir(run.args)
     paths = write_fixture(out_dir)
     for path in paths:
         print(f"wrote {path}")
     return 0
 
 
-def cmd_split(args):
-    import numpy as np
-
-    _require(args, "corpus", "out_dir")
-    resolved = _resolved(args)
-    chash = config_hash(resolved)
-    section = resolved["split"]
+def cmd_split(run):
+    _require(run.args, "corpus", "out_dir")
+    section = run.config["split"]
     ratios = (section["train_ratio"], section["test_ratio"], section["dev_ratio"])
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise MetricGrouperError(f"split ratios {ratios} do not sum to 1")
-    corpus = load_corpus(args.corpus)
+    corpus = run.load("corpus")
     rng = np.random.default_rng(section["seed"])
     order = rng.permutation(len(corpus.sentences))
     n_train = round(len(order) * ratios[0])
@@ -212,28 +267,23 @@ def cmd_split(args):
         "test.jsonl": order[n_train:n_train + n_test],
         "dev.jsonl": order[n_train + n_test:],
     }
-    from .corpus import AnnotatedCorpus
-
-    out_dir = _out_dir(args)
+    out_dir = _out_dir(run.args)
     outputs = {}
     for name, idxs in buckets.items():
         part = AnnotatedCorpus(corpus.sentences[i] for i in sorted(idxs))
         path = os.path.join(out_dir, name)
-        _atomic_write(path, lambda tmp, part=part: save_corpus(part, tmp))
+        run.write(path, lambda tmp, part=part: save_corpus(part, tmp))
         outputs[name] = path
         print(f"wrote {path} ({len(part)} sentences)")
-    _update_manifest(out_dir, "split", chash, section["seed"],
-                     {"corpus": args.corpus}, outputs)
+    run.record("split", section["seed"], {"corpus": run.args.corpus}, outputs)
     return 0
 
 
-def cmd_pairs(args, loaded=None):
+def cmd_pairs(run):
+    args = run.args
     _require(args, "corpus", "taxonomy", "out_dir")
-    resolved = _resolved(args)
-    chash = config_hash(resolved)
-    section = resolved["pairs"]
-    corpus = loaded["corpus"] if loaded else load_corpus(args.corpus)
-    tax = loaded["taxonomy"] if loaded else load_taxonomy(args.taxonomy)
+    section = run.config["pairs"]
+    corpus, tax = run.load("corpus"), run.load("taxonomy")
     print(f"phrases with no concept mapping (never incompatible): "
           f"{len(corpus.phrase_index) - _mapped_count(corpus, tax)}/{len(corpus.phrase_index)}")
     samples = generate_samples(corpus)
@@ -241,38 +291,31 @@ def cmd_pairs(args, loaded=None):
                            max_pos=section["max_pos"])
     positives = sum(1 for p in pairs if p.label == 1)
     header = {
-        "config_hash": chash,
+        "config_hash": run.chash,
         "eta": section["eta"],
         "seed": section["seed"],
         "positives": positives,
         "negatives": len(pairs) - positives,
     }
-    out_dir = _out_dir(args)
-    path = os.path.join(out_dir, PAIRS_FILE)
-    _atomic_write(path, lambda tmp: save_pairs(pairs, tmp, header=header))
+    path = os.path.join(_out_dir(args), PAIRS_FILE)
+    run.write(path, lambda tmp: save_pairs(pairs, tmp, header=header))
+    run.pairs = pairs
     print(f"wrote {path} ({positives} positive / {len(pairs) - positives} negative pairs)")
-    _update_manifest(out_dir, "pairs", chash, section["seed"],
-                     {"corpus": args.corpus, "taxonomy": args.taxonomy},
-                     {PAIRS_FILE: path})
+    run.record("pairs", section["seed"], {"corpus": args.corpus, "taxonomy": args.taxonomy},
+               {PAIRS_FILE: path})
     return 0
 
 
-def cmd_train(args, loaded=None):
-    _require(args, "out_dir")
-    resolved = _resolved(args)
-    chash = config_hash(resolved)
-    net_sec = resolved["network"]
+def cmd_train(run):
+    args = run.args
+    _require(args, "vectors", "out_dir")
+    net_sec = run.config["network"]
     check_hidden_dims(net_sec["hidden_dims"], net_sec["layers"])
-    table = _load_table(args, loaded)
-    pairs_path = os.path.join(args.out_dir, PAIRS_FILE)
-    if not os.path.exists(pairs_path):
-        raise MetricGrouperError(
-            f"no {PAIRS_FILE} in {args.out_dir}; run the pairs command first")
-    pairs, header = load_pairs(pairs_path)
-    _check_hash(pairs_path, (header or {}).get("config_hash"), chash)
-    cfg = train_config_from(resolved)
+    pairs = run.pairs or run.stored(PAIRS_FILE, load_pairs, "pairs")
+    table = run.load("vectors")
+    cfg = train_config_from(run.config)
     net = MetricNetwork.create(
-        table.dimension, mode=resolved["composition"]["mode"],
+        table.dimension, mode=run.config["composition"]["mode"],
         output_dim=net_sec["output_dim"], n_layers=net_sec["layers"],
         hidden_dims=net_sec["hidden_dims"], activation=net_sec["activation"],
         seed=cfg.seed)
@@ -280,23 +323,14 @@ def cmd_train(args, loaded=None):
     for epoch, value in enumerate(history, 1):
         print(f"epoch {epoch}: mean objective {value:.6f}")
     model_path = os.path.join(_out_dir(args), MODEL_FILE)
-    _atomic_write(model_path, lambda tmp: save_model(
-        net, tmp, config_hash=chash, extra={"loss_history": history}))
+    run.write(model_path, lambda tmp: save_model(
+        net, tmp, config_hash=run.chash, extra={"loss_history": history}))
+    run.net = net
     print(f"wrote {model_path}")
-    _update_manifest(args.out_dir, "train", chash, cfg.seed,
-                     {"vectors": args.vectors, PAIRS_FILE: pairs_path},
-                     {MODEL_FILE: model_path})
+    run.record("train", cfg.seed,
+               {"vectors": args.vectors, PAIRS_FILE: os.path.join(args.out_dir, PAIRS_FILE)},
+               {MODEL_FILE: model_path})
     return 0
-
-
-def _load_net(out_dir, chash):
-    model_path = os.path.join(out_dir, MODEL_FILE)
-    if not os.path.exists(model_path):
-        raise MissingModelError(
-            f"no {MODEL_FILE} in {out_dir}; run the train command first")
-    net, meta = load_model(model_path)
-    _check_hash(model_path, meta.get("config_hash"), chash)
-    return net, model_path
 
 
 def _check_dumps(args):
@@ -314,33 +348,30 @@ def _check_dumps(args):
         taken[real] = option
 
 
-def cmd_cluster(args, loaded=None):
-    _require(args, "corpus", "out_dir")
-    resolved = _resolved(args)
+def cmd_cluster(run):
+    args = run.args
+    _require(args, "corpus", "vectors", "out_dir")
+    section = run.config["clustering"]
     _check_dumps(args)
-    chash = config_hash(resolved)
-    corpus = loaded["corpus"] if loaded else load_corpus(args.corpus)
-    table = _load_table(args, loaded)
-    section = resolved["clustering"]
     method = getattr(args, "method", LEARNED_METHOD)
-
     inputs = {"corpus": args.corpus, "vectors": args.vectors}
     if method == LEARNED_METHOD:
-        net, model_path = _load_net(args.out_dir, chash)
+        net = run.net or run.stored(MODEL_FILE, load_model, "train", MissingModelError)
         mode = net.composition_mode
-        inputs[MODEL_FILE] = model_path
+        inputs[MODEL_FILE] = os.path.join(args.out_dir, MODEL_FILE)
     else:
         net, mode = None, method
+    corpus, table = run.load("corpus"), run.load("vectors")
 
     k = section["k"] if section["k"] is not None else gold_and_k(corpus)[1]
     phrases, composed, points = _clustering.phrase_points(corpus, table, net=net, mode=mode)
     result = _clustering.kmeans(
         points, k, seed=section["seed"], n_init=section["n_init"], max_iter=section["max_iter"])
 
-    lines = [f"# config_hash={chash}"]
+    lines = [f"# config_hash={run.chash}"]
     lines += [f"{phrase}\t{label}" for phrase, label in zip(phrases, result.labels.tolist())]
     clusters_path = os.path.join(_out_dir(args), CLUSTERS_FILE)
-    _atomic_write(clusters_path, "\n".join(lines) + "\n")
+    run.write(clusters_path, "\n".join(lines) + "\n")
     print(f"wrote {clusters_path} (k={k}, metric={_clustering.metric_for(net)}, "
           f"inertia={result.inertia:.6f})")
     if result.empty_clusters:
@@ -350,57 +381,53 @@ def cmd_cluster(args, loaded=None):
     if getattr(args, "dump_composed", None):
         rows = [f"{p}\t" + " ".join(repr(float(v)) for v in row)
                 for p, row in zip(phrases, composed)]
-        _atomic_write(args.dump_composed, "\n".join(rows) + "\n")
+        run.write(args.dump_composed, "\n".join(rows) + "\n")
         outputs["dump-composed"] = args.dump_composed
         print(f"wrote {args.dump_composed}")
     if getattr(args, "dump_centroids", None):
         rows = [" ".join(repr(float(v)) for v in c) for c in result.centroids]
-        _atomic_write(args.dump_centroids, "\n".join(rows) + "\n")
+        run.write(args.dump_centroids, "\n".join(rows) + "\n")
         outputs["dump-centroids"] = args.dump_centroids
         print(f"wrote {args.dump_centroids}")
 
-    _update_manifest(args.out_dir, "cluster", chash, section["seed"], inputs, outputs)
+    run.record("cluster", section["seed"], inputs, outputs)
     return 0
 
 
-def cmd_eval(args, loaded=None):
-    _require(args, "corpus", "out_dir")
-    resolved = _resolved(args)
-    chash = config_hash(resolved)
-    corpus = loaded["corpus"] if loaded else load_corpus(args.corpus)
-    table = _load_table(args, loaded)
+def cmd_eval(run):
+    args = run.args
+    _require(args, "corpus", "vectors", "out_dir")
+    resolved = run.config
     methods = resolved["evaluation"]["methods"]
     inputs = {"corpus": args.corpus, "vectors": args.vectors}
     net = None
     if LEARNED_METHOD in methods:
-        net, model_path = _load_net(args.out_dir, chash)
-        inputs[MODEL_FILE] = model_path
+        net = run.net or run.stored(MODEL_FILE, load_model, "train", MissingModelError)
+        inputs[MODEL_FILE] = os.path.join(args.out_dir, MODEL_FILE)
     report = evaluate_run(
-        corpus, table, methods, net=net,
+        run.load("corpus"), run.load("vectors"), methods, net=net,
         k=resolved["clustering"]["k"], runs=resolved["evaluation"]["runs"],
         seed=resolved["evaluation"]["seed"],
         n_init=resolved["clustering"]["n_init"],
         max_iter=resolved["clustering"]["max_iter"])
-    report["config_hash"] = chash
+    report["config_hash"] = run.chash
     metrics_path = os.path.join(_out_dir(args), METRICS_FILE)
-    _atomic_write(metrics_path, json.dumps(report, sort_keys=True, indent=1) + "\n")
+    run.write(metrics_path, json.dumps(report, sort_keys=True, indent=1) + "\n")
     print(format_report(report))
     print(f"wrote {metrics_path}")
-    _update_manifest(args.out_dir, "eval", chash, resolved["evaluation"]["seed"],
-                     inputs, {METRICS_FILE: metrics_path})
+    run.record("eval", resolved["evaluation"]["seed"], inputs, {METRICS_FILE: metrics_path})
     return 0
 
 
-def cmd_ablate(args):
-    _require(args, "corpus", "taxonomy", "out_dir")
-    resolved = _resolved(args)
-    chash = config_hash(resolved)
+def cmd_ablate(run):
+    args = run.args
+    _require(args, "corpus", "vectors", "taxonomy", "out_dir")
+    resolved = run.config
     combos = resolved["ablation"]["combos"]
     check_combos(combos, resolved["network"]["hidden_dims"])  # before any input is read
-    corpus = load_corpus(args.corpus)
+    corpus = run.load("corpus")
     gold_and_k(corpus)  # an unlabeled corpus cannot be scored: stop before any pair is drawn
-    table = _load_table(args)
-    tax = load_taxonomy(args.taxonomy)
+    table, tax = run.load("vectors"), run.load("taxonomy")
     pair_sec = resolved["pairs"]
     train_pairs = None
     if any(c.train for c in combos):
@@ -416,32 +443,27 @@ def cmd_ablate(args):
         seed=resolved["evaluation"]["seed"],
         n_init=resolved["clustering"]["n_init"],
         max_iter=resolved["clustering"]["max_iter"])
-    report["config_hash"] = chash
-    out_dir = _out_dir(args)
-    ablation_path = os.path.join(out_dir, ABLATION_FILE)
-    _atomic_write(ablation_path, json.dumps(report, sort_keys=True, indent=1) + "\n")
+    report["config_hash"] = run.chash
+    ablation_path = os.path.join(_out_dir(args), ABLATION_FILE)
+    run.write(ablation_path, json.dumps(report, sort_keys=True, indent=1) + "\n")
     print(format_ablation(report))
     print(f"wrote {ablation_path}")
-    _update_manifest(out_dir, "ablate", chash, resolved["evaluation"]["seed"],
-                     {"corpus": args.corpus, "vectors": args.vectors,
-                      "taxonomy": args.taxonomy},
-                     {ABLATION_FILE: ablation_path})
+    run.record("ablate", resolved["evaluation"]["seed"],
+               {"corpus": args.corpus, "vectors": args.vectors, "taxonomy": args.taxonomy},
+               {ABLATION_FILE: ablation_path})
     return 0
 
 
-def cmd_run_all(args):
-    _require(args, "corpus", "vectors", "taxonomy")
-    net_sec = _resolved(args)["network"]
+def cmd_run_all(run):
+    _require(run.args, "corpus", "vectors", "taxonomy", "out_dir")
+    net_sec = run.config["network"]
     check_hidden_dims(net_sec["hidden_dims"], net_sec["layers"])  # before pairs.jsonl is written
-    loaded = {}
-    code = cmd_validate(args, loaded)
+    code = cmd_validate(run)
     if code:
         return code
-    gold_and_k(loaded["corpus"])  # eval needs gold groups: fail before pairs.jsonl is written
+    gold_and_k(run.load("corpus"))  # eval needs gold groups: fail before pairs.jsonl is written
     for step in (cmd_pairs, cmd_train, cmd_cluster, cmd_eval):
-        code = step(args, loaded)
-        if code:
-            return code
+        step(run)
     return 0
 
 
@@ -462,53 +484,34 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("validate", parents=[common],
-                   help="check corpus, vectors and taxonomy files")
-    sub.add_parser("make-fixture", parents=[common],
-                   help="write the bundled synthetic dataset")
-    sub.add_parser("split", parents=[common],
-                   help="seeded sentence-level train/test/dev split")
-    sub.add_parser("pairs", parents=[common],
-                   help="generate distant-supervision training pairs")
-    sub.add_parser("train", parents=[common],
-                   help="train the metric network on generated pairs")
-    cluster = sub.add_parser("cluster", parents=[common],
-                             help="cluster phrase representations")
+    for name, (_command, text) in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=text)
+    cluster = sub.choices["cluster"]
     cluster.add_argument("--method", default=LEARNED_METHOD, choices=METHODS,
                          help=f"learned path ({LEARNED_METHOD}) or a baseline composition")
     cluster.add_argument("--dump-composed", help="also write composed vectors (TSV)")
     cluster.add_argument("--dump-centroids", help="also write cluster centroids")
-    sub.add_parser("eval", parents=[common],
-                   help="average Purity/Entropy over repeated clustering runs")
-    sub.add_parser("ablate", parents=[common],
-                   help="compare module combinations against the phrase-only row")
-    sub.add_parser("run-all", parents=[common],
-                   help="validate, pairs, train, cluster and eval in sequence")
     return parser
 
 
-COMMANDS = {
-    "validate": cmd_validate,
-    "make-fixture": cmd_make_fixture,
-    "split": cmd_split,
-    "pairs": cmd_pairs,
-    "train": cmd_train,
-    "cluster": cmd_cluster,
-    "eval": cmd_eval,
-    "ablate": cmd_ablate,
-    "run-all": cmd_run_all,
+COMMANDS = {  # name -> (function, help), in --help order
+    "validate": (cmd_validate, "check corpus, vectors and taxonomy files"),
+    "make-fixture": (cmd_make_fixture, "write the bundled synthetic dataset"),
+    "split": (cmd_split, "seeded sentence-level train/test/dev split"),
+    "pairs": (cmd_pairs, "generate distant-supervision training pairs"),
+    "train": (cmd_train, "train the metric network on generated pairs"),
+    "cluster": (cmd_cluster, "cluster phrase representations"),
+    "eval": (cmd_eval, "average Purity/Entropy over repeated clustering runs"),
+    "ablate": (cmd_ablate, "compare module combinations against the phrase-only row"),
+    "run-all": (cmd_run_all, "validate, pairs, train, cluster and eval in sequence"),
 }
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
-    except MetricGrouperError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return COMMANDS[args.command][0](Run(args))
+    except (MetricGrouperError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

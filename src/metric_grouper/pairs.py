@@ -138,15 +138,12 @@ def _sample_record(sample):
     }
 
 
-def _sample_from_record(obj, lineno):
-    try:
-        return AspectSample(
-            str(obj["phrase"]).lower(),
-            tuple(str(t).lower() for t in obj["tokens"]),
-            tuple(int(s) for s in obj["source"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"line {lineno}: bad sample record ({exc})") from exc
+def _sample_from_record(obj):
+    return AspectSample(
+        str(obj["phrase"]).lower(),
+        tuple(str(t).lower() for t in obj["tokens"]),
+        tuple(int(s) for s in obj["source"]),
+    )
 
 
 def save_pairs(pairs, path, header=None):
@@ -185,10 +182,7 @@ def load_pairs(path):
                 if label not in (1, -1):
                     raise ValueError(f"label {label} not in {{1, -1}}")
                 pairs.append(SamplePair(
-                    _sample_from_record(obj["left"], lineno),
-                    _sample_from_record(obj["right"], lineno),
-                    label,
-                ))
+                    _sample_from_record(obj["left"]), _sample_from_record(obj["right"]), label))
             except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"{path}: line {lineno}: bad pair record ({exc})") from exc
     return pairs, header

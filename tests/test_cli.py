@@ -253,13 +253,35 @@ class TestGuards:
         assert code == 1
         assert "config hash" in err
 
-    def test_corrupt_manifest_rejected(self, fixture_files, tmp_path, capsys):
-        (tmp_path / "manifest.json").write_text("{not json", encoding="utf-8")
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "manifest.json is not valid JSON"),
+        ("[]", 'manifest.json is not a {"commands": {...}} object'),
+        ('{"commands": []}', 'manifest.json is not a {"commands": {...}} object'),
+    ], ids=["not_json", "list", "commands_list"])
+    def test_corrupt_manifest_rejected(self, fixture_files, tmp_path, capsys, text, message):
+        (tmp_path / "manifest.json").write_text(text, encoding="utf-8")
         code = run("pairs", *data_args(fixture_files), "--out-dir", str(tmp_path))
         err = capsys.readouterr().err
         assert code == 1
-        assert "manifest.json is not valid JSON" in err
-        assert (tmp_path / "manifest.json").read_text(encoding="utf-8") == "{not json"
+        assert message in err
+        assert err.rstrip().endswith("move it aside")
+        assert (tmp_path / "manifest.json").read_text(encoding="utf-8") == text
+        assert not (tmp_path / "pairs.jsonl").exists()
+
+    @pytest.mark.parametrize("command, message", [
+        ("train", "run the pairs command first"),
+        ("cluster", "run the train command first"),
+        ("eval", "run the train command first"),
+    ])
+    def test_missing_artifact_found_before_parsing_inputs(self, fixture_files, tmp_path,
+                                                          capsys, monkeypatch, command, message):
+        calls = []
+        for name in ("load_corpus", "load_word_vectors"):
+            monkeypatch.setattr(cli, name, lambda *a, **kw: calls.append(a))
+        code = run(command, *data_args(fixture_files), "--out-dir", str(tmp_path))
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert calls == []
 
     def test_pairs_without_hash_rejected(self, fixture_files, tmp_path, capsys):
         args = data_args(fixture_files) + ["--out-dir", str(tmp_path), "--epochs", "1"]
@@ -539,14 +561,24 @@ class TestRunAll:
         for command in ("validate", "pairs", "train", "cluster", "eval"):
             assert run(command, *base, "--out-dir", str(steps_dir)) == 0
 
-        calls = {}
-        for name in ("load_word_vectors", "load_corpus", "load_taxonomy"):
+        # pairs and model pass from step to step in memory; each file is hashed once
+        names = ("load_word_vectors", "load_corpus", "load_taxonomy", "load_pairs",
+                 "load_model", "_sha256")
+        calls, hashed = {}, []
+        for name in names:
             def counting(*a, _name=name, _fn=getattr(cli, name), **kw):
                 calls[_name] = calls.get(_name, 0) + 1
+                if _name == "_sha256":
+                    hashed.append(os.path.realpath(a[0]))
                 return _fn(*a, **kw)
             monkeypatch.setattr(cli, name, counting)
         assert run("run-all", *base, "--out-dir", str(all_dir)) == 0
-        assert calls == {"load_word_vectors": 1, "load_corpus": 1, "load_taxonomy": 1}
+        assert {name: calls.get(name, 0) for name in names} == {
+            "load_word_vectors": 1, "load_corpus": 1, "load_taxonomy": 1,
+            "load_pairs": 0, "load_model": 0, "_sha256": 7}
+        inputs = [fixture_files[name] for name in ("corpus", "vectors", "taxonomy")]
+        outputs = [all_dir / name for name in ARTIFACTS if name != "manifest.json"]
+        assert sorted(hashed) == sorted(os.path.realpath(p) for p in inputs + outputs)
         for name in ARTIFACTS:
             assert (all_dir / name).read_bytes() == (steps_dir / name).read_bytes(), name
 

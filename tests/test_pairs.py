@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from metric_grouper.corpus import AnnotatedCorpus, AnnotatedSentence, Mention
-from metric_grouper.errors import InsufficientNegativesError
+from metric_grouper.errors import FormatError, InsufficientNegativesError
 from metric_grouper.lexicon import build_taxonomy, jcn_similarity
 from metric_grouper.pairs import (
     AspectSample,
@@ -277,3 +278,19 @@ class TestPairIo:
         record = json.loads(Path(path).read_text(encoding="utf-8").splitlines()[0])
         assert set(record) == {"label", "left", "right"}
         assert set(record["left"]) == {"phrase", "tokens", "source"}
+
+    @pytest.mark.parametrize("side, field", [("left", "phrase"), ("right", "tokens"),
+                                             ("left", "source")])
+    def test_bad_sample_record_names_file_and_line(self, tmp_path, side, field):
+        pair = SamplePair(
+            AspectSample("alpha", ("the", "alpha"), (0,)),
+            AspectSample("alpha", ("alpha", "works"), (3,)), 1)
+        path = tmp_path / "pairs.jsonl"
+        save_pairs([pair, pair], str(path), header={"config_hash": "deadbeef"})
+        lines = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[2])
+        del record[side][field]
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: line 3: "):
+            load_pairs(str(path))
