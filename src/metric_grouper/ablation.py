@@ -72,7 +72,7 @@ def run_ablation(corpus, table, combos, train_pairs=None, train_cfg=None,
     ``train_pairs`` is the shared distant-supervision pair list; it is
     required as soon as any combo trains. Each combo is scored by the
     evaluation loop (compose once, cluster per seed); the report is
-    sorted by combo key.
+    sorted by combo key and counts the phrases with no gold label.
     """
     combos = list(combos)
     if not any(c.key == REFERENCE_KEY for c in combos):
@@ -101,8 +101,8 @@ def run_ablation(corpus, table, combos, train_pairs=None, train_cfg=None,
                 seed=train_cfg.seed,
             )
             _, history = train(net, train_pairs, table, train_cfg)
-        row, _ = score_runs(corpus, table, gold, k, seeds, net=net, mode=combo.mode,
-                            n_init=n_init, max_iter=max_iter)
+        row, skipped = score_runs(corpus, table, gold, k, seeds, net=net, mode=combo.mode,
+                                  n_init=n_init, max_iter=max_iter)
         entry = {
             "mode": combo.mode,
             "mlp_layers": combo.mlp_layers,
@@ -128,6 +128,7 @@ def run_ablation(corpus, table, combos, train_pairs=None, train_cfg=None,
         "runs": runs,
         "seeds": seeds,
         "reference": REFERENCE_KEY,
+        "skipped_unlabeled": skipped,
         "combos": {key: results[key] for key in sorted(results)},
     }
 
@@ -135,6 +136,8 @@ def run_ablation(corpus, table, combos, train_pairs=None, train_cfg=None,
 def format_ablation(report):
     """Aligned text table shaped like the combo comparison."""
     lines = [f"k={report['k']}  runs={report['runs']}  reference={report['reference']}"]
+    if report.get("skipped_unlabeled"):
+        lines.append(f"warning: {report['skipped_unlabeled']} phrase(s) lacked gold labels")
     header = (f"{'combo':<24} {'purity':>8} {'up%':>7} {'entropy':>8} {'up%':>7}")
     lines.append(header)
     lines.append("-" * len(header))

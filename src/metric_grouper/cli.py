@@ -1,15 +1,17 @@
 """Command-line pipeline: validate, pairs, train, cluster, eval, ablate.
 
 Each invocation builds one ``Run``, which resolves the configuration (defaults,
-optional INI file, flag overrides) once, parses and hashes each input file at
-most once, and records per command a manifest entry carrying the config hash,
-the seed it used and checksums of its inputs and outputs. Artifacts embed the
-config hash; a command that reads ``pairs.jsonl`` or ``model.json`` from disk
-rejects one produced under a different configuration, while ``run-all`` hands
-the pairs and network of one step to the next in memory. All writes go to a
-temporary file first and are renamed into place, so a failed command never
-leaves a partial artifact. Reruns with identical inputs, configuration and
-seeds are byte-identical.
+optional INI file, flag overrides) once and parses and hashes each input file at
+most once. A writing command names its outputs before it reads any input; ``Run``
+then checks ``manifest.json`` and refuses an output that would overwrite an input
+file (--corpus, --vectors, --taxonomy, --config), one of --out-dir's artifacts or
+another output. The files a step reads and writes, with the config hash and seed,
+become its manifest entry. Artifacts embed the config hash; a command that reads
+``pairs.jsonl`` or ``model.json`` from disk rejects one produced under a different
+configuration, while ``run-all`` hands the pairs and network of one step to the
+next in memory. All writes go to a temporary file first and are renamed into
+place, so a failed command never leaves a partial artifact. Reruns with identical
+inputs, configuration and seeds are byte-identical.
 """
 from __future__ import annotations
 
@@ -48,6 +50,7 @@ ABLATION_FILE = "ablation.json"
 MANIFEST_FILE = "manifest.json"
 ARTIFACT_FILES = (PAIRS_FILE, MODEL_FILE, CLUSTERS_FILE, METRICS_FILE, ABLATION_FILE,
                   MANIFEST_FILE)
+INPUT_FLAGS = ("corpus", "vectors", "taxonomy", "config")
 
 
 def _sha256(path):
@@ -88,12 +91,6 @@ def _require(args, *names):
             raise MetricGrouperError(f"--{name.replace('_', '-')} is required for this command")
 
 
-def _out_dir(args):
-    _require(args, "out_dir")
-    os.makedirs(args.out_dir, exist_ok=True)
-    return args.out_dir
-
-
 def _read_manifest(path):
     """A manifest's ``{"commands": {...}}`` object; an empty one if ``path`` does not exist."""
     if not os.path.exists(path):
@@ -110,19 +107,18 @@ def _read_manifest(path):
 
 
 class Run:
-    """One CLI invocation: its configuration, inputs, checksums, artifacts and manifest.
+    """One CLI invocation: its configuration, parsed files, checksums and manifest.
 
-    Each is computed on first use and kept. ``pairs`` and ``net`` hold what this
-    invocation generated or trained; ``stored`` reads what an earlier one wrote.
+    Each is computed on first use and kept. A step names its outputs (``claim``),
+    notes each file it reads (``load``, ``artifact``) and writes (``write``), and
+    ``record`` turns those notes into its manifest entry.
     """
 
     def __init__(self, args):
         self.args = args
-        self.inputs = {}
+        self.values = {}  # input or artifact name -> parsed or produced value
         self.digests = {}
-        self.pairs = None
-        self.net = None
-        self._manifest = None
+        self.outputs, self.reads, self.writes = {}, {}, {}  # this step's name -> path
 
     @functools.cached_property
     def config(self):
@@ -133,56 +129,93 @@ class Run:
     def chash(self):
         return config_hash(self.config)
 
+    @functools.cached_property
+    def manifest(self):
+        return _read_manifest(os.path.join(self.args.out_dir, MANIFEST_FILE))
+
+    def claim(self, *names, dumps=()):
+        """Start a step that writes --out-dir's ``names`` and the ``dumps`` flags' files.
+
+        Runs before any input is parsed: the manifest is read and checked, and an
+        output is refused if it would overwrite an input file, one of --out-dir's
+        artifacts or another output, or if its directory does not exist.
+        """
+        _require(self.args, "out_dir")
+        dumps = {flag.replace("_", "-"): path for flag in dumps
+                 if (path := getattr(self.args, flag, None))}
+        taken = {os.path.realpath(path): f"--{flag}" for flag in INPUT_FLAGS
+                 if (path := getattr(self.args, flag, None))}
+        for name in ARTIFACT_FILES:
+            taken.setdefault(os.path.realpath(os.path.join(self.args.out_dir, name)),
+                             f"--out-dir's {name}")
+        self.outputs = {name: os.path.join(self.args.out_dir, name) for name in names} | dumps
+        for name, path in self.outputs.items():
+            owner = f"--{name}" if name in dumps else f"--out-dir's {name}"
+            label = f"{owner} {path}" if name in dumps else owner
+            real = os.path.realpath(path)
+            if taken.setdefault(real, owner) != owner:
+                raise MetricGrouperError(f"{label} would overwrite {taken[real]}")
+            if name in dumps and not os.path.isdir(os.path.dirname(path) or "."):
+                raise MetricGrouperError(f"{label}: no directory {os.path.dirname(path)}")
+        self.reads, self.writes = {}, {}
+        self.manifest  # a malformed manifest stops the command before it parses anything
+
     def load(self, name):
         """The parsed --corpus, --vectors or --taxonomy file, read at most once."""
-        if self.inputs.get(name) is None:
+        if self.values.get(name) is None:
             _require(self.args, name)
             loader = {"corpus": load_corpus, "vectors": load_word_vectors,
                       "taxonomy": load_taxonomy}[name]
-            self.inputs[name] = loader(getattr(self.args, name))
-        return self.inputs[name]
+            self.values[name] = loader(getattr(self.args, name))
+        self.reads[name] = getattr(self.args, name)
+        return self.values[name]
+
+    def artifact(self, name):
+        """--out-dir's ``name`` as an earlier step of this run made it, or else as read
+        from disk once its config hash is checked."""
+        path = os.path.join(self.args.out_dir, name)
+        if self.values.get(name) is None:
+            loader, step, error = {PAIRS_FILE: (load_pairs, "pairs", MetricGrouperError),
+                                   MODEL_FILE: (load_model, "train", MissingModelError)}[name]
+            if not os.path.exists(path):
+                raise error(f"no {name} in {self.args.out_dir}; run the {step} command first")
+            value, meta = loader(path)
+            embedded = (meta or {}).get("config_hash")
+            if embedded != self.chash:
+                found = ("no config hash" if embedded is None
+                         else f"config hash {str(embedded)[:12]}...")
+                raise ArtifactMismatchError(
+                    f"{path} carries {found}, current configuration hashes to "
+                    f"{self.chash[:12]}...; regenerate it or restore the original configuration")
+            self.values[name] = value
+        self.reads[name] = path
+        return self.values[name]
+
+    def write(self, name, content, value=None):
+        """Write claimed output ``name`` and return its path; ``artifact(name)`` gives ``value``."""
+        path = self.outputs[name]
+        os.makedirs(self.args.out_dir, exist_ok=True)
+        _atomic_write(path, content)
+        self.digests[path] = _sha256(path)
+        self.writes[name] = path
+        self.values[name] = value
+        return path
 
     def sha256(self, path):
         if path not in self.digests:
             self.digests[path] = _sha256(path)
         return self.digests[path]
 
-    def manifest(self):
-        """--out-dir's manifest, read and checked on first use."""
-        if self._manifest is None:
-            self._manifest = _read_manifest(os.path.join(self.args.out_dir, MANIFEST_FILE))
-        return self._manifest
-
-    def write(self, path, content):
-        """``_atomic_write`` an artifact and record its digest, once the manifest is checked."""
-        self.manifest()  # a malformed manifest stops the command before it writes anything
-        _atomic_write(path, content)
-        self.digests[path] = _sha256(path)
-
-    def record(self, command, seed, inputs, outputs):
-        """Set ``command``'s manifest entry and rewrite manifest.json."""
-        self.manifest()["commands"][command] = {
+    def record(self, command, seed):
+        """Set ``command``'s manifest entry from the step's reads and writes; rewrite the file."""
+        self.manifest["commands"][command] = {
             "config_hash": self.chash,
             "seed": seed,
-            "inputs": {name: self.sha256(path) for name, path in sorted(inputs.items())},
-            "outputs": {name: self.sha256(path) for name, path in sorted(outputs.items())},
+            "inputs": {name: self.sha256(path) for name, path in sorted(self.reads.items())},
+            "outputs": {name: self.sha256(path) for name, path in sorted(self.writes.items())},
         }
         _atomic_write(os.path.join(self.args.out_dir, MANIFEST_FILE),
-                      json.dumps(self.manifest(), sort_keys=True, indent=1) + "\n")
-
-    def stored(self, name, loader, step, error=MetricGrouperError):
-        """--out-dir's ``name`` as ``loader`` reads it, once its config hash is checked."""
-        path = os.path.join(self.args.out_dir, name)
-        if not os.path.exists(path):
-            raise error(f"no {name} in {self.args.out_dir}; run the {step} command first")
-        value, meta = loader(path)
-        embedded = (meta or {}).get("config_hash")
-        if embedded != self.chash:
-            found = "no config hash" if embedded is None else f"config hash {str(embedded)[:12]}..."
-            raise ArtifactMismatchError(
-                f"{path} carries {found}, current configuration hashes to {self.chash[:12]}...; "
-                f"regenerate it or restore the original configuration")
-        return value
+                      json.dumps(self.manifest, sort_keys=True, indent=1) + "\n")
 
 
 def _mapped_count(corpus, tax):
@@ -239,14 +272,13 @@ def cmd_validate(run):
         print(f"error: {problem}")
     print("validation: " + ("FAILED" if problems else "ok"))
     if not problems:
-        run.inputs.update(corpus=corpus, vectors=table, taxonomy=tax)
+        run.values.update(corpus=corpus, vectors=table, taxonomy=tax)
     return 1 if problems else 0
 
 
 def cmd_make_fixture(run):
-    out_dir = _out_dir(run.args)
-    paths = write_fixture(out_dir)
-    for path in paths:
+    _require(run.args, "out_dir")
+    for path in write_fixture(run.args.out_dir):
         print(f"wrote {path}")
     return 0
 
@@ -257,6 +289,7 @@ def cmd_split(run):
     ratios = (section["train_ratio"], section["test_ratio"], section["dev_ratio"])
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise MetricGrouperError(f"split ratios {ratios} do not sum to 1")
+    run.claim("train.jsonl", "test.jsonl", "dev.jsonl")
     corpus = run.load("corpus")
     rng = np.random.default_rng(section["seed"])
     order = rng.permutation(len(corpus.sentences))
@@ -267,28 +300,29 @@ def cmd_split(run):
         "test.jsonl": order[n_train:n_train + n_test],
         "dev.jsonl": order[n_train + n_test:],
     }
-    out_dir = _out_dir(run.args)
-    outputs = {}
     for name, idxs in buckets.items():
         part = AnnotatedCorpus(corpus.sentences[i] for i in sorted(idxs))
-        path = os.path.join(out_dir, name)
-        run.write(path, lambda tmp, part=part: save_corpus(part, tmp))
-        outputs[name] = path
+        path = run.write(name, lambda tmp, part=part: save_corpus(part, tmp))
         print(f"wrote {path} ({len(part)} sentences)")
-    run.record("split", section["seed"], {"corpus": run.args.corpus}, outputs)
+    run.record("split", section["seed"])
     return 0
 
 
-def cmd_pairs(run):
-    args = run.args
-    _require(args, "corpus", "taxonomy", "out_dir")
+def _draw_pairs(run):
+    """Distant-supervision pairs of --corpus under --taxonomy, as [pairs] sets them."""
     section = run.config["pairs"]
+    return generate_pairs(generate_samples(run.load("corpus")), run.load("taxonomy"),
+                          section["eta"], seed=section["seed"], max_pos=section["max_pos"])
+
+
+def cmd_pairs(run):
+    _require(run.args, "corpus", "taxonomy", "out_dir")
+    section = run.config["pairs"]
+    run.claim(PAIRS_FILE)
     corpus, tax = run.load("corpus"), run.load("taxonomy")
     print(f"phrases with no concept mapping (never incompatible): "
           f"{len(corpus.phrase_index) - _mapped_count(corpus, tax)}/{len(corpus.phrase_index)}")
-    samples = generate_samples(corpus)
-    pairs = generate_pairs(samples, tax, section["eta"], seed=section["seed"],
-                           max_pos=section["max_pos"])
+    pairs = _draw_pairs(run)
     positives = sum(1 for p in pairs if p.label == 1)
     header = {
         "config_hash": run.chash,
@@ -297,21 +331,18 @@ def cmd_pairs(run):
         "positives": positives,
         "negatives": len(pairs) - positives,
     }
-    path = os.path.join(_out_dir(args), PAIRS_FILE)
-    run.write(path, lambda tmp: save_pairs(pairs, tmp, header=header))
-    run.pairs = pairs
+    path = run.write(PAIRS_FILE, lambda tmp: save_pairs(pairs, tmp, header=header), pairs)
     print(f"wrote {path} ({positives} positive / {len(pairs) - positives} negative pairs)")
-    run.record("pairs", section["seed"], {"corpus": args.corpus, "taxonomy": args.taxonomy},
-               {PAIRS_FILE: path})
+    run.record("pairs", section["seed"])
     return 0
 
 
 def cmd_train(run):
-    args = run.args
-    _require(args, "vectors", "out_dir")
+    _require(run.args, "vectors", "out_dir")
     net_sec = run.config["network"]
     check_hidden_dims(net_sec["hidden_dims"], net_sec["layers"])
-    pairs = run.pairs or run.stored(PAIRS_FILE, load_pairs, "pairs")
+    run.claim(MODEL_FILE)
+    pairs = run.artifact(PAIRS_FILE)
     table = run.load("vectors")
     cfg = train_config_from(run.config)
     net = MetricNetwork.create(
@@ -322,43 +353,22 @@ def cmd_train(run):
     net, history = train(net, pairs, table, cfg)
     for epoch, value in enumerate(history, 1):
         print(f"epoch {epoch}: mean objective {value:.6f}")
-    model_path = os.path.join(_out_dir(args), MODEL_FILE)
-    run.write(model_path, lambda tmp: save_model(
-        net, tmp, config_hash=run.chash, extra={"loss_history": history}))
-    run.net = net
-    print(f"wrote {model_path}")
-    run.record("train", cfg.seed,
-               {"vectors": args.vectors, PAIRS_FILE: os.path.join(args.out_dir, PAIRS_FILE)},
-               {MODEL_FILE: model_path})
+    path = run.write(MODEL_FILE, lambda tmp: save_model(
+        net, tmp, config_hash=run.chash, extra={"loss_history": history}), net)
+    print(f"wrote {path}")
+    run.record("train", cfg.seed)
     return 0
-
-
-def _check_dumps(args):
-    """Reject dump paths that name one of --out-dir's artifacts, or one file twice."""
-    taken = {os.path.realpath(os.path.join(args.out_dir, name)): f"--out-dir's {name}"
-             for name in ARTIFACT_FILES}
-    for flag in ("dump_composed", "dump_centroids"):
-        path = getattr(args, flag, None)
-        if path is None:
-            continue
-        option = "--" + flag.replace("_", "-")
-        real = os.path.realpath(path)
-        if real in taken:
-            raise MetricGrouperError(f"{option} {path} would overwrite {taken[real]}")
-        taken[real] = option
 
 
 def cmd_cluster(run):
     args = run.args
     _require(args, "corpus", "vectors", "out_dir")
     section = run.config["clustering"]
-    _check_dumps(args)
+    run.claim(CLUSTERS_FILE, dumps=("dump_composed", "dump_centroids"))
     method = getattr(args, "method", LEARNED_METHOD)
-    inputs = {"corpus": args.corpus, "vectors": args.vectors}
     if method == LEARNED_METHOD:
-        net = run.net or run.stored(MODEL_FILE, load_model, "train", MissingModelError)
+        net = run.artifact(MODEL_FILE)
         mode = net.composition_mode
-        inputs[MODEL_FILE] = os.path.join(args.out_dir, MODEL_FILE)
     else:
         net, mode = None, method
     corpus, table = run.load("corpus"), run.load("vectors")
@@ -370,40 +380,31 @@ def cmd_cluster(run):
 
     lines = [f"# config_hash={run.chash}"]
     lines += [f"{phrase}\t{label}" for phrase, label in zip(phrases, result.labels.tolist())]
-    clusters_path = os.path.join(_out_dir(args), CLUSTERS_FILE)
-    run.write(clusters_path, "\n".join(lines) + "\n")
-    print(f"wrote {clusters_path} (k={k}, metric={_clustering.metric_for(net)}, "
+    path = run.write(CLUSTERS_FILE, "\n".join(lines) + "\n")
+    print(f"wrote {path} (k={k}, metric={_clustering.metric_for(net)}, "
           f"inertia={result.inertia:.6f})")
     if result.empty_clusters:
         print(f"warning: empty clusters {list(result.empty_clusters)}")
-    outputs = {CLUSTERS_FILE: clusters_path}
 
     if getattr(args, "dump_composed", None):
         rows = [f"{p}\t" + " ".join(repr(float(v)) for v in row)
                 for p, row in zip(phrases, composed)]
-        run.write(args.dump_composed, "\n".join(rows) + "\n")
-        outputs["dump-composed"] = args.dump_composed
+        run.write("dump-composed", "\n".join(rows) + "\n")
         print(f"wrote {args.dump_composed}")
     if getattr(args, "dump_centroids", None):
         rows = [" ".join(repr(float(v)) for v in c) for c in result.centroids]
-        run.write(args.dump_centroids, "\n".join(rows) + "\n")
-        outputs["dump-centroids"] = args.dump_centroids
+        run.write("dump-centroids", "\n".join(rows) + "\n")
         print(f"wrote {args.dump_centroids}")
-
-    run.record("cluster", section["seed"], inputs, outputs)
+    run.record("cluster", section["seed"])
     return 0
 
 
 def cmd_eval(run):
-    args = run.args
-    _require(args, "corpus", "vectors", "out_dir")
+    _require(run.args, "corpus", "vectors", "out_dir")
     resolved = run.config
     methods = resolved["evaluation"]["methods"]
-    inputs = {"corpus": args.corpus, "vectors": args.vectors}
-    net = None
-    if LEARNED_METHOD in methods:
-        net = run.net or run.stored(MODEL_FILE, load_model, "train", MissingModelError)
-        inputs[MODEL_FILE] = os.path.join(args.out_dir, MODEL_FILE)
+    run.claim(METRICS_FILE)
+    net = run.artifact(MODEL_FILE) if LEARNED_METHOD in methods else None
     report = evaluate_run(
         run.load("corpus"), run.load("vectors"), methods, net=net,
         k=resolved["clustering"]["k"], runs=resolved["evaluation"]["runs"],
@@ -411,32 +412,27 @@ def cmd_eval(run):
         n_init=resolved["clustering"]["n_init"],
         max_iter=resolved["clustering"]["max_iter"])
     report["config_hash"] = run.chash
-    metrics_path = os.path.join(_out_dir(args), METRICS_FILE)
-    run.write(metrics_path, json.dumps(report, sort_keys=True, indent=1) + "\n")
+    path = run.write(METRICS_FILE, json.dumps(report, sort_keys=True, indent=1) + "\n")
     print(format_report(report))
-    print(f"wrote {metrics_path}")
-    run.record("eval", resolved["evaluation"]["seed"], inputs, {METRICS_FILE: metrics_path})
+    print(f"wrote {path}")
+    run.record("eval", resolved["evaluation"]["seed"])
     return 0
 
 
 def cmd_ablate(run):
-    args = run.args
-    _require(args, "corpus", "vectors", "taxonomy", "out_dir")
+    _require(run.args, "corpus", "vectors", "taxonomy", "out_dir")
     resolved = run.config
     combos = resolved["ablation"]["combos"]
     check_combos(combos, resolved["network"]["hidden_dims"])  # before any input is read
+    run.claim(ABLATION_FILE)
     corpus = run.load("corpus")
     gold_and_k(corpus)  # an unlabeled corpus cannot be scored: stop before any pair is drawn
-    table, tax = run.load("vectors"), run.load("taxonomy")
-    pair_sec = resolved["pairs"]
-    train_pairs = None
-    if any(c.train for c in combos):
-        samples = generate_samples(corpus)
-        train_pairs = generate_pairs(samples, tax, pair_sec["eta"], seed=pair_sec["seed"],
-                                     max_pos=pair_sec["max_pos"])
+    table = run.load("vectors")
+    run.load("taxonomy")  # parsed and recorded even when no combo trains
     report = run_ablation(
         corpus, table, combos,
-        train_pairs=train_pairs, train_cfg=train_config_from(resolved),
+        train_pairs=_draw_pairs(run) if any(c.train for c in combos) else None,
+        train_cfg=train_config_from(resolved),
         output_dim=resolved["network"]["output_dim"],
         hidden_dims=resolved["network"]["hidden_dims"],
         k=resolved["clustering"]["k"], runs=resolved["evaluation"]["runs"],
@@ -444,13 +440,10 @@ def cmd_ablate(run):
         n_init=resolved["clustering"]["n_init"],
         max_iter=resolved["clustering"]["max_iter"])
     report["config_hash"] = run.chash
-    ablation_path = os.path.join(_out_dir(args), ABLATION_FILE)
-    run.write(ablation_path, json.dumps(report, sort_keys=True, indent=1) + "\n")
+    path = run.write(ABLATION_FILE, json.dumps(report, sort_keys=True, indent=1) + "\n")
     print(format_ablation(report))
-    print(f"wrote {ablation_path}")
-    run.record("ablate", resolved["evaluation"]["seed"],
-               {"corpus": args.corpus, "vectors": args.vectors, "taxonomy": args.taxonomy},
-               {ABLATION_FILE: ablation_path})
+    print(f"wrote {path}")
+    run.record("ablate", resolved["evaluation"]["seed"])
     return 0
 
 
@@ -458,6 +451,7 @@ def cmd_run_all(run):
     _require(run.args, "corpus", "vectors", "taxonomy", "out_dir")
     net_sec = run.config["network"]
     check_hidden_dims(net_sec["hidden_dims"], net_sec["layers"])  # before pairs.jsonl is written
+    run.claim(PAIRS_FILE, MODEL_FILE, CLUSTERS_FILE, METRICS_FILE)  # before validate parses
     code = cmd_validate(run)
     if code:
         return code

@@ -18,6 +18,24 @@ def record_criterion(number, name, passed, detail=""):
     ACCEPTANCE_RESULTS[number] = (name, status, detail)
 
 
+def count_calls(monkeypatch, module, *names):
+    """Wrap ``module``'s functions ``names`` to record each call's positional arguments.
+
+    The wrappers call through. Returns ``{name: [args, ...]}``, filled as calls happen.
+    """
+    calls = {name: [] for name in names}
+
+    def counting(fn, seen):
+        def wrapper(*args, **kwargs):
+            seen.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(getattr(module, name), calls[name]))
+    return calls
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not ACCEPTANCE_RESULTS:
         return

@@ -3,11 +3,13 @@ import dataclasses
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import count_calls
 
 from metric_grouper import ablation as ablation_mod
 from metric_grouper import cli
@@ -171,17 +173,11 @@ class TestPipeline:
                                                      monkeypatch, fixture_files):
         out, args = pipeline_dir
         clusters_before = (out / "clusters.tsv").read_text(encoding="utf-8")
-        calls = []
-        compose = clustering_mod.compose_test_phrase
-
-        def counting(phrase, *rest, **kwargs):
-            calls.append(phrase)
-            return compose(phrase, *rest, **kwargs)
-
-        monkeypatch.setattr(clustering_mod, "compose_test_phrase", counting)
+        calls = count_calls(monkeypatch, clustering_mod, "compose_test_phrase")
         composed_path = tmp_path / "composed.tsv"
         assert run("cluster", *args, "--dump-composed", str(composed_path)) == 0
-        assert len(calls) == len(set(calls)) == 6
+        composed_phrases = [a[0] for a in calls["compose_test_phrase"]]
+        assert len(composed_phrases) == len(set(composed_phrases)) == 6
         monkeypatch.undo()
 
         assert (out / "clusters.tsv").read_text(encoding="utf-8") == clusters_before
@@ -210,24 +206,69 @@ class TestPipeline:
                            "dump-centroids": cli._sha256(centroids)}
         assert outputs["clusters.tsv"] != outputs["dump-composed"]
 
-    @pytest.mark.parametrize("dumps, taken", [
-        (["--dump-composed", "{out}/clusters.tsv"], "--out-dir's clusters.tsv"),
-        (["--dump-centroids", "{out}/missing/../manifest.json"], "--out-dir's manifest.json"),
-        (["--dump-composed", "pairs.jsonl"], "--out-dir's pairs.jsonl"),  # run from --out-dir
-        (["--dump-composed", "{tmp}/both.txt", "--dump-centroids", "{tmp}/both.txt"],
-         "--dump-composed"),
-    ], ids=["artifact", "dotdot", "relative", "same_file"])
-    def test_dump_cannot_overwrite(self, pipeline_dir, tmp_path, monkeypatch, capsys,
-                                   dumps, taken):
+    @pytest.mark.parametrize("argv, message", [
+        (["cluster", "--dump-composed", "{out}/clusters.tsv"],
+         "--dump-composed {out}/clusters.tsv would overwrite --out-dir's clusters.tsv"),
+        (["cluster", "--dump-centroids", "{out}/missing/../manifest.json"],
+         "--dump-centroids {out}/missing/../manifest.json "
+         "would overwrite --out-dir's manifest.json"),
+        (["cluster", "--dump-composed", "pairs.jsonl"],  # run from --out-dir
+         "--dump-composed pairs.jsonl would overwrite --out-dir's pairs.jsonl"),
+        (["cluster", "--dump-composed", "{tmp}/both.txt", "--dump-centroids", "{tmp}/both.txt"],
+         "--dump-centroids {tmp}/both.txt would overwrite --dump-composed"),
+        (["cluster", "--dump-centroids", "{inputs}/vectors.txt"],
+         "--dump-centroids {inputs}/vectors.txt would overwrite --vectors"),
+        (["cluster", "--dump-composed", "{inputs}/corpus.jsonl"],
+         "--dump-composed {inputs}/corpus.jsonl would overwrite --corpus"),
+        (["cluster", "--dump-composed", "{inputs}/taxonomy.jsonl"],
+         "--dump-composed {inputs}/taxonomy.jsonl would overwrite --taxonomy"),
+        (["cluster", "--dump-centroids", "{inputs}/config.ini"],
+         "--dump-centroids {inputs}/config.ini would overwrite --config"),
+        (["split", "--corpus", "{inputs}/train.jsonl", "--out-dir", "{inputs}"],
+         "--out-dir's train.jsonl would overwrite --corpus"),
+    ], ids=["artifact", "dotdot", "relative", "same_file", "vectors", "corpus", "taxonomy",
+            "config", "split_corpus"])
+    def test_dump_cannot_overwrite(self, pipeline_dir, fixture_files, tmp_path, tmp_path_factory,
+                                   monkeypatch, capsys, argv, message):
+        out, args = pipeline_dir
+        inputs = tmp_path_factory.mktemp("inputs")  # copies, so a failure spoils no other test
+        copies = {name: shutil.copy(path, inputs) for name, path in fixture_files.items()}
+        shutil.copy(fixture_files["corpus"], inputs / "train.jsonl")
+        args = data_args(copies) + args[args.index("--out-dir"):]
+        def snapshot():
+            return {p: p.read_bytes() for d in (out, inputs) for p in d.iterdir()}
+
+        before = snapshot()
+        monkeypatch.chdir(out)
+        fill = dict(out=out, tmp=tmp_path, inputs=inputs)
+        assert run(argv[0], *args, *[a.format(**fill) for a in argv[1:]]) == 1
+        assert f"error: {message.format(**fill)}\n" in capsys.readouterr().err
+        assert snapshot() == before
+        assert os.listdir(tmp_path) == []
+
+    def test_dump_into_missing_directory_writes_nothing(self, pipeline_dir, tmp_path, capsys):
         out, args = pipeline_dir
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        monkeypatch.chdir(out)
-        dumps = [d.format(out=out, tmp=tmp_path) for d in dumps]
-        assert run("cluster", *args, *dumps) == 1
+        dump = tmp_path / "missing" / "x.tsv"
+        assert run("cluster", *args, "--method", "avg", "--dump-composed", str(dump)) == 1
         err = capsys.readouterr().err
-        assert f"error: {dumps[-2]} {dumps[-1]} would overwrite {taken}\n" in err
+        assert err == f"error: --dump-composed {dump}: no directory {dump.parent}\n"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert os.listdir(tmp_path) == []
+
+    PARSED = {"load_corpus": "corpus", "load_word_vectors": "vectors",
+              "load_taxonomy": "taxonomy", "load_pairs": "pairs.jsonl", "load_model": "model.json"}
+
+    def test_manifest_inputs_are_the_parsed_files(self, fixture_files, tmp_path, monkeypatch):
+        args = data_args(fixture_files) + ["--out-dir", str(tmp_path), "--epochs", "1"]
+        for argv in (["split"], ["pairs"], ["train"], ["cluster"], ["cluster", "--method", "avg"],
+                     ["eval"], ["eval", "--methods", "avg"], ["ablate"]):
+            calls = count_calls(monkeypatch, cli, *self.PARSED)
+            assert run(*argv, *args) == 0
+            monkeypatch.undo()
+            manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+            parsed = {self.PARSED[name] for name, seen in calls.items() if seen}
+            assert set(manifest["commands"][argv[0]]["inputs"]) == parsed, argv
 
 
 class TestGuards:
@@ -253,20 +294,27 @@ class TestGuards:
         assert code == 1
         assert "config hash" in err
 
-    @pytest.mark.parametrize("text, message", [
-        ("{not json", "manifest.json is not valid JSON"),
-        ("[]", 'manifest.json is not a {"commands": {...}} object'),
-        ('{"commands": []}', 'manifest.json is not a {"commands": {...}} object'),
-    ], ids=["not_json", "list", "commands_list"])
-    def test_corrupt_manifest_rejected(self, fixture_files, tmp_path, capsys, text, message):
+    CORRUPT = [("{not json", "manifest.json is not valid JSON", "not_json"),
+               ("[]", 'manifest.json is not a {"commands": {...}} object', "list"),
+               ('{"commands": []}', 'manifest.json is not a {"commands": {...}} object',
+                "commands_list")]
+
+    @pytest.mark.parametrize("command, text, message", [
+        pytest.param(command, text, message, id=name if command == "pairs" else f"{command}-{name}")
+        for text, message, name in CORRUPT
+        for command in ["split", "pairs", "train", "cluster", "eval", "ablate", "run-all"]])
+    def test_corrupt_manifest_rejected(self, fixture_files, tmp_path, capsys, monkeypatch,
+                                       command, text, message):
         (tmp_path / "manifest.json").write_text(text, encoding="utf-8")
-        code = run("pairs", *data_args(fixture_files), "--out-dir", str(tmp_path))
+        calls = count_calls(monkeypatch, cli, "load_corpus", "load_word_vectors", "load_taxonomy")
+        code = run(command, *data_args(fixture_files), "--out-dir", str(tmp_path))
         err = capsys.readouterr().err
         assert code == 1
         assert message in err
         assert err.rstrip().endswith("move it aside")
         assert (tmp_path / "manifest.json").read_text(encoding="utf-8") == text
-        assert not (tmp_path / "pairs.jsonl").exists()
+        assert os.listdir(tmp_path) == ["manifest.json"]
+        assert {name: len(seen) for name, seen in calls.items()} == dict.fromkeys(calls, 0)
 
     @pytest.mark.parametrize("command, message", [
         ("train", "run the pairs command first"),
@@ -275,13 +323,11 @@ class TestGuards:
     ])
     def test_missing_artifact_found_before_parsing_inputs(self, fixture_files, tmp_path,
                                                           capsys, monkeypatch, command, message):
-        calls = []
-        for name in ("load_corpus", "load_word_vectors"):
-            monkeypatch.setattr(cli, name, lambda *a, **kw: calls.append(a))
+        calls = count_calls(monkeypatch, cli, "load_corpus", "load_word_vectors")
         code = run(command, *data_args(fixture_files), "--out-dir", str(tmp_path))
         assert code == 1
         assert message in capsys.readouterr().err
-        assert calls == []
+        assert calls == {"load_corpus": [], "load_word_vectors": []}
 
     def test_pairs_without_hash_rejected(self, fixture_files, tmp_path, capsys):
         args = data_args(fixture_files) + ["--out-dir", str(tmp_path), "--epochs", "1"]
@@ -543,6 +589,28 @@ class TestSplit:
         assert total == 60
 
 
+class TestAblate:
+    def test_reports_unlabeled_phrases_like_eval(self, fixture_files, tmp_path, capsys):
+        lines = Path(fixture_files["corpus"]).read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        for rec in records:
+            for mention in rec["mentions"]:
+                if mention["phrase"] == "picture":
+                    del mention["group"]
+        corpus = tmp_path / "partly_labeled.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        out = tmp_path / "out"
+        args = data_args(dict(fixture_files, corpus=str(corpus))) + [
+            "--out-dir", str(out), "--methods", "avg", "--combos", "ap:0:raw,avg:0:raw"]
+        warning = "warning: 1 phrase(s) lacked gold labels\n"
+        assert run("eval", *args) == 0
+        assert warning in capsys.readouterr().out
+        assert run("ablate", *args) == 0
+        assert warning in capsys.readouterr().out
+        report = json.loads((out / "ablation.json").read_text(encoding="utf-8"))
+        assert report["skipped_unlabeled"] == 1
+
+
 class TestRunAll:
     def test_smoke_and_reports(self, fixture_files, tmp_path, capsys):
         args = data_args(fixture_files) + ["--out-dir", str(tmp_path), "--epochs", "3"]
@@ -562,20 +630,13 @@ class TestRunAll:
             assert run(command, *base, "--out-dir", str(steps_dir)) == 0
 
         # pairs and model pass from step to step in memory; each file is hashed once
-        names = ("load_word_vectors", "load_corpus", "load_taxonomy", "load_pairs",
-                 "load_model", "_sha256")
-        calls, hashed = {}, []
-        for name in names:
-            def counting(*a, _name=name, _fn=getattr(cli, name), **kw):
-                calls[_name] = calls.get(_name, 0) + 1
-                if _name == "_sha256":
-                    hashed.append(os.path.realpath(a[0]))
-                return _fn(*a, **kw)
-            monkeypatch.setattr(cli, name, counting)
+        calls = count_calls(monkeypatch, cli, "load_word_vectors", "load_corpus", "load_taxonomy",
+                            "load_pairs", "load_model", "_sha256")
         assert run("run-all", *base, "--out-dir", str(all_dir)) == 0
-        assert {name: calls.get(name, 0) for name in names} == {
+        assert {name: len(seen) for name, seen in calls.items()} == {
             "load_word_vectors": 1, "load_corpus": 1, "load_taxonomy": 1,
             "load_pairs": 0, "load_model": 0, "_sha256": 7}
+        hashed = [os.path.realpath(a[0]) for a in calls["_sha256"]]
         inputs = [fixture_files[name] for name in ("corpus", "vectors", "taxonomy")]
         outputs = [all_dir / name for name in ARTIFACTS if name != "manifest.json"]
         assert sorted(hashed) == sorted(os.path.realpath(p) for p in inputs + outputs)
