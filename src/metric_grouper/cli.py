@@ -138,7 +138,8 @@ class Run:
 
         Runs before any input is parsed: the manifest is read and checked, and an
         output is refused if it would overwrite an input file, one of --out-dir's
-        artifacts or another output, or if its directory does not exist.
+        artifacts or another output, if it is a directory, or if its directory does
+        not exist.
         """
         _require(self.args, "out_dir")
         dumps = {flag.replace("_", "-"): path for flag in dumps
@@ -155,6 +156,8 @@ class Run:
             real = os.path.realpath(path)
             if taken.setdefault(real, owner) != owner:
                 raise MetricGrouperError(f"{label} would overwrite {taken[real]}")
+            if os.path.isdir(path):
+                raise MetricGrouperError(f"{label} is a directory")
             if name in dumps and not os.path.isdir(os.path.dirname(path) or "."):
                 raise MetricGrouperError(f"{label}: no directory {os.path.dirname(path)}")
         self.reads, self.writes = {}, {}
@@ -420,18 +423,19 @@ def cmd_eval(run):
 
 
 def cmd_ablate(run):
-    _require(run.args, "corpus", "vectors", "taxonomy", "out_dir")
+    _require(run.args, "corpus", "vectors", "out_dir")
     resolved = run.config
     combos = resolved["ablation"]["combos"]
     check_combos(combos, resolved["network"]["hidden_dims"])  # before any input is read
+    trains = any(c.train for c in combos)
+    if trains:
+        _require(run.args, "taxonomy")  # only the trained combos' pairs read it
     run.claim(ABLATION_FILE)
     corpus = run.load("corpus")
     gold_and_k(corpus)  # an unlabeled corpus cannot be scored: stop before any pair is drawn
-    table = run.load("vectors")
-    run.load("taxonomy")  # parsed and recorded even when no combo trains
     report = run_ablation(
-        corpus, table, combos,
-        train_pairs=_draw_pairs(run) if any(c.train for c in combos) else None,
+        corpus, run.load("vectors"), combos,
+        train_pairs=_draw_pairs(run) if trains else None,
         train_cfg=train_config_from(resolved),
         output_dim=resolved["network"]["output_dim"],
         hidden_dims=resolved["network"]["hidden_dims"],

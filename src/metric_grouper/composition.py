@@ -103,19 +103,26 @@ class Ingredients(NamedTuple):
     p: np.ndarray
 
 
+def used_context(phrase, context_tokens, mode):
+    """The context tokens ``mode`` reads: none in ap mode, all of them otherwise.
+
+    Raises EmptyContextError when a mode that reads context gets no context token.
+    """
+    if mode == "ap":
+        return ()
+    if not context_tokens:
+        raise EmptyContextError(f"mode {mode!r} needs a context vector for {phrase!r}")
+    return context_tokens
+
+
 def ingredients(phrase, context_tokens, table, mode):
     """One sample's vectors, read through WordVectorTable.lookup().
 
     Raises EmptyPhraseError for a phrase with no tokens, and
-    EmptyContextError when a mode that reads context gets no context token.
+    EmptyContextError as used_context() does.
     """
     p = table.phrase_lookup(phrase)
-    if mode == "ap":
-        return Ingredients(np.zeros((0, table.dimension)), p)
-    context = table.lookup(context_tokens)
-    if not len(context):
-        raise EmptyContextError(f"mode {mode!r} needs a context vector for {phrase!r}")
-    return Ingredients(context, p)
+    return Ingredients(table.lookup(used_context(phrase, context_tokens, mode)), p)
 
 
 def compose(sample, table, params, mode="attention"):

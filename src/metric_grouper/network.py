@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import (MODES, AttentionParams, attend, check_w_a, compose_vectors,
-                          ingredients)
+                          used_context)
 from .errors import ConfigError, DimensionMismatchError, DivergenceError, FormatError
 
 MODEL_FORMAT_VERSION = 3
@@ -272,15 +272,16 @@ def regularizer(net, cfg):
 def objective(net, composed_pairs, cfg):
     """Sum of pair losses plus the regularizer.
 
-    Each distinct input array is forwarded once, however many pairs share
-    it; forwards are deterministic, so the sum is the same.
+    An input is an array or a function of no arguments that composes one.
+    Each distinct input is forwarded once, however many pairs share it, and
+    only its output is kept; forwards are deterministic, so the sum is the same.
     """
     outputs = {}  # id(x) -> (x, output); holding x keeps its id from being reused
     total = 0.0
     for x_i, x_j, label in composed_pairs:
         for x in (x_i, x_j):
             if id(x) not in outputs:
-                outputs[id(x)] = (x, net.forward(x)[0])
+                outputs[id(x)] = (x, net.forward(x() if callable(x) else x)[0])
         diff = outputs[id(x_i)][1] - outputs[id(x_j)][1]
         total += _margin_loss(float(diff @ diff), label, cfg)[0]
     return total + regularizer(net, cfg)
@@ -342,17 +343,21 @@ def train(net, pairs, table, cfg):
     ``cfg.seed`` draws the pair order, so identical seeds and data
     reproduce it bitwise.
 
-    Labels, token lookups (see composition.ingredients()), the composed
-    input width and the length of ``w_a`` are checked before the first
-    step. Raises DivergenceError, naming epoch and pair index, if any
-    parameter stops being finite.
+    A sample is kept as the row indices of its context tokens into one
+    matrix of the distinct context tokens the pairs use, and its phrase's
+    vector, one per distinct phrase; a step gathers the rows it composes,
+    and the epoch objective keeps one output row per sample. Labels, token
+    lookups (see composition.ingredients()), the composed input width and
+    the length of ``w_a`` are checked before the first step. Raises
+    DivergenceError, naming epoch and pair index, if any parameter stops
+    being finite.
     """
     if not pairs:
         raise ValueError("no training pairs")
     mode = net.composition_mode
     rng = np.random.default_rng(cfg.seed)
 
-    index = {}  # sample -> its position in parts
+    index = {}  # sample -> its position in samples
     pair_idx = []
     for n, pair in enumerate(pairs):
         if pair.label not in (1, -1):
@@ -360,7 +365,15 @@ def train(net, pairs, table, cfg):
         for s in (pair.left, pair.right):
             index.setdefault(s, len(index))
         pair_idx.append((index[pair.left], index[pair.right], pair.label))
-    parts = [ingredients(s.phrase, s.context_tokens, table, mode) for s in index]
+    token_rows, phrase_vecs = {}, {}  # context token -> row of context; phrase -> its vector
+    samples = []  # per distinct sample: (context row indices, phrase vector)
+    for s in index:
+        if s.phrase not in phrase_vecs:
+            phrase_vecs[s.phrase] = table.phrase_lookup(s.phrase)
+        tokens = used_context(s.phrase, s.context_tokens, mode)
+        samples.append((np.array([token_rows.setdefault(t, len(token_rows)) for t in tokens],
+                                 dtype=np.intp), phrase_vecs[s.phrase]))
+    context = table.lookup(list(token_rows))
     d = table.dimension
     width = d if mode == "ap" else 2 * d
     if width != net.input_dim:
@@ -372,15 +385,15 @@ def train(net, pairs, table, cfg):
         check_w_a(net.attention, d)
 
         def composed(k):
-            return attend(parts[k].context, parts[k].p, w_a)
+            """Sample k's gathered context rows (a C-contiguous copy) and composition."""
+            rows, p = samples[k]
+            rows = context.take(rows, axis=0)
+            return rows, attend(rows, p, w_a)
     else:
-        static_x = [compose_vectors(*q, net.attention, mode) for q in parts]
-        composed = static_x.__getitem__
-
-    def epoch_objective():
-        xs = [composed(k).x for k in range(len(parts))]
-        total = objective(net, ((xs[a], xs[b], l) for a, b, l in pair_idx), cfg)
-        return total / len(pairs)
+        static = [(None, compose_vectors(context.take(rows, axis=0), p, net.attention, mode))
+                  for rows, p in samples]
+        composed = static.__getitem__
+    inputs = [lambda k=k: composed(k)[1].x for k in range(len(samples))]
 
     lr = cfg.learning_rate
     lam = cfg.reg_lambda
@@ -391,18 +404,20 @@ def train(net, pairs, table, cfg):
     for epoch in range(cfg.epochs):
         for k in rng.permutation(len(pair_idx)):
             a, b, label = pair_idx[k]
-            left, right = composed(a), composed(b)
+            (rows_a, left), (rows_b, right) = composed(a), composed(b)
             grads = pair_gradients(net, left.x, right.x, label, cfg, input_grads=recompose,
                                    workspace=workspace)
             np.add(grads["flat"], np.multiply(lam, mlp, out=step), out=step)
             mlp -= np.multiply(lr, step, out=step)  # mlp -= lr * (g + lam * mlp)
             if recompose:
-                for idx, comp, gx in ((a, left, grads["x_i"]), (b, right, grads["x_j"])):
-                    w_a -= lr * compose_backward(parts[idx].context, comp.attention_weights, gx)
+                for rows_k, comp, gx in ((rows_a, left, grads["x_i"]),
+                                         (rows_b, right, grads["x_j"])):
+                    w_a -= lr * compose_backward(rows_k, comp.attention_weights, gx)
             if not net.params_finite():
                 raise DivergenceError(
                     f"non-finite parameter at epoch {epoch + 1}, pair index {int(k)}")
-        history.append(epoch_objective())
+        total = objective(net, ((inputs[a], inputs[b], l) for a, b, l in pair_idx), cfg)
+        history.append(total / len(pairs))
     return net, history
 
 

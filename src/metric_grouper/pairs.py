@@ -139,11 +139,15 @@ def _sample_record(sample):
 
 
 def _sample_from_record(obj):
-    return AspectSample(
-        str(obj["phrase"]).lower(),
-        tuple(str(t).lower() for t in obj["tokens"]),
-        tuple(int(s) for s in obj["source"]),
-    )
+    """The sample a record holds; raises ValueError where a field has the wrong type."""
+    phrase, tokens, source = obj["phrase"], obj["tokens"], obj["source"]
+    if not isinstance(phrase, str):
+        raise ValueError("'phrase' must be a string")
+    if not isinstance(tokens, list) or not tokens or not all(isinstance(t, str) for t in tokens):
+        raise ValueError("'tokens' must be a non-empty array of strings")
+    if not isinstance(source, list) or not all(isinstance(i, int) for i in source):
+        raise ValueError("'source' must be an array of integers")
+    return AspectSample(phrase.lower(), tuple(t.lower() for t in tokens), tuple(source))
 
 
 def save_pairs(pairs, path, header=None):

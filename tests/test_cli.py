@@ -256,6 +256,16 @@ class TestPipeline:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert os.listdir(tmp_path) == []
 
+    def test_dump_onto_a_directory_writes_nothing(self, pipeline_dir, tmp_path, capsys):
+        out, args = pipeline_dir
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        dump = tmp_path / "adir"
+        dump.mkdir()
+        assert run("cluster", *args, "--method", "avg", "--dump-composed", str(dump)) == 1
+        assert capsys.readouterr().err == f"error: --dump-composed {dump} is a directory\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert os.listdir(tmp_path) == ["adir"] and os.listdir(dump) == []
+
     PARSED = {"load_corpus": "corpus", "load_word_vectors": "vectors",
               "load_taxonomy": "taxonomy", "load_pairs": "pairs.jsonl", "load_model": "model.json"}
 
@@ -609,6 +619,27 @@ class TestAblate:
         assert warning in capsys.readouterr().out
         report = json.loads((out / "ablation.json").read_text(encoding="utf-8"))
         assert report["skipped_unlabeled"] == 1
+
+    def test_raw_combos_need_no_taxonomy(self, fixture_files, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, cli, "load_taxonomy")
+        args = data_args(fixture_files)
+        del args[args.index("--taxonomy"):args.index("--taxonomy") + 2]
+        assert run("ablate", *args, "--out-dir", str(tmp_path),
+                   "--combos", "ap:0:raw,avg:0:raw") == 0
+        assert calls == {"load_taxonomy": []}
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert set(manifest["commands"]["ablate"]["inputs"]) == {"corpus", "vectors"}
+
+    def test_trained_combo_needs_taxonomy_before_any_parse(self, fixture_files, tmp_path,
+                                                           monkeypatch, capsys):
+        calls = count_calls(monkeypatch, cli, "load_corpus", "load_word_vectors")
+        args = data_args(fixture_files)
+        del args[args.index("--taxonomy"):args.index("--taxonomy") + 2]
+        assert run("ablate", *args, "--out-dir", str(tmp_path / "out"),
+                   "--combos", "ap:0:raw,avg:1:trained") == 1
+        assert capsys.readouterr().err == "error: --taxonomy is required for this command\n"
+        assert calls == {"load_corpus": [], "load_word_vectors": []}
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunAll:

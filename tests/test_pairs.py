@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metric_grouper.corpus import AnnotatedCorpus, AnnotatedSentence, Mention
+from metric_grouper.corpus import AnnotatedCorpus, AnnotatedSentence, Mention, WordVectorTable
 from metric_grouper.errors import FormatError, InsufficientNegativesError
 from metric_grouper.lexicon import build_taxonomy, jcn_similarity
+from metric_grouper.network import MetricNetwork, TrainConfig, train
 from metric_grouper.pairs import (
     AspectSample,
     SamplePair,
@@ -237,6 +238,27 @@ class TestGeneratePairs:
         assert len(pairs) == 2000
         assert peak < 10e6
 
+    def test_training_memory_is_not_a_copy_per_context_token(self):
+        # 400 samples of 60 tokens at d = 100: a copy of each one's context rows is 19 MB.
+        rng = np.random.default_rng(3)
+        words = [f"w{k:03d}" for k in range(200)]
+        sentences = []
+        for phrase in ["alpha", "gamma"] * 200:
+            tokens = tuple(words[j] for j in rng.integers(0, len(words), 59)) + (phrase,)
+            sentences.append(AnnotatedSentence(tokens, (Mention(phrase, 59, 60),)))
+        samples = generate_samples(AnnotatedCorpus(sentences))
+        pairs = [SamplePair(samples[i], samples[i + 1], -1) for i in range(0, len(samples), 2)]
+        table = WordVectorTable(100, {w: rng.normal(size=100) for w in words + ["alpha", "gamma"]})
+        net = MetricNetwork.create(100, mode="attention", output_dim=8, n_layers=1, seed=0)
+        tracemalloc.start()
+        try:
+            _, history = train(net, pairs, table, TrainConfig(epochs=1, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(history) == 1
+        assert peak < 4e6
+
     def test_memory_is_not_a_tuple_per_phrase_pair(self):
         # 1500 phrases x 2 mentions under a flat root -> leaf taxonomy: every one of
         # the 1,124,250 phrase pairs is incompatible. A list of one tuple per pair is 72 MB.
@@ -279,9 +301,20 @@ class TestPairIo:
         assert set(record) == {"label", "left", "right"}
         assert set(record["left"]) == {"phrase", "tokens", "source"}
 
-    @pytest.mark.parametrize("side, field", [("left", "phrase"), ("right", "tokens"),
-                                             ("left", "source")])
-    def test_bad_sample_record_names_file_and_line(self, tmp_path, side, field):
+    MISSING = object()  # the field is deleted from the record
+
+    @pytest.mark.parametrize("side, field, value", [
+        pytest.param("left", "phrase", MISSING, id="left-phrase"),
+        pytest.param("right", "tokens", MISSING, id="right-tokens"),
+        pytest.param("left", "source", MISSING, id="left-source"),
+        pytest.param("left", "phrase", 3, id="left-phrase-number"),
+        pytest.param("right", "tokens", "the picture is sharp", id="right-tokens-string"),
+        pytest.param("right", "tokens", [], id="right-tokens-empty"),
+        pytest.param("left", "tokens", ["the", 1], id="left-tokens-number"),
+        pytest.param("left", "source", ["3"], id="left-source-string"),
+        pytest.param("right", "source", 3, id="right-source-number"),
+    ])
+    def test_bad_sample_record_names_file_and_line(self, tmp_path, side, field, value):
         pair = SamplePair(
             AspectSample("alpha", ("the", "alpha"), (0,)),
             AspectSample("alpha", ("alpha", "works"), (3,)), 1)
@@ -289,7 +322,10 @@ class TestPairIo:
         save_pairs([pair, pair], str(path), header={"config_hash": "deadbeef"})
         lines = path.read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[2])
-        del record[side][field]
+        if value is self.MISSING:
+            del record[side][field]
+        else:
+            record[side][field] = value
         lines[2] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: line 3: "):
