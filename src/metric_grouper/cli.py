@@ -85,6 +85,12 @@ def _atomic_write(path, content):
         raise
 
 
+def _loaders():
+    """Input flag -> its loader, built at each call so that a wrapper set on this module
+    (as bench/tracing.py sets) sees every load."""
+    return {"corpus": load_corpus, "vectors": load_word_vectors, "taxonomy": load_taxonomy}
+
+
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
@@ -167,9 +173,7 @@ class Run:
         """The parsed --corpus, --vectors or --taxonomy file, read at most once."""
         if self.values.get(name) is None:
             _require(self.args, name)
-            loader = {"corpus": load_corpus, "vectors": load_word_vectors,
-                      "taxonomy": load_taxonomy}[name]
-            self.values[name] = loader(getattr(self.args, name))
+            self.values[name] = _loaders()[name](getattr(self.args, name))
         self.reads[name] = getattr(self.args, name)
         return self.values[name]
 
@@ -237,21 +241,13 @@ def cmd_validate(run):
     """Check every input file; a clean check keeps the parsed inputs in ``run``."""
     args = run.args
     _require(args, "corpus", "vectors")
-    problems = []
-
-    corpus_errors = []
-    corpus = load_corpus(args.corpus, errors=corpus_errors)
-    problems += [f"corpus: {e}" for e in corpus_errors]
-
-    vector_errors = []
-    table = load_word_vectors(args.vectors, errors=vector_errors)
-    problems += [f"vectors: {e}" for e in vector_errors]
-
-    tax = None
-    if args.taxonomy:
-        tax_errors = []
-        tax = load_taxonomy(args.taxonomy, errors=tax_errors)
-        problems += [f"taxonomy: {e}" for e in tax_errors]
+    problems, loaded = [], {}
+    for name, loader in _loaders().items():
+        if getattr(args, name):
+            errors = []
+            loaded[name] = loader(getattr(args, name), errors=errors)
+            problems += [f"{name}: {e}" for e in errors]
+    corpus, table, tax = loaded["corpus"], loaded["vectors"], loaded.get("taxonomy")
 
     print(f"sentences: {len(corpus)}")
     print(f"mentions: {corpus.mention_count()}")
@@ -275,7 +271,7 @@ def cmd_validate(run):
         print(f"error: {problem}")
     print("validation: " + ("FAILED" if problems else "ok"))
     if not problems:
-        run.values.update(corpus=corpus, vectors=table, taxonomy=tax)
+        run.values.update(loaded)
     return 1 if problems else 0
 
 

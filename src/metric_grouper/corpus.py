@@ -13,12 +13,12 @@ threads.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyError, EmptyPhraseError, FormatError
+from .errors import DimensionMismatchError, EmptyError, EmptyPhraseError, FormatError, reject
+from .jsonl import read_jsonl, write_jsonl
 
 
 class WordVectorTable:
@@ -147,9 +147,7 @@ def _load_line_by_line(path, errors):
     duplicates = 0
 
     def fail(lineno, message):
-        if errors is None:
-            raise FormatError(f"{path}: line {lineno}: {message}")
-        errors.append(f"line {lineno}: {message}")
+        reject(path, errors, f"line {lineno}: {message}")
 
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -179,9 +177,7 @@ def _load_line_by_line(path, errors):
             entries[token] = vec
 
     if not entries:
-        if errors is None:
-            raise EmptyError(f"{path}: no word vectors loaded")
-        errors.append("no word vectors loaded")
+        reject(path, errors, "no word vectors loaded", kind=EmptyError)
         return None
     return WordVectorTable(dimension, entries, duplicate_count=duplicates)
 
@@ -258,38 +254,36 @@ class AnnotatedCorpus:
         return out
 
 
-def _parse_sentence(obj, lineno):
+def _parse_sentence(obj):
     if not isinstance(obj, dict):
-        raise FormatError(f"line {lineno}: record is not a JSON object")
+        raise FormatError("record is not a JSON object")
     tokens = obj.get("tokens")
     if not isinstance(tokens, list) or not tokens or not all(isinstance(t, str) for t in tokens):
-        raise FormatError(f"line {lineno}: 'tokens' must be a non-empty array of strings")
+        raise FormatError("'tokens' must be a non-empty array of strings")
     tokens = tuple(t.lower() for t in tokens)
     raw_mentions = obj.get("mentions", [])
     if not isinstance(raw_mentions, list):
-        raise FormatError(f"line {lineno}: 'mentions' must be an array")
+        raise FormatError("'mentions' must be an array")
     mentions = []
     seen = set()
     for m in raw_mentions:
         if not isinstance(m, dict):
-            raise FormatError(f"line {lineno}: mention is not a JSON object")
+            raise FormatError("mention is not a JSON object")
         phrase = m.get("phrase")
         start, end = m.get("start"), m.get("end")
         group = m.get("group")
         if not isinstance(phrase, str) or not isinstance(start, int) or not isinstance(end, int):
-            raise FormatError(f"line {lineno}: mention needs string 'phrase' and integer 'start'/'end'")
+            raise FormatError("mention needs string 'phrase' and integer 'start'/'end'")
         if group is not None and not isinstance(group, int):
-            raise FormatError(f"line {lineno}: 'group' must be an integer when present")
+            raise FormatError("'group' must be an integer when present")
         if not (0 <= start < end <= len(tokens)):
-            raise FormatError(
-                f"line {lineno}: span [{start},{end}) out of range for {len(tokens)} tokens")
+            raise FormatError(f"span [{start},{end}) out of range for {len(tokens)} tokens")
         phrase = phrase.lower()
         if phrase != " ".join(tokens[start:end]):
-            raise FormatError(
-                f"line {lineno}: phrase {phrase!r} does not match tokens {tokens[start:end]!r}")
+            raise FormatError(f"phrase {phrase!r} does not match tokens {tokens[start:end]!r}")
         key = (phrase, start, end)
         if key in seen:
-            raise FormatError(f"line {lineno}: duplicate mention {key!r}")
+            raise FormatError(f"duplicate mention {key!r}")
         seen.add(key)
         mentions.append(Mention(phrase, start, end, group))
     return AnnotatedSentence(tokens, tuple(mentions))
@@ -301,25 +295,7 @@ def load_corpus(path, errors=None):
     When ``errors`` is a list, malformed records are collected as strings
     and skipped; otherwise the first problem raises FormatError.
     """
-    sentences = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if errors is None:
-                    raise FormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-                errors.append(f"line {lineno}: invalid JSON ({exc.msg})")
-                continue
-            try:
-                sentences.append(_parse_sentence(obj, lineno))
-            except FormatError as exc:
-                if errors is None:
-                    raise FormatError(f"{path}: {exc}") from exc
-                errors.append(str(exc))
-    return AnnotatedCorpus(sentences)
+    return AnnotatedCorpus(read_jsonl(path, _parse_sentence, errors))
 
 
 def corpus_records(corpus):
@@ -337,9 +313,7 @@ def corpus_records(corpus):
 
 
 def save_corpus(corpus, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in corpus_records(corpus):
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(corpus_records(corpus), path)
 
 
 def save_word_vectors(table, path):

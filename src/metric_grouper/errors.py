@@ -67,3 +67,14 @@ class ArtifactMismatchError(MetricGrouperError):
 
 class ConfigError(MetricGrouperError):
     """Invalid configuration file or option value."""
+
+
+def reject(path, errors, message, cause=None, kind=FormatError):
+    """Report a problem with input file ``path``, the one way every loader does.
+
+    Raises ``kind("path: message")``, or appends ``message`` to ``errors`` when it
+    is a list, so that the caller can skip the bad part and go on.
+    """
+    if errors is None:
+        raise kind(f"{path}: {message}") from cause
+    errors.append(message)

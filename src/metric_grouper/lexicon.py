@@ -20,7 +20,6 @@ empty parent list (the root).
 """
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 
@@ -31,7 +30,9 @@ from .errors import (
     UnknownConceptError,
     UnknownWordError,
     ZeroProbabilityError,
+    reject,
 )
+from .jsonl import read_jsonl, write_jsonl
 
 JCN_CAP = 1e6
 JCN_EPS = 1e-12
@@ -255,6 +256,31 @@ def build_taxonomy(records):
     return Taxonomy(parents, counts, word_map)
 
 
+def _is_id(value):
+    """Whether ``value`` can name a concept: a string or an integer, which ``str()`` names."""
+    return isinstance(value, (str, int)) and not isinstance(value, bool)
+
+
+def _taxonomy_record(obj):
+    """A taxonomy line's record: a concept or a word record whose fields have their types."""
+    if not isinstance(obj, dict) or not ("concept" in obj or "word" in obj):
+        raise FormatError("record is neither concept nor word")
+    if "concept" in obj:
+        field, count = "parents", obj.get("count", 0.0)
+        if not _is_id(obj["concept"]):
+            raise FormatError("'concept' must be a string or an integer")
+        if isinstance(count, bool) or not isinstance(count, (int, float)):
+            raise FormatError("'count' must be a number")
+    else:
+        field = "concepts"
+        if not isinstance(obj["word"], str):
+            raise FormatError("'word' must be a string")
+    ids = obj.get(field, [])
+    if not isinstance(ids, list) or not all(map(_is_id, ids)):
+        raise FormatError(f"{field!r} must be an array of strings or integers")
+    return obj
+
+
 def load_taxonomy(path, errors=None):
     """Load a line-delimited JSON taxonomy file.
 
@@ -262,30 +288,11 @@ def load_taxonomy(path, errors=None):
     collected (graph problems carry no line number) and None is returned
     when the taxonomy cannot be built.
     """
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if errors is None:
-                    raise FormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-                errors.append(f"line {lineno}: invalid JSON ({exc.msg})")
-                continue
-            if not isinstance(obj, dict) or not ("concept" in obj or "word" in obj):
-                if errors is None:
-                    raise FormatError(f"{path}: line {lineno}: record is neither concept nor word")
-                errors.append(f"line {lineno}: record is neither concept nor word")
-                continue
-            records.append(obj)
+    records = read_jsonl(path, _taxonomy_record, errors)
     try:
         return build_taxonomy(records)
     except FormatError as exc:
-        if errors is None:
-            raise FormatError(f"{path}: {exc}") from exc
-        errors.append(str(exc))
+        reject(path, errors, str(exc), exc)
         return None
 
 
@@ -304,6 +311,4 @@ def taxonomy_records(tax):
 
 
 def save_taxonomy(tax, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in taxonomy_records(tax):
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(taxonomy_records(tax), path)

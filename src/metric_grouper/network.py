@@ -346,11 +346,12 @@ def train(net, pairs, table, cfg):
     A sample is kept as the row indices of its context tokens into one
     matrix of the distinct context tokens the pairs use, and its phrase's
     vector, one per distinct phrase; a step gathers the rows it composes,
-    and the epoch objective keeps one output row per sample. Labels, token
-    lookups (see composition.ingredients()), the composed input width and
-    the length of ``w_a`` are checked before the first step. Raises
-    DivergenceError, naming epoch and pair index, if any parameter stops
-    being finite.
+    and the epoch objective keeps one output row per sample. One
+    ``WordVectorTable.lookup`` call builds that matrix, an unknown token
+    getting a zero row. Labels, each sample's context tokens
+    (composition.used_context()), the composed input width and the length
+    of ``w_a`` are checked before the first step. Raises DivergenceError,
+    naming epoch and pair index, if any parameter stops being finite.
     """
     if not pairs:
         raise ValueError("no training pairs")
@@ -465,5 +466,10 @@ def load_model(path):
         raise FormatError(f"{path}: malformed checkpoint ({exc})") from exc
     if not net.params_finite():
         raise FormatError(f"{path}: checkpoint holds a non-finite parameter")
+    size, width, ap = net.attention.w_a.size, net.input_dim, net.composition_mode == "ap"
+    if (size if ap else 2 * size) != width:  # ap inputs are [p], the others [c~; p]
+        raise FormatError(f"{path}: attention_w has {size} entries, expected "
+                          f"{width if ap else width / 2:g} for input width {width} in "
+                          f"{net.composition_mode} mode")
     meta = {k: v for k, v in doc.items() if k not in ("layers", "attention_w")}
     return net, meta

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from math import inf, isqrt
 
 import numpy as np
 
 from .errors import EmptyError, FormatError, InsufficientNegativesError
+from .jsonl import read_jsonl, write_jsonl
 from .lexicon import incompatible
 
 
@@ -152,41 +154,31 @@ def _sample_from_record(obj):
 
 def save_pairs(pairs, path, header=None):
     """Write pairs as line-delimited JSON with an optional header record."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if header is not None:
-            head = dict(header)
-            head["kind"] = "header"
-            fh.write(json.dumps(head, sort_keys=True) + "\n")
-        for pair in pairs:
-            rec = {
-                "label": pair.label,
-                "left": _sample_record(pair.left),
-                "right": _sample_record(pair.right),
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    head = [] if header is None else [dict(header, kind="header")]
+    write_jsonl(chain(head, ({"label": pair.label, "left": _sample_record(pair.left),
+                              "right": _sample_record(pair.right)} for pair in pairs)), path)
+
+
+def _pair_or_header(obj):
+    """A pairs-file record: the header dict, or the SamplePair a pair record holds."""
+    if isinstance(obj, dict) and obj.get("kind") == "header":
+        return obj
+    try:
+        label = obj["label"]
+        if isinstance(label, bool) or not isinstance(label, int) or label not in (1, -1):
+            raise ValueError(f"label {json.dumps(label)} not in {{1, -1}}")
+        return SamplePair(
+            _sample_from_record(obj["left"]), _sample_from_record(obj["right"]), label)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad pair record ({exc})") from exc
 
 
 def load_pairs(path):
-    """Read a pairs file; returns (pairs, header_dict_or_None)."""
-    pairs = []
-    header = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            if isinstance(obj, dict) and obj.get("kind") == "header":
-                header = obj
-                continue
-            try:
-                label = int(obj["label"])
-                if label not in (1, -1):
-                    raise ValueError(f"label {label} not in {{1, -1}}")
-                pairs.append(SamplePair(
-                    _sample_from_record(obj["left"]), _sample_from_record(obj["right"]), label))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"{path}: line {lineno}: bad pair record ({exc})") from exc
+    """Read a pairs file; returns (pairs, header_dict_or_None), the last header winning."""
+    pairs, header = [], None
+    for record in read_jsonl(path, _pair_or_header):
+        if isinstance(record, SamplePair):
+            pairs.append(record)
+        else:
+            header = record
     return pairs, header

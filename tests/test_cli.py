@@ -17,6 +17,7 @@ from metric_grouper import clustering as clustering_mod
 from metric_grouper import config
 from metric_grouper.cli import _atomic_write, main
 from metric_grouper.corpus import load_corpus, load_word_vectors
+from metric_grouper.errors import FormatError
 from metric_grouper.network import TrainConfig, load_model
 
 ARTIFACTS = ("pairs.jsonl", "model.json", "clusters.tsv", "metrics.json", "manifest.json")
@@ -104,6 +105,117 @@ class TestValidate:
         assert code == 0
         assert "coverage: 2/27" in out
         assert "warning" in out
+
+
+def _edit_record(key, change):
+    """A line edit that applies ``change`` to a JSON record holding ``key``, None elsewhere."""
+    def edit(line):
+        record = json.loads(line)
+        if key not in record:
+            return None
+        change(record)
+        return json.dumps(record)
+    return edit
+
+
+def _non_numeric_component(line):
+    token, _first, *rest = line.split()
+    return " ".join([token, "oops", *rest])
+
+
+TOKENS = "'tokens' must be a non-empty array of strings"
+IDS = "must be an array of strings or integers"
+# (input, edit of the first line it applies to, message). corpus, vectors and taxonomy
+# go through validate, pairs.jsonl through train and model.json through cluster.
+MALFORMED = [
+    pytest.param("corpus", _edit_record("tokens", lambda r: r.update(tokens="the picture")),
+                 TOKENS, id="corpus-tokens"),
+    pytest.param("corpus", _edit_record("mentions", lambda r: r["mentions"][0].update(start="1")),
+                 "mention needs string 'phrase' and integer 'start'/'end'", id="corpus-start"),
+    pytest.param("corpus", _edit_record("mentions", lambda r: r["mentions"][0].update(group="0")),
+                 "'group' must be an integer when present", id="corpus-group"),
+    pytest.param("vectors", _non_numeric_component, "non-numeric vector component",
+                 id="vectors-component"),
+    pytest.param("taxonomy", _edit_record("concept", lambda r: r.update(count="abc")),
+                 "'count' must be a number", id="taxonomy-count-string"),
+    pytest.param("taxonomy", _edit_record("concept", lambda r: r.update(count=None)),
+                 "'count' must be a number", id="taxonomy-count-null"),
+    pytest.param("taxonomy", _edit_record("concept", lambda r: r.update(parents="audio-branch")),
+                 f"'parents' {IDS}", id="taxonomy-parents-string"),
+    pytest.param("taxonomy", _edit_record("concept", lambda r: r.update(concept=["x"])),
+                 "'concept' must be a string or an integer", id="taxonomy-concept-array"),
+    pytest.param("taxonomy", _edit_record("word", lambda r: r.update(word=3)),
+                 "'word' must be a string", id="taxonomy-word-number"),
+    pytest.param("taxonomy", _edit_record("word", lambda r: r.update(concepts="leaf-audio")),
+                 f"'concepts' {IDS}", id="taxonomy-concepts-string"),
+    pytest.param("pairs", _edit_record("label", lambda r: r.update(label=1.9)),
+                 "bad pair record (label 1.9 not in {1, -1})", id="pairs-label-fraction"),
+    pytest.param("pairs", _edit_record("label", lambda r: r.update(label="-1")),
+                 'bad pair record (label "-1" not in {1, -1})', id="pairs-label-string"),
+    pytest.param("pairs", _edit_record("label", lambda r: r.update(label=True)),
+                 "bad pair record (label true not in {1, -1})", id="pairs-label-boolean"),
+    pytest.param("pairs", _edit_record("label", lambda r: r["left"].update(tokens="the picture")),
+                 f"bad pair record ({TOKENS})", id="pairs-tokens"),
+    pytest.param("model", lambda doc: doc.update(attention_w=[0.0] * 3),
+                 "attention_w has 3 entries, expected 8 for input width 16 in attention mode",
+                 id="model-attention_w"),
+    pytest.param("model", lambda doc: doc["layers"][0].update(w="abc"), "malformed checkpoint",
+                 id="model-weights"),
+]
+
+
+class TestMalformedInput:
+    """A field of the wrong type in any input the pipeline reads ends in exit 1 and a
+    message naming the file and, in a line-based file, the line; never in a traceback."""
+
+    @pytest.mark.parametrize("name, edit, message", MALFORMED)
+    def test_named_without_traceback(self, fixture_files, pipeline_dir, tmp_path, monkeypatch,
+                                     capsys, name, edit, message):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        artifacts = {"pairs": "pairs.jsonl", "model": "model.json"}
+        for artifact in artifacts.values():
+            shutil.copy(pipeline_dir[0] / artifact, out_dir / artifact)
+        files = dict(fixture_files)
+        if name in artifacts:
+            path = out_dir / artifacts[name]
+        else:
+            path = Path(shutil.copy(files[name], tmp_path))
+            files[name] = str(path)
+        if name == "model":
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            edit(doc)
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            where = ""
+        else:
+            lines = path.read_text(encoding="utf-8").splitlines()
+            lineno = next(n for n, line in enumerate(lines, 1) if edit(line) is not None)
+            lines[lineno - 1] = edit(lines[lineno - 1])
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            where = f"line {lineno}: "
+
+        command = {"pairs": "train", "model": "cluster"}.get(name, "validate")
+        function, text = cli.COMMANDS[command]
+        reached = []  # what the command raises to main's handler
+
+        def recording(run):
+            try:
+                return function(run)
+            except BaseException as exc:
+                reached.append(exc)
+                raise
+
+        monkeypatch.setitem(cli.COMMANDS, command, (recording, text))
+        code = run(command, *data_args(files), "--epochs", "3", "--out-dir", str(out_dir))
+        captured = capsys.readouterr()
+        assert code == 1
+        if command == "validate":
+            assert reached == []
+            assert f"error: {name}: {where}{message}\n" in captured.out
+            assert captured.out.endswith("validation: FAILED\n")
+        else:
+            assert [type(exc) for exc in reached] == [FormatError]
+            assert captured.err.startswith(f"error: {path}: {where}{message}")
 
 
 class TestPipeline:

@@ -282,6 +282,49 @@ class TestTaxonomyValidation:
         assert reloaded.propagated == fixture_taxonomy.propagated
         assert reloaded.word_map == fixture_taxonomy.word_map
 
+    @pytest.mark.parametrize("record, message", [
+        pytest.param({"concept": "a", "parents": ["r"], "count": "abc"},
+                     "'count' must be a number", id="count-string"),
+        pytest.param({"concept": "a", "parents": ["r"], "count": None},
+                     "'count' must be a number", id="count-null"),
+        pytest.param({"concept": "a", "parents": ["r"], "count": True},
+                     "'count' must be a number", id="count-boolean"),
+        pytest.param({"concept": "a", "parents": "r", "count": 1},
+                     "'parents' must be an array of strings or integers", id="parents-string"),
+        pytest.param({"concept": "a", "parents": [["r"]], "count": 1},
+                     "'parents' must be an array of strings or integers", id="parents-nested"),
+        pytest.param({"concept": ["a"], "parents": ["r"], "count": 1},
+                     "'concept' must be a string or an integer", id="concept-array"),
+        pytest.param({"word": 3, "concepts": ["r"]}, "'word' must be a string", id="word-number"),
+        pytest.param({"word": "x", "concepts": "r"},
+                     "'concepts' must be an array of strings or integers", id="concepts-string"),
+        pytest.param({"word": "x", "concepts": [True]},
+                     "'concepts' must be an array of strings or integers", id="concepts-boolean"),
+    ])
+    @pytest.mark.parametrize("mode", ["raise", "errors"])
+    def test_bad_field_names_line(self, tmp_path, mode, record, message):
+        lines = [json.dumps({"concept": "r", "parents": [], "count": 1}), "", json.dumps(record)]
+        path = tmp_path / "tax.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if mode == "raise":
+            with pytest.raises(FormatError) as info:
+                load_taxonomy(str(path))
+            assert str(info.value) == f"{path}: line 3: {message}"
+        else:
+            errors = []
+            tax = load_taxonomy(str(path), errors=errors)
+            assert errors == [f"line 3: {message}"]
+            assert tax.concepts == {"r"} and not tax.word_map
+
+    def test_integer_ids_load_as_strings(self, tmp_path):
+        path = tmp_path / "tax.jsonl"
+        records = [{"concept": 0, "parents": [], "count": 1},
+                   {"concept": "a", "parents": [0], "count": 2}, {"word": "x", "concepts": [0]}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        tax = load_taxonomy(str(path))
+        assert tax.parents == {"0": frozenset(), "a": frozenset({"0"})}
+        assert tax.word_map == {"x": frozenset({"0"})}
+
     def test_error_collection(self, tmp_path):
         lines = [
             json.dumps({"concept": "r", "parents": [], "count": 1}),

@@ -680,6 +680,26 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*non-finite"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("mode, size, expected", [
+        pytest.param("attention", 2, "3", id="attention-short"),
+        pytest.param("attention", 6, "3", id="attention-input_dim"),
+        pytest.param("avg", 4, "3", id="avg-long"),
+        pytest.param("ap", 1, "3", id="ap-short"),
+    ])
+    def test_attention_length_must_fit_input(self, tmp_path, mode, size, expected):
+        word_dim = 3
+        net = MetricNetwork.create(word_dim, mode=mode, output_dim=2, n_layers=2, seed=11)
+        path = tmp_path / "model.json"
+        save_model(net, str(path))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["attention_w"] = [0.5] * size
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            load_model(str(path))
+        assert str(info.value) == (
+            f"{path}: attention_w has {size} entries, expected {expected} for input width "
+            f"{net.input_dim} in {mode} mode")
+
     # version 1 had a dropout_rate field, version 2 a 2d-long attention_w
     @pytest.mark.parametrize("version, extra", [
         (1, {"dropout_rate": 0.5}),

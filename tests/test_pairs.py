@@ -330,3 +330,25 @@ class TestPairIo:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: line 3: "):
             load_pairs(str(path))
+
+    @pytest.mark.parametrize("label, shown", [
+        pytest.param(1.9, "1.9", id="fraction"),
+        pytest.param(1.0, "1.0", id="float"),
+        pytest.param("-1", '"-1"', id="string"),
+        pytest.param(True, "true", id="boolean"),
+        pytest.param(None, "null", id="null"),
+        pytest.param(2, "2", id="two"),
+    ])
+    def test_bad_label_names_file_and_line(self, tmp_path, label, shown):
+        pair = SamplePair(
+            AspectSample("alpha", ("the", "alpha"), (0,)),
+            AspectSample("alpha", ("alpha", "works"), (3,)), 1)
+        path = tmp_path / "pairs.jsonl"
+        save_pairs([pair, pair], str(path), header={"config_hash": "deadbeef"})
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = json.dumps(dict(json.loads(lines[2]), label=label))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            load_pairs(str(path))
+        assert str(info.value) == (
+            f"{path}: line 3: bad pair record (label {shown} not in {{1, -1}})")
