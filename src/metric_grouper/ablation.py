@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .composition import MODES
 from .errors import ConfigError
-from .evaluation import gold_and_k, score_runs
+from .evaluation import score_methods
 from .network import MetricNetwork, check_hidden_dims, train
 
 REFERENCE_KEY = "ap:0:raw"
@@ -70,8 +70,8 @@ def run_ablation(corpus, table, combos, train_pairs=None, train_cfg=None,
     """Evaluate every combo and compare against the phrase-only row.
 
     ``train_pairs`` is the shared distant-supervision pair list; it is
-    required as soon as any combo trains. Each combo is scored by the
-    evaluation loop (compose once, cluster per seed); the report is
+    required as soon as any combo trains. Each combo is trained, then scored
+    by evaluation.score_methods before the next one trains; the report is
     sorted by combo key and counts the phrases with no gold label.
     """
     combos = list(combos)
@@ -83,9 +83,6 @@ def run_ablation(corpus, table, combos, train_pairs=None, train_cfg=None,
             raise ValueError("training combos need a pair list")
         if train_cfg is None:
             raise ValueError("training combos need a TrainConfig")
-
-    gold, k = gold_and_k(corpus, k)
-    seeds = [seed + r for r in range(runs)]
 
     results = {}
     for combo in combos:
@@ -101,15 +98,11 @@ def run_ablation(corpus, table, combos, train_pairs=None, train_cfg=None,
                 seed=train_cfg.seed,
             )
             _, history = train(net, train_pairs, table, train_cfg)
-        row, skipped = score_runs(corpus, table, gold, k, seeds, net=net, mode=combo.mode,
-                                  n_init=n_init, max_iter=max_iter)
-        entry = {
-            "mode": combo.mode,
-            "mlp_layers": combo.mlp_layers,
-            "trained": combo.train,
-            "purity_mean": row["purity_mean"],
-            "entropy_mean": row["entropy_mean"],
-        }
+        head, rows = score_methods(corpus, table, {combo.key: (net, combo.mode)},
+                                   k, runs, seed, n_init, max_iter)
+        row = rows[combo.key]
+        entry = {"mode": combo.mode, "mlp_layers": combo.mlp_layers, "trained": combo.train,
+                 "purity_mean": row["purity_mean"], "entropy_mean": row["entropy_mean"]}
         if history is not None:
             entry["final_objective"] = history[-1]
         results[combo.key] = entry
@@ -123,14 +116,8 @@ def run_ablation(corpus, table, combos, train_pairs=None, train_cfg=None,
         row["entropy_improvement_pct"] = (
             (ref["entropy_mean"] - row["entropy_mean"]) / ref["entropy_mean"] * 100.0
             if ref["entropy_mean"] else 0.0)
-    return {
-        "k": k,
-        "runs": runs,
-        "seeds": seeds,
-        "reference": REFERENCE_KEY,
-        "skipped_unlabeled": skipped,
-        "combos": {key: results[key] for key in sorted(results)},
-    }
+    return {**head, "reference": REFERENCE_KEY,
+            "combos": {key: results[key] for key in sorted(results)}}
 
 
 def format_ablation(report):

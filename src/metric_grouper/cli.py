@@ -36,7 +36,8 @@ from .errors import (
     MissingModelError,
     UnknownWordError,
 )
-from .evaluation import LEARNED_METHOD, METHODS, evaluate_run, format_report, gold_and_k
+from .evaluation import (LEARNED_METHOD, METHODS, evaluate_run, format_report, gold_and_k,
+                         method_setup)
 from .fixture import write_fixture
 from .lexicon import load_taxonomy
 from .network import MetricNetwork, check_hidden_dims, load_model, save_model, train
@@ -365,11 +366,8 @@ def cmd_cluster(run):
     section = run.config["clustering"]
     run.claim(CLUSTERS_FILE, dumps=("dump_composed", "dump_centroids"))
     method = getattr(args, "method", LEARNED_METHOD)
-    if method == LEARNED_METHOD:
-        net = run.artifact(MODEL_FILE)
-        mode = net.composition_mode
-    else:
-        net, mode = None, method
+    trained = run.artifact(MODEL_FILE) if method == LEARNED_METHOD else None
+    net, mode = method_setup(method, trained)
     corpus, table = run.load("corpus"), run.load("vectors")
 
     k = section["k"] if section["k"] is not None else gold_and_k(corpus)[1]

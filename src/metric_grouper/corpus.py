@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyError, EmptyPhraseError, FormatError, reject
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import is_int, read_jsonl, write_jsonl
 
 
 class WordVectorTable:
@@ -272,9 +272,9 @@ def _parse_sentence(obj):
         phrase = m.get("phrase")
         start, end = m.get("start"), m.get("end")
         group = m.get("group")
-        if not isinstance(phrase, str) or not isinstance(start, int) or not isinstance(end, int):
+        if not isinstance(phrase, str) or not is_int(start) or not is_int(end):
             raise FormatError("mention needs string 'phrase' and integer 'start'/'end'")
-        if group is not None and not isinstance(group, int):
+        if group is not None and not is_int(group):
             raise FormatError("'group' must be an integer when present")
         if not (0 <= start < end <= len(tokens)):
             raise FormatError(f"span [{start},{end}) out of range for {len(tokens)} tokens")

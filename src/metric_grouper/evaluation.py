@@ -88,64 +88,56 @@ def gold_and_k(corpus, k=None):
     return gold, len(set(gold.values())) if k is None else k
 
 
-def score_runs(corpus, table, gold, k, seeds, net=None, mode="attention",
-               n_init=10, max_iter=100):
-    """Per-seed and mean Purity/Entropy, and the count of unlabeled phrases.
-
-    Evaluation and ablation share this loop. Phrases are composed (and
-    mapped through ``net``) once; only K-means repeats per seed, scored
-    from one contingency table per run.
-    """
-    phrases, _, points = _clustering.phrase_points(corpus, table, net=net, mode=mode)
-    purities, entropies = [], []
-    skipped = 0
-    for s in seeds:
-        labels = _clustering.kmeans(points, k, seed=s, n_init=n_init, max_iter=max_iter).labels
-        counts, n, skipped = contingency(
-            dict(zip(phrases, labels.tolist())), gold, allow_missing=True)
-        p, e = _scores(counts, n)
-        purities.append(p)
-        entropies.append(e)
-    row = {"purity_mean": sum(purities) / len(seeds), "purity_runs": purities,
-           "entropy_mean": sum(entropies) / len(seeds), "entropy_runs": entropies}
-    return row, skipped
-
-
-def _method_setup(method, net):
+def method_setup(method, net):
+    """(network, mode) that ``method`` clusters with: ``net`` for the learned method."""
     if method == LEARNED_METHOD:
         if net is None:
             raise ValueError("method 'metric' needs a trained network")
-        return {"net": net, "mode": net.composition_mode}
+        return net, net.composition_mode
     if method in BASELINE_METHODS:
-        return {"net": None, "mode": method}
+        return None, method
     raise ValueError(f"unknown method {method!r}")
+
+
+def score_methods(corpus, table, setups, k=None, runs=10, seed=0, n_init=10, max_iter=100):
+    """The one seeds -> K-means -> Purity/Entropy loop, over ``{name: (net, mode)}``.
+
+    Run r uses seed ``seed + r``; K defaults to the number of distinct gold
+    groups. Each entry's phrases are composed (and mapped through ``net``)
+    once; only K-means repeats per seed, scored from one contingency table
+    per run. Returns the report head and one row per name.
+    """
+    if runs < 1:
+        raise ValueError("runs must be at least 1")
+    gold, k = gold_and_k(corpus, k)
+    seeds = [seed + r for r in range(runs)]
+    rows, skipped = {}, 0
+    for name, (net, mode) in setups.items():
+        phrases, _, points = _clustering.phrase_points(corpus, table, net=net, mode=mode)
+        purities, entropies = [], []
+        for s in seeds:
+            labels = _clustering.kmeans(points, k, seed=s, n_init=n_init, max_iter=max_iter).labels
+            counts, n, skipped = contingency(
+                dict(zip(phrases, labels.tolist())), gold, allow_missing=True)
+            p, e = _scores(counts, n)
+            purities.append(p)
+            entropies.append(e)
+        rows[name] = {"purity_mean": sum(purities) / runs, "purity_runs": purities,
+                      "entropy_mean": sum(entropies) / runs, "entropy_runs": entropies,
+                      "metric": _clustering.metric_for(net), "mode": mode}
+    return {"k": k, "runs": runs, "seeds": seeds, "skipped_unlabeled": skipped}, rows
 
 
 def evaluate_run(corpus, table, methods, net=None, k=None, runs=10, seed=0,
                  n_init=10, max_iter=100):
     """Average Purity/Entropy of ``runs`` clustering runs per method.
 
-    Run r uses seed ``seed + r``. K defaults to the number of distinct
-    gold groups. Returns a report dict; format_report renders it as an
-    aligned table.
+    The report is score_methods' head and rows plus the entropy base;
+    format_report renders it as an aligned table.
     """
-    gold, k = gold_and_k(corpus, k)
-    seeds = [seed + r for r in range(runs)]
-    report = {
-        "k": k,
-        "runs": runs,
-        "seeds": seeds,
-        "entropy_base": ENTROPY_BASE,
-        "methods": {},
-    }
-    for method in methods:
-        setup = _method_setup(method, net)
-        row, skipped = score_runs(
-            corpus, table, gold, k, seeds, n_init=n_init, max_iter=max_iter, **setup)
-        report["methods"][method] = {
-            **row, "metric": _clustering.metric_for(setup["net"]), "mode": setup["mode"]}
-        report["skipped_unlabeled"] = skipped
-    return report
+    setups = {method: method_setup(method, net) for method in methods}
+    head, rows = score_methods(corpus, table, setups, k, runs, seed, n_init, max_iter)
+    return {**head, "entropy_base": ENTROPY_BASE, "methods": rows}
 
 
 def format_report(report):

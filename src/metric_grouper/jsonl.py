@@ -32,6 +32,11 @@ def read_jsonl(path, parse, errors=None):
     return parsed
 
 
+def is_int(value):
+    """Whether a decoded JSON value is an integer; ``true`` and ``false`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def write_jsonl(records, path):
     """Write ``records`` one per line as sorted-key JSON."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -32,7 +32,7 @@ from .errors import (
     ZeroProbabilityError,
     reject,
 )
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import is_int, read_jsonl, write_jsonl
 
 JCN_CAP = 1e6
 JCN_EPS = 1e-12
@@ -258,7 +258,7 @@ def build_taxonomy(records):
 
 def _is_id(value):
     """Whether ``value`` can name a concept: a string or an integer, which ``str()`` names."""
-    return isinstance(value, (str, int)) and not isinstance(value, bool)
+    return isinstance(value, str) or is_int(value)
 
 
 def _taxonomy_record(obj):

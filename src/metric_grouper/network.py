@@ -25,6 +25,7 @@ import numpy as np
 from .composition import (MODES, AttentionParams, attend, check_w_a, compose_vectors,
                           used_context)
 from .errors import ConfigError, DimensionMismatchError, DivergenceError, FormatError
+from .jsonl import is_int
 
 MODEL_FORMAT_VERSION = 3
 
@@ -471,5 +472,9 @@ def load_model(path):
         raise FormatError(f"{path}: attention_w has {size} entries, expected "
                           f"{width if ap else width / 2:g} for input width {width} in "
                           f"{net.composition_mode} mode")
+    for key, width in (("input_dim", net.input_dim), ("output_dim", net.output_dim)):
+        if not is_int(doc.get(key)) or doc[key] != width:
+            raise FormatError(f"{path}: {key} {json.dumps(doc.get(key))} is not the layers' "
+                              f"width {width}")
     meta = {k: v for k, v in doc.items() if k not in ("layers", "attention_w")}
     return net, meta

@@ -19,7 +19,7 @@ from math import inf, isqrt
 import numpy as np
 
 from .errors import EmptyError, FormatError, InsufficientNegativesError
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import is_int, read_jsonl, write_jsonl
 from .lexicon import incompatible
 
 
@@ -147,7 +147,7 @@ def _sample_from_record(obj):
         raise ValueError("'phrase' must be a string")
     if not isinstance(tokens, list) or not tokens or not all(isinstance(t, str) for t in tokens):
         raise ValueError("'tokens' must be a non-empty array of strings")
-    if not isinstance(source, list) or not all(isinstance(i, int) for i in source):
+    if not isinstance(source, list) or not all(map(is_int, source)):
         raise ValueError("'source' must be an array of integers")
     return AspectSample(phrase.lower(), tuple(t.lower() for t in tokens), tuple(source))
 
@@ -165,7 +165,7 @@ def _pair_or_header(obj):
         return obj
     try:
         label = obj["label"]
-        if isinstance(label, bool) or not isinstance(label, int) or label not in (1, -1):
+        if not is_int(label) or label not in (1, -1):
             raise ValueError(f"label {json.dumps(label)} not in {{1, -1}}")
         return SamplePair(
             _sample_from_record(obj["left"]), _sample_from_record(obj["right"]), label)

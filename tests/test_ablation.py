@@ -44,7 +44,8 @@ def ablation_report(request):
     pairs = generate_pairs(samples, fixture_taxonomy, fx.FIXTURE_ETA, seed=42)
     report = run_ablation(
         fixture_corpus, fixture_table,
-        parse_combos("ap:0:raw,avg:0:raw,attention:1:trained,attention:3:trained"),
+        parse_combos("ap:0:raw,avg:0:raw,min:0:raw,max:0:raw,attention:1:trained,"
+                     "attention:3:trained"),
         train_pairs=pairs, train_cfg=fx.train_config(),
         output_dim=fx.FIXTURE_OUTPUT_DIM, hidden_dims=list(fx.FIXTURE_HIDDEN_DIMS),
         runs=5, seed=100)
@@ -57,12 +58,13 @@ class TestRunAblation:
         assert ref["purity_improvement_pct"] == 0.0
         assert ref["entropy_improvement_pct"] == 0.0
 
-    def test_ap_row_matches_plain_baseline(self, ablation_report):
-        plain = evaluate_run(fx.make_corpus(), fx.make_vectors(), ["ap"],
+    @pytest.mark.parametrize("method", ["ap", "avg", "min", "max"])
+    def test_raw_row_matches_plain_baseline(self, ablation_report, method):
+        plain = evaluate_run(fx.make_corpus(), fx.make_vectors(), [method],
                              k=2, runs=5, seed=100)
-        row = ablation_report["combos"]["ap:0:raw"]
-        assert row["purity_mean"] == plain["methods"]["ap"]["purity_mean"]
-        assert row["entropy_mean"] == plain["methods"]["ap"]["entropy_mean"]
+        row = ablation_report["combos"][f"{method}:0:raw"]
+        assert row["purity_mean"] == plain["methods"][method]["purity_mean"]
+        assert row["entropy_mean"] == plain["methods"][method]["entropy_mean"]
 
     def test_improvement_arithmetic(self, ablation_report):
         ref = ablation_report["combos"]["ap:0:raw"]

@@ -134,6 +134,11 @@ MALFORMED = [
                  "mention needs string 'phrase' and integer 'start'/'end'", id="corpus-start"),
     pytest.param("corpus", _edit_record("mentions", lambda r: r["mentions"][0].update(group="0")),
                  "'group' must be an integer when present", id="corpus-group"),
+    pytest.param("corpus", _edit_record("mentions", lambda r: r["mentions"][0].update(start=False)),
+                 "mention needs string 'phrase' and integer 'start'/'end'",
+                 id="corpus-start-boolean"),
+    pytest.param("corpus", _edit_record("mentions", lambda r: r["mentions"][0].update(group=True)),
+                 "'group' must be an integer when present", id="corpus-group-boolean"),
     pytest.param("vectors", _non_numeric_component, "non-numeric vector component",
                  id="vectors-component"),
     pytest.param("taxonomy", _edit_record("concept", lambda r: r.update(count="abc")),
@@ -156,11 +161,18 @@ MALFORMED = [
                  "bad pair record (label true not in {1, -1})", id="pairs-label-boolean"),
     pytest.param("pairs", _edit_record("label", lambda r: r["left"].update(tokens="the picture")),
                  f"bad pair record ({TOKENS})", id="pairs-tokens"),
+    pytest.param("pairs", _edit_record("label", lambda r: r["left"].update(source=[True])),
+                 "bad pair record ('source' must be an array of integers)",
+                 id="pairs-source-boolean"),
     pytest.param("model", lambda doc: doc.update(attention_w=[0.0] * 3),
                  "attention_w has 3 entries, expected 8 for input width 16 in attention mode",
                  id="model-attention_w"),
     pytest.param("model", lambda doc: doc["layers"][0].update(w="abc"), "malformed checkpoint",
                  id="model-weights"),
+    pytest.param("model", lambda doc: doc.update(input_dim=99),
+                 "input_dim 99 is not the layers' width 16", id="model-input_dim"),
+    pytest.param("model", lambda doc: doc.update(output_dim="x"),
+                 "output_dim \"x\" is not the layers' width 8", id="model-output_dim"),
 ]
 
 
@@ -865,14 +877,27 @@ class TestTraceContract:
         "evaluation.contingency.calls": 30,
     }
 
-    def test_traced_run_all(self, fixture_files, tmp_path):
+    # Counts of a traced fixture ablate at the fixture-ablate workload's flags.
+    EXPECTED_ABLATE = {
+        "composition.compose_test_phrase.calls": 30,
+        "network.steps": 16200,
+        "clustering.kmeans.calls": 50,
+        "clustering.restarts": 500,
+        "clustering.lloyd_iters": 1007,
+        "evaluation.contingency.calls": 50,
+    }
+
+    @staticmethod
+    def _layer_metrics(tmp_path, *cli_args):
+        """bench/tracing.py's per-layer metrics of one traced CLI run, which must wrap
+        every layer it targets."""
         repo = Path(__file__).resolve().parent.parent
         tracer = repo / "bench" / "tracing.py"
         spans = tmp_path / "spans.json"
         path = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, str(tracer), "--spans", str(spans), "--t0", "0", "--",
-             "run-all", *data_args(fixture_files), "--out-dir", str(tmp_path / "out")],
+             *cli_args, "--out-dir", str(tmp_path / "out")],
             env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
             timeout=600)
         assert proc.returncode == 0, proc.stderr
@@ -881,5 +906,14 @@ class TestTraceContract:
         spec = importlib.util.spec_from_file_location("bench_tracing", tracer)
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
-        metrics = tracing.layer_metrics(doc)
+        return tracing.layer_metrics(doc)
+
+    def test_traced_run_all(self, fixture_files, tmp_path):
+        metrics = self._layer_metrics(tmp_path, "run-all", *data_args(fixture_files))
         assert {name: metrics[name] for name in self.EXPECTED} == self.EXPECTED
+
+    def test_traced_ablate(self, fixture_files, tmp_path):
+        combos = "ap:0:raw,avg:0:raw,attention:1:trained,attention:3:trained,avg:3:trained"
+        metrics = self._layer_metrics(tmp_path, "ablate", *data_args(fixture_files),
+                                      "--epochs", "10", "--combos", combos)
+        assert {name: metrics[name] for name in self.EXPECTED_ABLATE} == self.EXPECTED_ABLATE

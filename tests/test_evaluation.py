@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from metric_grouper import clustering, evaluation
+from metric_grouper.ablation import parse_combos, run_ablation
 from metric_grouper.errors import MissingLabelError
 from metric_grouper.evaluation import (
     contingency,
@@ -184,6 +185,14 @@ class TestEvaluateRun:
     def test_metric_method_needs_net(self, fixture_corpus, fixture_table):
         with pytest.raises(ValueError, match="needs a trained network"):
             evaluate_run(fixture_corpus, fixture_table, ["metric"], runs=1, seed=0)
+
+    @pytest.mark.parametrize("score", [
+        lambda corpus, table: evaluate_run(corpus, table, ["ap"], runs=0),
+        lambda corpus, table: run_ablation(corpus, table, parse_combos("ap:0:raw"), runs=0),
+    ], ids=["evaluate_run", "run_ablation"])
+    def test_runs_below_one_rejected(self, fixture_corpus, fixture_table, score):
+        with pytest.raises(ValueError, match="runs must be at least 1"):
+            score(fixture_corpus, fixture_table)
 
     def test_unlabeled_corpus_rejected(self, fixture_table):
         from metric_grouper.corpus import AnnotatedCorpus, AnnotatedSentence, Mention
