@@ -30,16 +30,11 @@ from . import clustering as _clustering
 from .ablation import check_combos, format_ablation, run_ablation
 from .config import FLAGS, config_hash, resolve, train_config_from
 from .corpus import AnnotatedCorpus, load_corpus, load_word_vectors, save_corpus
-from .errors import (
-    ArtifactMismatchError,
-    MetricGrouperError,
-    MissingModelError,
-    UnknownWordError,
-)
+from .errors import ArtifactMismatchError, MetricGrouperError, MissingModelError
 from .evaluation import (LEARNED_METHOD, METHODS, evaluate_run, format_report, gold_and_k,
                          method_setup)
 from .fixture import write_fixture
-from .lexicon import load_taxonomy
+from .lexicon import load_taxonomy, mapped
 from .network import MetricNetwork, check_hidden_dims, load_model, save_model, train
 from .pairs import generate_pairs, generate_samples, load_pairs, save_pairs
 
@@ -226,18 +221,6 @@ class Run:
                       json.dumps(self.manifest, sort_keys=True, indent=1) + "\n")
 
 
-def _mapped_count(corpus, tax):
-    """Distinct phrases mapped to a concept of positive count; lexicon.incompatible skips the rest."""
-    mapped = 0
-    for phrase in corpus.phrases():
-        try:
-            tax.phrase_concepts(phrase)
-            mapped += 1
-        except UnknownWordError:
-            pass
-    return mapped
-
-
 def cmd_validate(run):
     """Check every input file; a clean check keeps the parsed inputs in ``run``."""
     args = run.args
@@ -265,8 +248,8 @@ def cmd_validate(run):
             print(f"warning: {total - known} corpus token(s) have no vector")
     if args.taxonomy and tax is not None:
         print(f"taxonomy: {len(tax.concepts)} concepts, {len(tax.word_map)} mapped words")
-        mapped = _mapped_count(corpus, tax)
-        print(f"phrases with a concept mapping: {mapped}/{len(corpus.phrase_index)}")
+        count = len(mapped(corpus.phrases(), tax)[0])
+        print(f"phrases with a concept mapping: {count}/{len(corpus.phrase_index)}")
 
     for problem in problems:
         print(f"error: {problem}")
@@ -320,8 +303,9 @@ def cmd_pairs(run):
     section = run.config["pairs"]
     run.claim(PAIRS_FILE)
     corpus, tax = run.load("corpus"), run.load("taxonomy")
+    unmapped = len(corpus.phrase_index) - len(mapped(corpus.phrases(), tax)[0])
     print(f"phrases with no concept mapping (never incompatible): "
-          f"{len(corpus.phrase_index) - _mapped_count(corpus, tax)}/{len(corpus.phrase_index)}")
+          f"{unmapped}/{len(corpus.phrase_index)}")
     pairs = _draw_pairs(run)
     positives = sum(1 for p in pairs if p.label == 1)
     header = {

@@ -104,8 +104,9 @@ def kmeans(points, k, seed=0, n_init=10, max_iter=100, trace=None):
 
     When ``trace`` is a list, each restart appends its per-iteration inertias.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    for name, value in (("k", k), ("n_init", n_init), ("max_iter", max_iter)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
     points = np.asarray(points, dtype=float)
     if len(points) < k:
         raise TooFewPointsError(f"{len(points)} points cannot fill {k} clusters")
@@ -137,16 +138,23 @@ def metric_for(net):
     return "euclidean" if net is not None else "cosine"
 
 
-def phrase_points(corpus, table, net=None, mode="attention"):
+def phrase_points(corpus, table, net=None, mode=None):
     """Every distinct phrase, its composed row and the row K-means measures.
 
     Returns (phrases, composed, points): ``corpus.phrases()`` in sorted order
     and two matrices with one row per phrase in that order. With a network,
-    ``points`` are its outputs. Without one they are the composed rows
-    scaled to unit length, zero rows left at zero. Attention parameters come
-    from the network, else are zeros.
+    phrases are composed in its mode with its attention parameters, and
+    ``points`` are its outputs; another explicit ``mode`` raises ValueError.
+    Without one, ``mode`` defaults to attention with zero parameters, and
+    ``points`` are the composed rows scaled to unit length, zero rows left at zero.
     """
-    params = net.attention if net is not None else AttentionParams.zeros(table.dimension)
+    if net is None:
+        params = AttentionParams.zeros(table.dimension)
+        mode = "attention" if mode is None else mode
+    elif mode in (None, net.composition_mode):
+        params, mode = net.attention, net.composition_mode
+    else:
+        raise ValueError(f"mode {mode!r} is not the network's mode {net.composition_mode!r}")
     phrases = corpus.phrases()
     rows = [compose_test_phrase(phrase, corpus, table, params, mode).x for phrase in phrases]
     composed = np.array(rows)

@@ -5,17 +5,25 @@ softmax-normalizes the scores into weights, and concatenates the weighted
 context average with the phrase vector. The avg/min/max modes replace the
 weighted average with an elementwise reduction; the ap mode drops context
 entirely and uses the phrase vector alone.
+
+This module owns that layout: input_width() is the one width rule, [p] in
+ap mode and [c~; p] otherwise, and compose_backward() is the attention
+backward beside its forward, attend().
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyContextError, UnknownPhraseError
 
 MODES = ("attention", "avg", "min", "max", "ap")
+
+
+def input_width(mode, d):
+    """Width of an input composed in ``mode`` from d-wide word vectors: [p] or [c~; p]."""
+    return d if mode == "ap" else 2 * d
 
 
 @dataclass
@@ -72,6 +80,18 @@ def attend(context, p, w_a):
     return ComposedInput(np.concatenate([np.dot(weights, context), p]), weights)
 
 
+def compose_backward(context, weights, grad_x):
+    """Gradient of w_a from a gradient on an attention-composed [c~; p].
+
+    ``weights`` are the attention weights of the forward composition, attend().
+    Inputs are unchecked; network.train() checks their shapes before the first step.
+    """
+    ds = np.dot(context, grad_x[:context.shape[1]])  # per-word influence on c~
+    ds -= float(np.dot(weights, ds))
+    ds *= weights                                    # softmax Jacobian applied
+    return np.dot(context.T, ds)
+
+
 def compose_vectors(context, p, params, mode):
     """Compose from raw arrays; the workhorse behind compose()."""
     if mode not in MODES:
@@ -97,12 +117,6 @@ def compose_vectors(context, p, params, mode):
     return ComposedInput(np.concatenate([reduced, p]))
 
 
-class Ingredients(NamedTuple):
-    """Context rows (none in ap mode) and phrase vector of one sample."""
-    context: np.ndarray
-    p: np.ndarray
-
-
 def used_context(phrase, context_tokens, mode):
     """The context tokens ``mode`` reads: none in ap mode, all of them otherwise.
 
@@ -115,24 +129,21 @@ def used_context(phrase, context_tokens, mode):
     return context_tokens
 
 
-def ingredients(phrase, context_tokens, table, mode):
-    """One sample's vectors, read through WordVectorTable.lookup().
+def _compose_tokens(phrase, context_tokens, table, params, mode):
+    """Compose ``phrase`` over ``context_tokens``, read through WordVectorTable.lookup().
 
-    Raises EmptyPhraseError for a phrase with no tokens, and
-    EmptyContextError as used_context() does.
+    The phrase vector is looked up first, so a phrase with no tokens raises
+    EmptyPhraseError before a missing context raises EmptyContextError
+    (used_context()). Unknown tokens give zero rows.
     """
     p = table.phrase_lookup(phrase)
-    return Ingredients(table.lookup(used_context(phrase, context_tokens, mode)), p)
+    return compose_vectors(table.lookup(used_context(phrase, context_tokens, mode)), p,
+                           params, mode)
 
 
 def compose(sample, table, params, mode="attention"):
-    """Compose one aspect sample into its input vector.
-
-    ``sample`` needs ``phrase`` and ``context_tokens`` attributes. Unknown
-    tokens give zero rows; see ingredients().
-    """
-    return compose_vectors(*ingredients(sample.phrase, sample.context_tokens, table, mode),
-                           params, mode)
+    """Compose one aspect sample, which needs ``phrase`` and ``context_tokens``."""
+    return _compose_tokens(sample.phrase, sample.context_tokens, table, params, mode)
 
 
 def compose_test_phrase(phrase, corpus, table, params, mode="attention"):
@@ -148,4 +159,4 @@ def compose_test_phrase(phrase, corpus, table, params, mode="attention"):
     tokens: list[str] = []
     for sid in dict.fromkeys(sid for sid, _span in occurrences):
         tokens.extend(corpus.sentences[sid].tokens)
-    return compose_vectors(*ingredients(phrase, tokens, table, mode), params, mode)
+    return _compose_tokens(phrase, tokens, table, params, mode)

@@ -8,10 +8,11 @@ a concept is the negative natural log of its propagated probability.
 
 Similarity between two phrases is the maximum, over all concept pairs the
 phrases map to, of 1 / (IC(c1) + IC(c2) - 2 * IC(lcs(c1, c2))), capped for
-identical or synonymous concepts whose denominator vanishes. One kernel
-computes it a row at a time: a phrase against every phrase of a list.
-``incompatible`` runs it once over a whole phrase list and returns the
-index pairs whose similarity falls below the threshold.
+identical or synonymous concepts whose denominator vanishes. ``mapped``
+is the one pass that maps a phrase list to concept sets, and one kernel
+computes similarity a row at a time: a set against every set of a list.
+``incompatible`` runs both once and returns the index pairs whose
+similarity falls below the threshold.
 
 Taxonomy file: UTF-8 line-delimited JSON with two record kinds,
 ``{"concept": id, "parents": [ids], "count": number}`` and
@@ -88,7 +89,6 @@ class Taxonomy:
             raise FormatError("total propagated count at the root must be positive")
         self._information = {c: -math.log(p / self.total) + 0.0
                              for c, p in self.propagated.items() if p > 0}
-        self._phrase_concepts: dict[str, frozenset[str]] = {}
 
         self.word_map: dict[str, frozenset[str]] = {}
         for word, cs in word_map.items():
@@ -127,11 +127,8 @@ class Taxonomy:
         """Concepts for a phrase via its head token (the last token).
 
         Falls back to any constituent token with a usable mapping. Only
-        concepts with positive propagated count qualify. A found set is
-        remembered per phrase; the taxonomy never changes.
+        concepts with positive propagated count qualify.
         """
-        if phrase in self._phrase_concepts:
-            return self._phrase_concepts[phrase]
         tokens = phrase.lower().split()
         if not tokens:
             raise UnknownWordError("empty phrase")
@@ -139,7 +136,6 @@ class Taxonomy:
             usable = frozenset(
                 c for c in self.word_map.get(tok, ()) if self.propagated[c] > 0)
             if usable:
-                self._phrase_concepts[phrase] = usable
                 return usable
         raise UnknownWordError(f"no concept mapping for {phrase!r}")
 
@@ -166,7 +162,19 @@ def lcs(c1, c2, tax):
     return min(candidates, key=lambda c: (-information_content(c, tax), c))
 
 
-def _similarity_rows(concept_sets, tax, cap=JCN_CAP, eps=JCN_EPS):
+def mapped(phrases, tax):
+    """Positions of the ``phrases`` with a concept mapping, and their concept sets."""
+    indices, sets = [], []
+    for i, phrase in enumerate(phrases):
+        try:
+            sets.append(tax.phrase_concepts(phrase))
+        except UnknownWordError:
+            continue
+        indices.append(i)
+    return indices, sets
+
+
+def _similarity_rows(concept_sets, tax):
     """Jcn similarity of each concept set to every set, one row at a time.
 
     Row ``i`` holds, for each set, the maximum over concept pairs of the
@@ -198,19 +206,19 @@ def _similarity_rows(concept_sets, tax, cap=JCN_CAP, eps=JCN_EPS):
                 ic_lcs[ks] = value
             denom = ic[column[c]] + ic - 2.0 * ic_lcs
             with np.errstate(divide="ignore"):
-                sim = np.where(denom <= eps, cap, np.minimum(cap, 1.0 / denom))
+                sim = np.where(denom <= JCN_EPS, JCN_CAP, np.minimum(JCN_CAP, 1.0 / denom))
             np.maximum(best, sim, out=best)
         yield np.maximum.reduceat(best[flat], starts)
 
 
-def jcn_similarity(w1, w2, tax, cap=JCN_CAP, eps=JCN_EPS):
+def jcn_similarity(w1, w2, tax):
     """Lexicon similarity of two phrases, maximized over concept pairs.
 
-    Denominators at or below ``eps`` (identical or synonym concepts) give
-    the cap value; results are clamped to it.
+    Denominators at or below ``JCN_EPS`` (identical or synonym concepts)
+    give ``JCN_CAP``; results are clamped to it.
     """
     sets = [tax.phrase_concepts(w1), tax.phrase_concepts(w2)]
-    return float(next(_similarity_rows(sets, tax, cap, eps))[1])
+    return float(next(_similarity_rows(sets, tax))[1])
 
 
 def incompatible(phrases, tax, eta):
@@ -222,20 +230,14 @@ def incompatible(phrases, tax, eta):
     """
     if not eta > 0:
         raise ValueError("eta must be positive")
-    mapped, sets = [], []
-    for i, phrase in enumerate(phrases):
-        try:
-            sets.append(tax.phrase_concepts(phrase))
-        except UnknownWordError:
-            continue
-        mapped.append(i)
-    mapped = np.array(mapped, dtype=np.intp)
+    indices, sets = mapped(phrases, tax)
+    indices = np.array(indices, dtype=np.intp)
     counts, right = [], [np.empty(0, dtype=np.intp)]
     for k, row in enumerate(_similarity_rows(sets, tax)):
-        hits = mapped[k + 1 + np.flatnonzero(row[k + 1:] < eta)]
+        hits = indices[k + 1 + np.flatnonzero(row[k + 1:] < eta)]
         counts.append(len(hits))
         right.append(hits)
-    return np.repeat(mapped, counts), np.concatenate(right)
+    return np.repeat(indices, counts), np.concatenate(right)
 
 
 def build_taxonomy(records):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import (MODES, AttentionParams, attend, check_w_a, compose_vectors,
-                          used_context)
+from .composition import (MODES, AttentionParams, attend, check_w_a, compose_backward,
+                          compose_vectors, input_width, used_context)
 from .errors import ConfigError, DimensionMismatchError, DivergenceError, FormatError
 from .jsonl import is_int
 
@@ -172,7 +172,7 @@ class MetricNetwork:
         The attention parameter starts at zero so the first weighting is
         uniform. Hidden widths default to geometric interpolation.
         """
-        input_dim = word_dim if mode == "ap" else 2 * word_dim
+        input_dim = input_width(mode, word_dim)
         check_hidden_dims(hidden_dims, n_layers)
         if hidden_dims is None:
             hidden_dims = interior_dims(input_dim, output_dim, n_layers)
@@ -320,18 +320,6 @@ def pair_gradients(net, x_i, x_j, label, cfg, input_grads=True, workspace=None):
             "x_i": gx_i, "x_j": gx_j, "omega": omega}
 
 
-def compose_backward(context, weights, grad_x):
-    """Gradient of w_a from a gradient on an attention-composed [c~; p].
-
-    ``weights`` are the attention weights of the forward composition.
-    Inputs are unchecked; train() checks their shapes before the first step.
-    """
-    ds = np.dot(context, grad_x[:context.shape[1]])  # per-word influence on c~
-    ds -= float(np.dot(weights, ds))
-    ds *= weights                                    # softmax Jacobian applied
-    return np.dot(context.T, ds)
-
-
 def train(net, pairs, table, cfg):
     """Stochastic per-pair training; mutates and returns ``net``.
 
@@ -377,7 +365,7 @@ def train(net, pairs, table, cfg):
                                  dtype=np.intp), phrase_vecs[s.phrase]))
     context = table.lookup(list(token_rows))
     d = table.dimension
-    width = d if mode == "ap" else 2 * d
+    width = input_width(mode, d)
     if width != net.input_dim:
         raise DimensionMismatchError(
             f"composed inputs have width {width}, network expects {net.input_dim}")
@@ -423,8 +411,18 @@ def train(net, pairs, table, cfg):
     return net, history
 
 
+def check_attention_width(net):
+    """Raise DimensionMismatchError unless ``w_a`` fits the network's input width in its mode."""
+    size, width, mode = net.attention.w_a.size, net.input_dim, net.composition_mode
+    if input_width(mode, size) != width:
+        raise DimensionMismatchError(
+            f"attention_w has {size} entries, expected "
+            f"{width if mode == 'ap' else width / 2:g} for input width {width} in {mode} mode")
+
+
 def save_model(net, path, config_hash=None, extra=None):
     """Write a JSON checkpoint; floats round-trip exactly."""
+    check_attention_width(net)  # load_model() would refuse the file: write none
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "input_dim": net.input_dim,
@@ -467,11 +465,10 @@ def load_model(path):
         raise FormatError(f"{path}: malformed checkpoint ({exc})") from exc
     if not net.params_finite():
         raise FormatError(f"{path}: checkpoint holds a non-finite parameter")
-    size, width, ap = net.attention.w_a.size, net.input_dim, net.composition_mode == "ap"
-    if (size if ap else 2 * size) != width:  # ap inputs are [p], the others [c~; p]
-        raise FormatError(f"{path}: attention_w has {size} entries, expected "
-                          f"{width if ap else width / 2:g} for input width {width} in "
-                          f"{net.composition_mode} mode")
+    try:
+        check_attention_width(net)
+    except DimensionMismatchError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     for key, width in (("input_dim", net.input_dim), ("output_dim", net.output_dim)):
         if not is_int(doc.get(key)) or doc[key] != width:
             raise FormatError(f"{path}: {key} {json.dumps(doc.get(key))} is not the layers' "

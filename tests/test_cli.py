@@ -887,10 +887,16 @@ class TestTraceContract:
         "evaluation.contingency.calls": 50,
     }
 
-    @staticmethod
-    def _layer_metrics(tmp_path, *cli_args):
+    # Layers of attention-mode training that both traced runs must reach. A call
+    # that bypasses the name bench/tracing.py wraps leaves no name unwrapped but
+    # reads 0 here.
+    REACHED = ("network.compose_backward.s", "network.pair_gradients.s",
+               "network.objective.s", "network.params_finite.s")
+
+    @classmethod
+    def _layer_metrics(cls, tmp_path, *cli_args):
         """bench/tracing.py's per-layer metrics of one traced CLI run, which must wrap
-        every layer it targets."""
+        every layer it targets and reach each of REACHED."""
         repo = Path(__file__).resolve().parent.parent
         tracer = repo / "bench" / "tracing.py"
         spans = tmp_path / "spans.json"
@@ -906,7 +912,9 @@ class TestTraceContract:
         spec = importlib.util.spec_from_file_location("bench_tracing", tracer)
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
-        return tracing.layer_metrics(doc)
+        metrics = tracing.layer_metrics(doc)
+        assert {name: metrics[name] > 0 for name in cls.REACHED} == dict.fromkeys(cls.REACHED, True)
+        return metrics
 
     def test_traced_run_all(self, fixture_files, tmp_path):
         metrics = self._layer_metrics(tmp_path, "run-all", *data_args(fixture_files))

@@ -9,6 +9,7 @@ from metric_grouper.clustering import kmeans, phrase_points
 from metric_grouper.composition import AttentionParams, compose_test_phrase
 from metric_grouper.corpus import AnnotatedCorpus, AnnotatedSentence, Mention, WordVectorTable
 from metric_grouper.errors import DimensionMismatchError, TooFewPointsError
+from metric_grouper.network import MetricNetwork
 
 
 def exhaustive_best_inertia(points, k):
@@ -93,6 +94,12 @@ class TestKmeans:
         result = kmeans(data, 2, seed=3, n_init=10)
         assert result.inertia == pytest.approx(4.0)
         assert result.inertia == pytest.approx(exhaustive_best_inertia(data, 2))
+
+    @pytest.mark.parametrize("name, value", [
+        ("k", 0), ("n_init", 0), ("n_init", -1), ("max_iter", 0), ("max_iter", -3)])
+    def test_counts_below_one_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1$"):
+            kmeans(np.arange(8.0).reshape(4, 2), **{"k": 2, "seed": 0, name: value})
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
@@ -269,6 +276,16 @@ class TestClusterCorpus:
         a, b, c, d, e = result.labels.tolist()
         assert a == b and c == d and len({a, c, e}) == 3
         assert result.inertia == pytest.approx(0.0, abs=1e-12)
+
+    def test_mode_comes_from_the_network(self):
+        corpus, table = context_corpus(), context_table()
+        net = MetricNetwork.create(2, mode="min", output_dim=3, n_layers=1, seed=5)
+        _, composed, points = phrase_points(corpus, table, net=net)
+        _, want, _ = phrase_points(corpus, table, mode="min")
+        assert composed.tobytes() == want.tobytes()
+        assert points.tobytes() == np.array([net.forward(x)[0] for x in want]).tobytes()
+        with pytest.raises(ValueError, match="'attention' is not the network's mode 'min'"):
+            phrase_points(corpus, table, net=net, mode="attention")
 
     def test_learned_path_projects(self, fixture_corpus, fixture_table, trained_net):
         net, _ = trained_net

@@ -700,6 +700,22 @@ class TestCheckpoint:
             f"{path}: attention_w has {size} entries, expected {expected} for input width "
             f"{net.input_dim} in {mode} mode")
 
+    @pytest.mark.parametrize("weights, attention, message", [
+        pytest.param((4, 16), AttentionParams(np.zeros(5)),
+                     "attention_w has 5 entries, expected 8 for input width 16 in attention mode",
+                     id="short-attention"),
+        pytest.param((4, 15), None,
+                     "attention_w has 7 entries, expected 7.5 for input width 15 in attention mode",
+                     id="odd-width"),
+    ])
+    def test_save_refuses_what_load_refuses(self, tmp_path, weights, attention, message):
+        net = MetricNetwork([np.zeros(weights)], [np.zeros(weights[0])], attention=attention)
+        path = tmp_path / "model.json"
+        with pytest.raises(DimensionMismatchError) as info:
+            save_model(net, str(path))
+        assert str(info.value) == message
+        assert not path.exists()
+
     # version 1 had a dropout_rate field, version 2 a 2d-long attention_w
     @pytest.mark.parametrize("version, extra", [
         (1, {"dropout_rate": 0.5}),
