@@ -100,6 +100,8 @@ def _read_manifest(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise MetricGrouperError(f"{path} is not valid UTF-8; move it aside") from exc
         except json.JSONDecodeError as exc:
             raise MetricGrouperError(f"{path} is not valid JSON ({exc}); move it aside") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("commands", {}), dict):
@@ -380,18 +382,21 @@ def cmd_cluster(run):
     return 0
 
 
+def _scoring(resolved):
+    """The [clustering] and [evaluation] settings that score a method, as keywords."""
+    clustering, evaluation = resolved["clustering"], resolved["evaluation"]
+    return {"k": clustering["k"], "runs": evaluation["runs"], "seed": evaluation["seed"],
+            "n_init": clustering["n_init"], "max_iter": clustering["max_iter"]}
+
+
 def cmd_eval(run):
     _require(run.args, "corpus", "vectors", "out_dir")
     resolved = run.config
     methods = resolved["evaluation"]["methods"]
     run.claim(METRICS_FILE)
     net = run.artifact(MODEL_FILE) if LEARNED_METHOD in methods else None
-    report = evaluate_run(
-        run.load("corpus"), run.load("vectors"), methods, net=net,
-        k=resolved["clustering"]["k"], runs=resolved["evaluation"]["runs"],
-        seed=resolved["evaluation"]["seed"],
-        n_init=resolved["clustering"]["n_init"],
-        max_iter=resolved["clustering"]["max_iter"])
+    report = evaluate_run(run.load("corpus"), run.load("vectors"), methods, net=net,
+                          **_scoring(resolved))
     report["config_hash"] = run.chash
     path = run.write(METRICS_FILE, json.dumps(report, sort_keys=True, indent=1) + "\n")
     print(format_report(report))
@@ -416,11 +421,7 @@ def cmd_ablate(run):
         train_pairs=_draw_pairs(run) if trains else None,
         train_cfg=train_config_from(resolved),
         output_dim=resolved["network"]["output_dim"],
-        hidden_dims=resolved["network"]["hidden_dims"],
-        k=resolved["clustering"]["k"], runs=resolved["evaluation"]["runs"],
-        seed=resolved["evaluation"]["seed"],
-        n_init=resolved["clustering"]["n_init"],
-        max_iter=resolved["clustering"]["max_iter"])
+        hidden_dims=resolved["network"]["hidden_dims"], **_scoring(resolved))
     report["config_hash"] = run.chash
     path = run.write(ABLATION_FILE, json.dumps(report, sort_keys=True, indent=1) + "\n")
     print(format_ablation(report))

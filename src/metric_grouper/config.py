@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from math import inf
 
 from .ablation import parse_combos
 from .composition import MODES
 from .errors import ConfigError
 from .evaluation import METHODS
-from .network import ACTIVATIONS, TrainConfig
+from .network import ACTIVATIONS, TRAINING_RANGES, TrainConfig
 
 
 def _parse_int_list(raw):
@@ -68,6 +67,7 @@ def _positive(parse):
 
 
 _ratio = _check(float, lambda v: 0 <= v <= 1, "between 0 and 1")
+_seed = _check(int, lambda v: v >= 0, "nonnegative")
 
 
 # section -> key -> (parser, default-as-string, help of the flag named after the key).
@@ -77,7 +77,7 @@ SCHEMA = {
     "pairs": {
         "eta": (_check(float, lambda v: v > 0, "positive"), "0.3",
                 "incompatibility threshold on lexicon similarity"),
-        "seed": (int, "42", None),
+        "seed": (_seed, "42", None),
         "max_pos": (_positive(_parse_opt_int), "", "cap on positive pairs (seeded subsample)"),
     },
     "composition": {
@@ -92,26 +92,25 @@ SCHEMA = {
         "activation": (_choice(ACTIVATIONS), "tanh", " or ".join(ACTIVATIONS)),
     },
     "training": {
-        "margin_t": (_check(float, lambda v: 1 < v < inf, "finite and greater than 1"), "3.0",
+        "margin_t": (_check(float, *TRAINING_RANGES["margin_t"]), "3.0",
                      "distance margin threshold t"),
-        "beta": (_check(float, lambda v: 0 < v < inf, "positive and finite"), "2.0",
-                 "softplus sharpness"),
-        "lambda": (_check(float, lambda v: 0 <= v < inf, "nonnegative and finite"), "0.002",
+        "beta": (_check(float, *TRAINING_RANGES["beta"]), "2.0", "softplus sharpness"),
+        "lambda": (_check(float, *TRAINING_RANGES["reg_lambda"]), "0.002",
                    "L2 regularization weight"),
-        "learning_rate": (_check(float, lambda v: 0 <= v < inf, "nonnegative and finite"),
-                          "0.03", "SGD step size"),
-        "epochs": (_positive(int), "30", "training epochs"),
-        "seed": (int, "42", None),
+        "learning_rate": (_check(float, *TRAINING_RANGES["learning_rate"]), "0.03",
+                          "SGD step size"),
+        "epochs": (_check(int, *TRAINING_RANGES["epochs"]), "30", "training epochs"),
+        "seed": (_seed, "42", None),
     },
     "clustering": {
         "k": (_positive(_parse_opt_int), "", "cluster count (default: number of gold groups)"),
         "n_init": (_positive(int), "10", "k-means restarts per run"),
         "max_iter": (_positive(int), "100", "k-means iteration cap"),
-        "seed": (int, "42", None),
+        "seed": (_seed, "42", None),
     },
     "evaluation": {
         "runs": (_positive(int), "10", "clustering repetitions averaged in reports"),
-        "seed": (int, "42", None),
+        "seed": (_seed, "42", None),
         "methods": (_choices(METHODS), "metric,avg,ap",
                     f"comma-separated eval methods ({','.join(METHODS)})"),
     },
@@ -119,7 +118,7 @@ SCHEMA = {
         "train_ratio": (_ratio, "0.3", None),
         "test_ratio": (_ratio, "0.5", None),
         "dev_ratio": (_ratio, "0.2", None),
-        "seed": (int, "42", None),
+        "seed": (_seed, "42", None),
     },
     "ablation": {
         "combos": (parse_combos, "ap:0:raw,attention:1:trained,attention:3:trained",
@@ -151,6 +150,8 @@ def resolve(config_path=None, overrides=None):
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{config_path}: not valid UTF-8") from exc
         except configparser.Error as exc:
             raise ConfigError(f"{config_path}: {exc}") from exc
         for section in parser.sections():

@@ -13,12 +13,13 @@ threads.
 """
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyError, EmptyPhraseError, FormatError, reject
-from .jsonl import is_int, read_jsonl, write_jsonl
+from .jsonl import is_int, read_jsonl, text_lines, write_jsonl
 
 
 class WordVectorTable:
@@ -149,8 +150,8 @@ def _load_line_by_line(path, errors):
     def fail(lineno, message):
         reject(path, errors, f"line {lineno}: {message}")
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+    with closing(text_lines(path, errors)) as lines:
+        for lineno, line in lines:
             parts = line.split()
             if not parts:
                 continue

@@ -99,10 +99,10 @@ def method_setup(method, net):
     raise ValueError(f"unknown method {method!r}")
 
 
-def score_methods(corpus, table, setups, k=None, runs=10, seed=0, n_init=10, max_iter=100):
+def score_methods(corpus, table, setups, k, runs, seed, n_init, max_iter):
     """The one seeds -> K-means -> Purity/Entropy loop, over ``{name: (net, mode)}``.
 
-    Run r uses seed ``seed + r``; K defaults to the number of distinct gold
+    Run r uses seed ``seed + r``; ``k`` None means the number of distinct gold
     groups. Each entry's phrases are composed (and mapped through ``net``)
     once; only K-means repeats per seed, scored from one contingency table
     per run. Returns the report head and one row per name.

@@ -12,6 +12,9 @@ three-leaf subtree roots ln 4, the two main branches ln 2, the root 0.
 Phrases within a group sit under one branch and are lexicon-compatible;
 phrases across groups share only the root and fall below the default
 incompatibility threshold.
+
+The config file that ``write_fixture`` writes holds only the fixture's two
+departures from the defaults, the network's output and hidden widths.
 """
 from __future__ import annotations
 
@@ -19,9 +22,10 @@ import os
 
 import numpy as np
 
-from .corpus import AnnotatedCorpus, AnnotatedSentence, Mention, WordVectorTable
-from .lexicon import build_taxonomy
-from .network import TrainConfig
+from .corpus import (AnnotatedCorpus, AnnotatedSentence, Mention, WordVectorTable, save_corpus,
+                     save_word_vectors)
+from .lexicon import build_taxonomy, save_taxonomy
+from .network import MetricNetwork
 
 DIMENSION = 8
 
@@ -137,15 +141,8 @@ def make_taxonomy():
     return build_taxonomy(taxonomy_record_dicts())
 
 
-def train_config(seed=42, epochs=30):
-    """Training defaults sized for the fixture."""
-    return TrainConfig(seed=seed, epochs=epochs)
-
-
 def make_network(seed=42):
     """Fresh fixture-sized network (16 -> 32 -> 16 -> 8)."""
-    from .network import MetricNetwork
-
     return MetricNetwork.create(
         DIMENSION, mode="attention", output_dim=FIXTURE_OUTPUT_DIM,
         n_layers=3, hidden_dims=list(FIXTURE_HIDDEN_DIMS), seed=seed)
@@ -153,39 +150,13 @@ def make_network(seed=42):
 
 FIXTURE_OUTPUT_DIM = 8
 FIXTURE_HIDDEN_DIMS = (32, 16)
-FIXTURE_ETA = 0.3
+FIXTURE_ETA = 0.3  # the [pairs] eta default
 
-CONFIG_INI = """\
-[pairs]
-eta = 0.3
-seed = 42
-
-[composition]
-mode = attention
-
+# Only the fixture's departures from the defaults; every other key resolves from config.SCHEMA.
+CONFIG_INI = f"""\
 [network]
-output_dim = 8
-layers = 3
-hidden_dims = 32,16
-activation = tanh
-
-[training]
-margin_t = 3.0
-beta = 2.0
-lambda = 0.002
-learning_rate = 0.03
-epochs = 30
-seed = 42
-
-[clustering]
-n_init = 10
-max_iter = 100
-seed = 42
-
-[evaluation]
-runs = 10
-seed = 42
-methods = metric,avg,ap
+output_dim = {FIXTURE_OUTPUT_DIM}
+hidden_dims = {",".join(map(str, FIXTURE_HIDDEN_DIMS))}
 """
 
 
@@ -194,9 +165,6 @@ def write_fixture(out_dir):
 
     Returns the four paths (corpus, vectors, taxonomy, config).
     """
-    from .corpus import save_corpus, save_word_vectors
-    from .lexicon import save_taxonomy
-
     os.makedirs(out_dir, exist_ok=True)
     corpus_path = os.path.join(out_dir, "corpus.jsonl")
     vectors_path = os.path.join(out_dir, "vectors.txt")

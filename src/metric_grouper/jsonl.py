@@ -1,15 +1,33 @@
 """JSON-lines files: the one reader and writer of corpus, taxonomy and pairs files.
 
 A file holds one JSON value per line and blank lines are skipped. Each
-format supplies only a record parser; a line that is not JSON, or whose
-record the parser rejects with FormatError, is reported by ``errors.reject``
-as ``line N: message``.
+format supplies only a record parser; a line that is not UTF-8 or not JSON,
+or whose record the parser rejects with FormatError, is reported by
+``errors.reject`` as ``line N: message``.
 """
 from __future__ import annotations
 
 import json
+from contextlib import closing
 
 from .errors import FormatError, reject
+
+
+def text_lines(path, errors=None):
+    """``(N, line)`` for each line N of text file ``path`` that is valid UTF-8.
+
+    Lines split as a plain text-mode read splits them. A line that is not
+    UTF-8 raises FormatError naming ``path`` and the line or, when ``errors``
+    is a list, is noted there and skipped. Close the generator to close the file.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")  # a byte that did not decode is a lone surrogate here
+            except UnicodeEncodeError as exc:
+                reject(path, errors, f"line {lineno}: not valid UTF-8", exc)
+                continue
+            yield lineno, line
 
 
 def read_jsonl(path, parse, errors=None):
@@ -19,8 +37,8 @@ def read_jsonl(path, parse, errors=None):
     ``errors`` is a list, is noted there and skipped.
     """
     parsed = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+    with closing(text_lines(path, errors)) as lines:
+        for lineno, line in lines:
             if not line.strip():
                 continue
             try:

@@ -61,6 +61,16 @@ def check_hidden_dims(hidden_dims, n_layers):
                           f"{n_layers - 1} hidden widths, got {len(hidden_dims)}")
 
 
+# TrainConfig field -> (test, what the value must be); the [training] settings read it too.
+TRAINING_RANGES = {
+    "margin_t": (lambda v: 1 < v < math.inf, "finite and greater than 1"),
+    "beta": (lambda v: 0 < v < math.inf, "positive and finite"),
+    "reg_lambda": (lambda v: 0 <= v < math.inf, "nonnegative and finite"),
+    "learning_rate": (lambda v: 0 <= v < math.inf, "nonnegative and finite"),
+    "epochs": (lambda v: v >= 1, "at least 1"),
+}
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters for pair training.
@@ -78,16 +88,9 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if not 1 < self.margin_t < math.inf:
-            raise ValueError("margin_t must be finite and exceed 1")
-        if not 0 < self.beta < math.inf:
-            raise ValueError("beta must be positive and finite")
-        if not 0 <= self.reg_lambda < math.inf:
-            raise ValueError("reg_lambda must be nonnegative and finite")
-        if not 0 <= self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be nonnegative and finite")
-        if self.epochs < 1:
-            raise ValueError("epochs must be positive")
+        for field, (ok, wanted) in TRAINING_RANGES.items():
+            if not ok(getattr(self, field)):
+                raise ValueError(f"{field} must be {wanted}")
 
 
 class MetricNetwork:
@@ -449,6 +452,8 @@ def load_model(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not valid UTF-8") from exc
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON ({exc.msg})") from exc
     try:

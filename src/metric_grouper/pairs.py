@@ -174,11 +174,16 @@ def _pair_or_header(obj):
 
 
 def load_pairs(path):
-    """Read a pairs file; returns (pairs, header_dict_or_None), the last header winning."""
+    """Read a pairs file; returns (pairs, header_dict_or_None), the last header winning.
+
+    A file with no pair record raises EmptyError.
+    """
     pairs, header = [], None
     for record in read_jsonl(path, _pair_or_header):
         if isinstance(record, SamplePair):
             pairs.append(record)
         else:
             header = record
+    if not pairs:
+        raise EmptyError(f"{path}: no pair records")
     return pairs, header

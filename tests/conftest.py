@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from metric_grouper import fixture as fx
-from metric_grouper.network import MetricNetwork, train
+from metric_grouper.network import MetricNetwork, TrainConfig, train
 from metric_grouper.pairs import generate_pairs, generate_samples
 
 ACCEPTANCE_RESULTS = {}
@@ -75,7 +75,7 @@ def trained_net(fixture_pairs, fixture_table):
 
     Treated as read-only by every test that uses it.
     """
-    cfg = fx.train_config()
+    cfg = TrainConfig()
     net = fx.make_network(seed=cfg.seed)
     net, history = train(net, fixture_pairs, fixture_table, cfg)
     return net, history

@@ -4,6 +4,7 @@ from metric_grouper import fixture as fx
 from metric_grouper.ablation import Combo, format_ablation, parse_combos, run_ablation
 from metric_grouper.errors import ConfigError
 from metric_grouper.evaluation import evaluate_run
+from metric_grouper.network import TrainConfig
 
 
 class TestCombo:
@@ -46,7 +47,7 @@ def ablation_report(request):
         fixture_corpus, fixture_table,
         parse_combos("ap:0:raw,avg:0:raw,min:0:raw,max:0:raw,attention:1:trained,"
                      "attention:3:trained"),
-        train_pairs=pairs, train_cfg=fx.train_config(),
+        train_pairs=pairs, train_cfg=TrainConfig(),
         output_dim=fx.FIXTURE_OUTPUT_DIM, hidden_dims=list(fx.FIXTURE_HIDDEN_DIMS),
         runs=5, seed=100)
     return report

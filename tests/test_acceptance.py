@@ -192,7 +192,7 @@ def test_criterion_5_synthetic_end_to_end():
     tax = fx.make_taxonomy()
     samples = generate_samples(corpus)
     pairs = generate_pairs(samples, tax, fx.FIXTURE_ETA, seed=42)
-    cfg = fx.train_config()  # defaults, seed 42
+    cfg = TrainConfig()  # defaults, seed 42
     net = fx.make_network(seed=cfg.seed)
     net, history = train(net, pairs, table, cfg)
     decreasing = history[-1] < history[0]

@@ -2,6 +2,7 @@ import configparser
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -17,8 +18,8 @@ from metric_grouper import clustering as clustering_mod
 from metric_grouper import config
 from metric_grouper.cli import _atomic_write, main
 from metric_grouper.corpus import load_corpus, load_word_vectors
-from metric_grouper.errors import FormatError
-from metric_grouper.network import TrainConfig, load_model
+from metric_grouper.errors import ConfigError, FormatError
+from metric_grouper.network import TRAINING_RANGES, TrainConfig, load_model
 
 ARTIFACTS = ("pairs.jsonl", "model.json", "clusters.tsv", "metrics.json", "manifest.json")
 
@@ -228,6 +229,42 @@ class TestMalformedInput:
         else:
             assert [type(exc) for exc in reached] == [FormatError]
             assert captured.err.startswith(f"error: {path}: {where}{message}")
+
+    # (input, command that reads it): a 0xff byte at the start of the input's line 2
+    NOT_UTF8 = [("corpus", "validate"), ("vectors", "validate"), ("taxonomy", "validate"),
+                ("corpus", "pairs"), ("vectors", "train"), ("taxonomy", "pairs"),
+                ("config", "pairs"), ("manifest", "pairs"), ("pairs", "train"),
+                ("model", "cluster")]
+
+    @pytest.mark.parametrize("name, command", NOT_UTF8, ids=["-".join(c) for c in NOT_UTF8])
+    def test_not_utf8_named_without_traceback(self, fixture_files, pipeline_dir, tmp_path,
+                                              capsys, name, command):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        artifacts = {"pairs": "pairs.jsonl", "model": "model.json", "manifest": "manifest.json"}
+        for artifact in artifacts.values():
+            shutil.copy(pipeline_dir[0] / artifact, out_dir / artifact)
+        files = dict(fixture_files)
+        if name in artifacts:
+            path = out_dir / artifacts[name]
+        else:
+            path = Path(shutil.copy(files[name], tmp_path))
+            files[name] = str(path)
+        data = path.read_bytes()
+        cut = data.index(b"\n") + 1
+        path.write_bytes(data[:cut] + b"\xff" + data[cut:])
+
+        code = run(command, *data_args(files), "--epochs", "3", "--out-dir", str(out_dir))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.out + captured.err
+        if command == "validate":
+            assert f"error: {name}: line 2: not valid UTF-8\n" in captured.out
+            assert captured.out.endswith("validation: FAILED\n")
+        else:
+            where = {"config": ": ", "model": ": ", "manifest": " is "}.get(name, ": line 2: ")
+            tail = "; move it aside" if name == "manifest" else ""
+            assert captured.err == f"error: {path}{where}not valid UTF-8{tail}\n"
 
 
 class TestPipeline:
@@ -477,6 +514,19 @@ class TestGuards:
         assert "pairs.jsonl carries no config hash" in err
         assert not (tmp_path / "model.json").exists()
 
+    def test_pairs_file_without_pairs_rejected(self, fixture_files, tmp_path, capsys):
+        args = data_args(fixture_files) + ["--out-dir", str(tmp_path), "--epochs", "1"]
+        assert run("pairs", *args) == 0
+        path = tmp_path / "pairs.jsonl"
+        header = path.read_text(encoding="utf-8").splitlines()[0]
+        assert json.loads(header)["kind"] == "header"
+        path.write_text(header + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run("train", *args)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: no pair records\n"
+        assert not (tmp_path / "model.json").exists()
+
     def test_model_without_hash_rejected(self, fixture_files, tmp_path, capsys):
         args = data_args(fixture_files) + ["--out-dir", str(tmp_path), "--epochs", "1"]
         assert run("pairs", *args) == 0
@@ -517,6 +567,27 @@ class TestGuards:
         config.train_config_from(config.resolve())
         assert sorted(seen) == sorted(f.name for f in dataclasses.fields(TrainConfig))
 
+    @pytest.mark.parametrize("field", sorted(TRAINING_RANGES))
+    def test_training_ranges_agree(self, field):
+        # the library's TrainConfig and a [training] setting accept the same values
+        key = "lambda" if field == "reg_lambda" else field
+        values = [-1, 0, 1, 2] if field == "epochs" else [-1, 0, 0.5, 1, 1.5, math.inf, math.nan]
+        outcomes = set()
+        for value in values:
+            try:
+                TrainConfig(**{field: value})
+                library = True
+            except ValueError:
+                library = False
+            try:
+                config.resolve(overrides={key: str(value)})
+                setting = True
+            except ConfigError:
+                setting = False
+            assert library == setting, value
+            outcomes.add(library)
+        assert outcomes == {True, False}
+
     def test_readme_defaults_match_schema(self, tmp_path):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         section = readme.read_text(encoding="utf-8").split("## Configuration", 1)[1]
@@ -554,6 +625,8 @@ class TestGuards:
         (("train", "--learning-rate", "inf"), "[training] learning_rate"),
         (("train", "--learning-rate", "nan"), "[training] learning_rate"),
         (("pairs", "--eta", "-1"), "[pairs] eta"),
+        (("pairs", "--seed", "-1"), "[pairs] seed"),
+        (("run-all", "clustering.seed=-3"), "[clustering] seed"),
         (("train", "--hidden-dims", "0,3"), "[network] hidden_dims"),
         (("train", "--hidden-dims", "3"), "[network] hidden_dims"),
         (("run-all", "--hidden-dims", "3"), "[network] hidden_dims"),

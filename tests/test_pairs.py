@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from metric_grouper.corpus import AnnotatedCorpus, AnnotatedSentence, Mention, WordVectorTable
-from metric_grouper.errors import FormatError, InsufficientNegativesError
+from metric_grouper.errors import EmptyError, FormatError, InsufficientNegativesError
 from metric_grouper.lexicon import build_taxonomy, jcn_similarity
 from metric_grouper.network import MetricNetwork, TrainConfig, train
 from metric_grouper.pairs import (
@@ -290,6 +290,13 @@ class TestPairIo:
         assert loaded == pairs
         assert header["config_hash"] == "deadbeef"
         assert header["kind"] == "header"
+
+    def test_header_without_pairs_names_file(self, tmp_path):
+        path = str(tmp_path / "pairs.jsonl")
+        save_pairs([], path, header={"config_hash": "deadbeef"})
+        with pytest.raises(EmptyError) as info:
+            load_pairs(path)
+        assert str(info.value) == f"{path}: no pair records"
 
     def test_record_shape_mirrors_corpus_record(self, tmp_path):
         pair = SamplePair(
