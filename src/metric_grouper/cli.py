@@ -346,15 +346,26 @@ def cmd_train(run):
     return 0
 
 
+def _scored_inputs(run, learned):
+    """(model.json if ``learned`` else None, corpus, vectors); a model that composes word
+    vectors of another width than --vectors stops the command before anything is composed."""
+    net = run.artifact(MODEL_FILE) if learned else None
+    corpus, table = run.load("corpus"), run.load("vectors")
+    if net is not None and net.attention.w_a.size != table.dimension:
+        raise MetricGrouperError(
+            f"{run.reads[MODEL_FILE]} composes {net.attention.w_a.size}-dimensional word "
+            f"vectors; --vectors {run.args.vectors} has dimension {table.dimension}")
+    return net, corpus, table
+
+
 def cmd_cluster(run):
     args = run.args
     _require(args, "corpus", "vectors", "out_dir")
     section = run.config["clustering"]
     run.claim(CLUSTERS_FILE, dumps=("dump_composed", "dump_centroids"))
     method = getattr(args, "method", LEARNED_METHOD)
-    trained = run.artifact(MODEL_FILE) if method == LEARNED_METHOD else None
+    trained, corpus, table = _scored_inputs(run, method == LEARNED_METHOD)
     net, mode = method_setup(method, trained)
-    corpus, table = run.load("corpus"), run.load("vectors")
 
     k = section["k"] if section["k"] is not None else gold_and_k(corpus)[1]
     phrases, composed, points = _clustering.phrase_points(corpus, table, net=net, mode=mode)
@@ -394,9 +405,8 @@ def cmd_eval(run):
     resolved = run.config
     methods = resolved["evaluation"]["methods"]
     run.claim(METRICS_FILE)
-    net = run.artifact(MODEL_FILE) if LEARNED_METHOD in methods else None
-    report = evaluate_run(run.load("corpus"), run.load("vectors"), methods, net=net,
-                          **_scoring(resolved))
+    net, corpus, table = _scored_inputs(run, LEARNED_METHOD in methods)
+    report = evaluate_run(corpus, table, methods, net=net, **_scoring(resolved))
     report["config_hash"] = run.chash
     path = run.write(METRICS_FILE, json.dumps(report, sort_keys=True, indent=1) + "\n")
     print(format_report(report))

@@ -159,7 +159,7 @@ def phrase_points(corpus, table, net=None, mode=None):
     rows = [compose_test_phrase(phrase, corpus, table, params, mode).x for phrase in phrases]
     composed = np.array(rows)
     if net is not None:
-        return phrases, composed, np.array([net.forward(x)[0] for x in rows])
+        return phrases, composed, np.array([net.forward(x) for x in rows])
     # axis -1 also serves a corpus with no phrase, whose (0,) array kmeans rejects
     norms = np.linalg.norm(composed, axis=-1, keepdims=True)
     norms[norms == 0] = 1.0

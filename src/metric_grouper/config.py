@@ -67,7 +67,7 @@ def _positive(parse):
 
 
 _ratio = _check(float, lambda v: 0 <= v <= 1, "between 0 and 1")
-_seed = _check(int, lambda v: v >= 0, "nonnegative")
+_seed = _check(int, *TRAINING_RANGES["seed"])
 
 
 # section -> key -> (parser, default-as-string, help of the flag named after the key).

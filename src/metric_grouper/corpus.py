@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyError, EmptyPhraseError, FormatError, reject
-from .jsonl import is_int, read_jsonl, text_lines, write_jsonl
+from .jsonl import is_int, read_jsonl, record_tokens, text_lines, write_jsonl
 
 
 class WordVectorTable:
@@ -258,10 +258,7 @@ class AnnotatedCorpus:
 def _parse_sentence(obj):
     if not isinstance(obj, dict):
         raise FormatError("record is not a JSON object")
-    tokens = obj.get("tokens")
-    if not isinstance(tokens, list) or not tokens or not all(isinstance(t, str) for t in tokens):
-        raise FormatError("'tokens' must be a non-empty array of strings")
-    tokens = tuple(t.lower() for t in tokens)
+    tokens = record_tokens(obj.get("tokens"))
     raw_mentions = obj.get("mentions", [])
     if not isinstance(raw_mentions, list):
         raise FormatError("'mentions' must be an array")

@@ -55,6 +55,17 @@ def is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def record_tokens(value):
+    """A record's ``tokens``, lowercased; each must be a non-empty string with no whitespace."""
+    if not isinstance(value, list) or not value or not all(isinstance(t, str) for t in value):
+        raise FormatError("'tokens' must be a non-empty array of strings")
+    for n, token in enumerate(value):
+        if token.split() != [token]:
+            raise FormatError(f"'tokens' entry {n} must be a non-empty string with no "
+                              f"whitespace, got {json.dumps(token)}")
+    return tuple(t.lower() for t in value)
+
+
 def write_jsonl(records, path):
     """Write ``records`` one per line as sorted-key JSON."""
     with open(path, "w", encoding="utf-8") as fh:

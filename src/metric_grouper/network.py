@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,13 +61,15 @@ def check_hidden_dims(hidden_dims, n_layers):
                           f"{n_layers - 1} hidden widths, got {len(hidden_dims)}")
 
 
-# TrainConfig field -> (test, what the value must be); the [training] settings read it too.
+# TrainConfig field -> (test, what the value must be); the [training] settings and
+# every section's seed read it too.
 TRAINING_RANGES = {
     "margin_t": (lambda v: 1 < v < math.inf, "finite and greater than 1"),
     "beta": (lambda v: 0 < v < math.inf, "positive and finite"),
     "reg_lambda": (lambda v: 0 <= v < math.inf, "nonnegative and finite"),
     "learning_rate": (lambda v: 0 <= v < math.inf, "nonnegative and finite"),
     "epochs": (lambda v: v >= 1, "at least 1"),
+    "seed": (lambda v: v >= 0, "nonnegative"),
 }
 
 
@@ -78,7 +80,7 @@ class TrainConfig:
     ``margin_t`` is the distance threshold t (> 1, so that t - 1 > 0);
     same-phrase pairs are pushed below t - 1 and incompatible pairs above
     t + 1. ``beta`` sharpens the softplus, ``reg_lambda`` scales the L2
-    penalty, ``learning_rate`` is the SGD step.
+    penalty, ``learning_rate`` is the SGD step. ``epochs`` and ``seed`` are integers.
     """
     margin_t: float = 3.0
     beta: float = 2.0
@@ -88,9 +90,12 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        for field, (ok, wanted) in TRAINING_RANGES.items():
-            if not ok(getattr(self, field)):
-                raise ValueError(f"{field} must be {wanted}")
+        for field in fields(self):
+            value, (ok, wanted) = getattr(self, field.name), TRAINING_RANGES[field.name]
+            if field.type == "int" and not is_int(value):
+                raise ValueError(f"{field.name} must be an integer")
+            if not ok(value):
+                raise ValueError(f"{field.name} must be {wanted}")
 
 
 class MetricNetwork:
@@ -125,17 +130,12 @@ class MetricNetwork:
             input_dim = weights[0].shape[1]
             attention = AttentionParams.zeros(
                 input_dim if composition_mode == "ap" else input_dim // 2)
-        self._bind(weights, biases, attention.w_a)
-
-    def _bind(self, weights, biases, w_a):
-        """Copy the parameters into one new buffer and point the attributes at it."""
         self._shapes = [w.shape for w in weights]
         self.params = np.concatenate(
-            [a.ravel() for wb in zip(weights, biases) for a in wb] + [w_a])
-        self.n_mlp = self.params.size - w_a.size
+            [a.ravel() for wb in zip(weights, biases) for a in wb] + [attention.w_a])
+        self.n_mlp = self.params.size - attention.w_a.size
         self.weights, self.biases = self.split(self.params)
         self._attention = AttentionParams(self.params[self.n_mlp:])
-        self._weights_t = [w.T for w in self.weights]
 
     def split(self, flat):
         """Per-layer weight and bias views into a buffer laid out like ``params``."""
@@ -150,10 +150,6 @@ class MetricNetwork:
     @property
     def attention(self):
         return self._attention
-
-    @attention.setter
-    def attention(self, params):
-        self._bind(self.weights, self.biases, params.w_a)
 
     @property
     def input_dim(self):
@@ -190,18 +186,15 @@ class MetricNetwork:
                    attention=AttentionParams.zeros(word_dim), composition_mode=mode)
 
     def forward(self, x):
-        """Map x through the layers; returns (output, cache).
-
-        The cache carries everything backprop needs.
-        """
+        """Map x, which must have shape (input_dim,), through the layers; returns the output."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.input_dim,):
             raise DimensionMismatchError(
                 f"input has shape {x.shape}, expected ({self.input_dim},)")
-        return self._forward(x)
+        return self._forward(x)[0]
 
     def _forward(self, x):
-        """Unchecked forward pass of one branch; see forward()."""
+        """Unchecked forward pass; returns (output, cache), which backward() reads."""
         a = x
         inputs, acts = [], []
         for w, b in zip(self.weights, self.biases):
@@ -225,14 +218,12 @@ class MetricNetwork:
             np.dot(delta[:, None], inputs[m][None, :], out=grads_w[m])
             if m == 0 and not input_grad:
                 return None
-            u = np.dot(self._weights_t[m], delta)
+            u = np.dot(self.weights[m].T, delta)
         return u
 
     def distance_sq(self, x_i, x_j):
         """Squared Euclidean distance between the mapped inputs."""
-        h_i, _ = self.forward(x_i)
-        h_j, _ = self.forward(x_j)
-        diff = h_i - h_j
+        diff = self.forward(x_i) - self.forward(x_j)
         return float(diff @ diff)
 
     def params_finite(self):
@@ -273,20 +264,19 @@ def regularizer(net, cfg):
     return 0.5 * cfg.reg_lambda * acc
 
 
-def objective(net, composed_pairs, cfg):
-    """Sum of pair losses plus the regularizer.
+def objective(net, inputs, pairs, cfg):
+    """Sum of pair losses plus the regularizer over ``(k_i, k_j, label)`` sample-index triples.
 
-    An input is an array or a function of no arguments that composes one.
-    Each distinct input is forwarded once, however many pairs share it, and
-    only its output is kept; forwards are deterministic, so the sum is the same.
+    ``inputs(k)`` composes sample k, which is forwarded once, when a pair first
+    names it; its output alone is kept, under k. Forwards are deterministic.
     """
-    outputs = {}  # id(x) -> (x, output); holding x keeps its id from being reused
+    outputs = {}  # sample index -> its output
     total = 0.0
-    for x_i, x_j, label in composed_pairs:
-        for x in (x_i, x_j):
-            if id(x) not in outputs:
-                outputs[id(x)] = (x, net.forward(x() if callable(x) else x)[0])
-        diff = outputs[id(x_i)][1] - outputs[id(x_j)][1]
+    for k_i, k_j, label in pairs:
+        for k in (k_i, k_j):
+            if k not in outputs:
+                outputs[k] = net.forward(inputs(k))
+        diff = outputs[k_i] - outputs[k_j]
         total += _margin_loss(float(diff @ diff), label, cfg)[0]
     return total + regularizer(net, cfg)
 
@@ -386,7 +376,6 @@ def train(net, pairs, table, cfg):
         static = [(None, compose_vectors(context.take(rows, axis=0), p, net.attention, mode))
                   for rows, p in samples]
         composed = static.__getitem__
-    inputs = [lambda k=k: composed(k)[1].x for k in range(len(samples))]
 
     lr = cfg.learning_rate
     lam = cfg.reg_lambda
@@ -409,7 +398,7 @@ def train(net, pairs, table, cfg):
             if not net.params_finite():
                 raise DivergenceError(
                     f"non-finite parameter at epoch {epoch + 1}, pair index {int(k)}")
-        total = objective(net, ((inputs[a], inputs[b], l) for a, b, l in pair_idx), cfg)
+        total = objective(net, lambda k: composed(k)[1].x, pair_idx, cfg)
         history.append(total / len(pairs))
     return net, history
 

@@ -19,7 +19,7 @@ from math import inf, isqrt
 import numpy as np
 
 from .errors import EmptyError, FormatError, InsufficientNegativesError
-from .jsonl import is_int, read_jsonl, write_jsonl
+from .jsonl import is_int, read_jsonl, record_tokens, write_jsonl
 from .lexicon import incompatible
 
 
@@ -141,15 +141,14 @@ def _sample_record(sample):
 
 
 def _sample_from_record(obj):
-    """The sample a record holds; raises ValueError where a field has the wrong type."""
+    """The sample a record holds; raises ValueError or FormatError where a field is bad."""
     phrase, tokens, source = obj["phrase"], obj["tokens"], obj["source"]
     if not isinstance(phrase, str):
         raise ValueError("'phrase' must be a string")
-    if not isinstance(tokens, list) or not tokens or not all(isinstance(t, str) for t in tokens):
-        raise ValueError("'tokens' must be a non-empty array of strings")
+    tokens = record_tokens(tokens)
     if not isinstance(source, list) or not all(map(is_int, source)):
         raise ValueError("'source' must be an array of integers")
-    return AspectSample(phrase.lower(), tuple(t.lower() for t in tokens), tuple(source))
+    return AspectSample(phrase.lower(), tokens, tuple(source))
 
 
 def save_pairs(pairs, path, header=None):
@@ -169,7 +168,7 @@ def _pair_or_header(obj):
             raise ValueError(f"label {json.dumps(label)} not in {{1, -1}}")
         return SamplePair(
             _sample_from_record(obj["left"]), _sample_from_record(obj["right"]), label)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, FormatError) as exc:
         raise FormatError(f"bad pair record ({exc})") from exc
 
 

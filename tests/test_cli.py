@@ -125,12 +125,23 @@ def _non_numeric_component(line):
 
 
 TOKENS = "'tokens' must be a non-empty array of strings"
+TOKEN = "'tokens' entry {} must be a non-empty string with no whitespace, got {}"
 IDS = "must be an array of strings or integers"
 # (input, edit of the first line it applies to, message). corpus, vectors and taxonomy
 # go through validate, pairs.jsonl through train and model.json through cluster.
 MALFORMED = [
     pytest.param("corpus", _edit_record("tokens", lambda r: r.update(tokens="the picture")),
                  TOKENS, id="corpus-tokens"),
+    pytest.param("corpus", _edit_record("tokens", lambda r: r["tokens"].__setitem__(0, "")),
+                 TOKEN.format(0, '""'), id="corpus-token-empty"),
+    pytest.param("corpus",
+                 _edit_record("tokens", lambda r: r["tokens"].__setitem__(1, "ice cream")),
+                 TOKEN.format(1, '"ice cream"'), id="corpus-token-space"),
+    pytest.param("corpus", lambda line: "[1]", "record is not a JSON object", id="corpus-array"),
+    pytest.param("corpus", _edit_record("mentions", lambda r: r.update(mentions={})),
+                 "'mentions' must be an array", id="corpus-mentions-object"),
+    pytest.param("corpus", _edit_record("mentions", lambda r: r.update(mentions=[1])),
+                 "mention is not a JSON object", id="corpus-mention-number"),
     pytest.param("corpus", _edit_record("mentions", lambda r: r["mentions"][0].update(start="1")),
                  "mention needs string 'phrase' and integer 'start'/'end'", id="corpus-start"),
     pytest.param("corpus", _edit_record("mentions", lambda r: r["mentions"][0].update(group="0")),
@@ -162,6 +173,8 @@ MALFORMED = [
                  "bad pair record (label true not in {1, -1})", id="pairs-label-boolean"),
     pytest.param("pairs", _edit_record("label", lambda r: r["left"].update(tokens="the picture")),
                  f"bad pair record ({TOKENS})", id="pairs-tokens"),
+    pytest.param("pairs", _edit_record("label", lambda r: r["left"]["tokens"].__setitem__(0, "")),
+                 "bad pair record (" + TOKEN.format(0, '""') + ")", id="pairs-token-empty"),
     pytest.param("pairs", _edit_record("label", lambda r: r["left"].update(source=[True])),
                  "bad pair record ('source' must be an array of integers)",
                  id="pairs-source-boolean"),
@@ -175,6 +188,54 @@ MALFORMED = [
     pytest.param("model", lambda doc: doc.update(output_dim="x"),
                  "output_dim \"x\" is not the layers' width 8", id="model-output_dim"),
 ]
+
+
+def _every_line(edit):
+    """A whole-file edit that applies line ``edit`` to each line it does not return None for."""
+    return lambda text: "".join((edit(line) or line) + "\n" for line in text.splitlines())
+
+
+# (command, input, whole-file edit, exit code, output line; {path} is the edited file).
+# validate prints to stdout, the other commands to stderr.
+REPORTED = [
+    pytest.param("split", "config", lambda text: "[split]\ntrain_ratio = 0.5\n"
+                 "test_ratio = 0.5\ndev_ratio = 0.5\n", 1,
+                 "error: split ratios (0.5, 0.5, 0.5) do not sum to 1", id="split-ratios"),
+    pytest.param("pairs", "config", lambda text: text + "[bogus]\nk = 1\n", 1,
+                 "error: {path}: unknown section [bogus]", id="config-section"),
+    pytest.param("validate", "vectors", lambda text: text + text.splitlines()[0].upper() + "\n",
+                 0, "warning: 1 duplicate token(s) ignored (first wins)", id="vectors-duplicate"),
+    pytest.param("validate", "taxonomy", lambda text: text + json.dumps(
+                     {"concept": "loop", "count": 1.0, "parents": ["loop"]}) + "\n", 1,
+                 "error: taxonomy: concept 'loop' is its own parent", id="taxonomy-own-parent"),
+    pytest.param("validate", "taxonomy",
+                 _every_line(_edit_record("concept", lambda r: r.update(count=0.0))), 1,
+                 "error: taxonomy: total propagated count at the root must be positive",
+                 id="taxonomy-zero-counts"),
+    pytest.param("validate", "taxonomy", lambda text: text + text.splitlines()[0] + "\n", 1,
+                 "error: taxonomy: duplicate concept record 'audio-a'",
+                 id="taxonomy-duplicate-concept"),
+    pytest.param("cluster", "model", lambda text: text[:text.rindex("}")], 1,
+                 "error: {path}: invalid JSON (Expecting ',' delimiter)", id="model-truncated"),
+]
+
+
+@pytest.mark.parametrize("command, name, edit, code, line", REPORTED)
+def test_input_problem_reported(fixture_files, pipeline_dir, tmp_path, capsys, command, name,
+                                edit, code, line):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    files = dict(fixture_files)
+    if name == "model":
+        path = Path(shutil.copy(pipeline_dir[0] / "model.json", out_dir))
+    else:
+        path = Path(shutil.copy(files[name], tmp_path))
+        files[name] = str(path)
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    assert run(command, *data_args(files), "--out-dir", str(out_dir)) == code
+    captured = capsys.readouterr()
+    stream = captured.out if command == "validate" else captured.err
+    assert line.format(path=path) + "\n" in stream
 
 
 class TestMalformedInput:
@@ -567,11 +628,15 @@ class TestGuards:
         config.train_config_from(config.resolve())
         assert sorted(seen) == sorted(f.name for f in dataclasses.fields(TrainConfig))
 
+    def test_train_config_defaults_are_the_settings_defaults(self):
+        assert TrainConfig() == config.train_config_from(config.resolve())
+
     @pytest.mark.parametrize("field", sorted(TRAINING_RANGES))
     def test_training_ranges_agree(self, field):
         # the library's TrainConfig and a [training] setting accept the same values
         key = "lambda" if field == "reg_lambda" else field
-        values = [-1, 0, 1, 2] if field == "epochs" else [-1, 0, 0.5, 1, 1.5, math.inf, math.nan]
+        values = ([-1, 0, 1, 2, 1.5, True] if field in ("epochs", "seed")
+                  else [-1, 0, 0.5, 1, 1.5, math.inf, math.nan])
         outcomes = set()
         for value in values:
             try:
@@ -689,6 +754,27 @@ class TestGuards:
         assert f"error: {path}: checkpoint holds a non-finite parameter" in captured.err
         assert captured.out == ""
         assert sorted(os.listdir(tmp_path)) == ["manifest.json", "model.json", "pairs.jsonl"]
+
+    @pytest.mark.parametrize("mode", ["attention", "avg"])
+    @pytest.mark.parametrize("command", ["cluster", "eval"])
+    def test_model_must_fit_vectors(self, fixture_files, tmp_path, capsys, command, mode):
+        args = data_args(fixture_files) + ["--out-dir", str(tmp_path), "--epochs", "1",
+                                           "--mode", mode]
+        assert run("pairs", *args) == 0
+        assert run("train", *args) == 0
+        cut = tmp_path / "cut.txt"
+        with open(fixture_files["vectors"], encoding="utf-8") as fh:
+            cut.write_text("".join(" ".join(line.split()[:5]) + "\n" for line in fh),
+                           encoding="utf-8")
+        capsys.readouterr()
+        code = run(command, *args, "--vectors", str(cut))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (f"error: {tmp_path / 'model.json'} composes 8-dimensional word "
+                                f"vectors; --vectors {cut} has dimension 4\n")
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["cut.txt", "manifest.json", "model.json",
+                                                "pairs.jsonl"]
 
     @pytest.mark.parametrize("command,k", [
         pytest.param("ablate", None, id="default_k"),

@@ -283,7 +283,7 @@ class TestClusterCorpus:
         _, composed, points = phrase_points(corpus, table, net=net)
         _, want, _ = phrase_points(corpus, table, mode="min")
         assert composed.tobytes() == want.tobytes()
-        assert points.tobytes() == np.array([net.forward(x)[0] for x in want]).tobytes()
+        assert points.tobytes() == np.array([net.forward(x) for x in want]).tobytes()
         with pytest.raises(ValueError, match="'attention' is not the network's mode 'min'"):
             phrase_points(corpus, table, net=net, mode="attention")
 
@@ -293,4 +293,4 @@ class TestClusterCorpus:
             fixture_corpus, fixture_table, net=net, mode="attention")
         assert composed.shape == (len(phrases), 16)
         assert points.shape == (len(phrases), net.output_dim)
-        assert points[0].tobytes() == net.forward(composed[0])[0].tobytes()
+        assert points[0].tobytes() == net.forward(composed[0]).tobytes()

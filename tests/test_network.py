@@ -39,19 +39,19 @@ class TestForward:
     def test_identity_network(self):
         net = linear_net(np.eye(3))
         x = np.array([1.0, -2.0, 0.5])
-        h, _ = net.forward(x)
+        h = net.forward(x)
         assert np.array_equal(h, x)
 
     def test_zero_weights_tanh(self):
         net = MetricNetwork([np.zeros((2, 3))], [np.zeros(2)], activation="tanh",
                             composition_mode="avg")
-        h, _ = net.forward(np.array([1.0, 2.0, 3.0]))
+        h = net.forward(np.array([1.0, 2.0, 3.0]))
         assert np.array_equal(h, np.zeros(2))
 
     def test_scalar_tanh(self):
         net = MetricNetwork([np.array([[2.0]])], [np.array([0.5])], activation="tanh",
                             composition_mode="ap")
-        h, _ = net.forward(np.array([1.0]))
+        h = net.forward(np.array([1.0]))
         assert h[0] == pytest.approx(math.tanh(2.5))
         assert h[0] == pytest.approx(0.98661, abs=1e-5)
 
@@ -132,7 +132,7 @@ class TestObjective:
         # a positive pair at distance 0 so omega = -2 and beta large
         sharp = TrainConfig(beta=400.0, reg_lambda=0.01)
         x = rng.normal(size=3)
-        total = objective(net, [(x, x, 1)], sharp)
+        total = objective(net, [x].__getitem__, [(0, 0, 1)], sharp)
         assert total == pytest.approx(regularizer(net, sharp))
         assert regularizer(net, cfg) > 0
 
@@ -141,12 +141,13 @@ class TestObjective:
         net = MetricNetwork.create(2, mode="avg", output_dim=2, n_layers=2, seed=3)
         pairs = [(rng.normal(size=4), rng.normal(size=4), 1),
                  (rng.normal(size=4), rng.normal(size=4), -1)]
-        total = objective(net, pairs, CFG)
+        total = objective(net, [x for x_i, x_j, _ in pairs for x in (x_i, x_j)].__getitem__,
+                          [(0, 1, 1), (2, 3, -1)], CFG)
         # plain-python recomputation
         expected = 0.0
         for x_i, x_j, label in pairs:
-            h_i, _ = net.forward(x_i)
-            h_j, _ = net.forward(x_j)
+            h_i = net.forward(x_i)
+            h_j = net.forward(x_j)
             d2 = sum((a - b) ** 2 for a, b in zip(h_i, h_j))
             omega = 1.0 - label * (CFG.margin_t - d2)
             expected += 0.5 * (math.log1p(math.exp(CFG.beta * omega)) / CFG.beta)
@@ -165,15 +166,17 @@ class TestObjective:
         real = MetricNetwork.forward
         monkeypatch.setattr(MetricNetwork, "forward",
                             lambda self, x: calls.append(1) or real(self, x))
-        assert objective(net, pairs, CFG) == expected
+        assert objective(net, xs.__getitem__, [(0, 1, 1), (1, 2, -1), (0, 2, 1), (2, 0, -1)],
+                         CFG) == expected
         assert len(calls) == 3
 
     def test_pair_order_invariance(self):
         rng = np.random.default_rng(9)
         net = MetricNetwork.create(2, mode="avg", output_dim=2, n_layers=1, seed=4)
-        pairs = [(rng.normal(size=4), rng.normal(size=4), (-1) ** i) for i in range(6)]
-        assert objective(net, pairs, CFG) == pytest.approx(
-            objective(net, pairs[::-1], CFG), abs=1e-12)
+        xs = rng.normal(size=(12, 4))
+        pairs = [(2 * i, 2 * i + 1, (-1) ** i) for i in range(6)]
+        assert objective(net, xs.__getitem__, pairs, CFG) == pytest.approx(
+            objective(net, xs.__getitem__, pairs[::-1], CFG), abs=1e-12)
 
 
 def fd_gradients(net, x_i, x_j, label, cfg, h=1e-5):
@@ -260,7 +263,7 @@ class TestComposeBackward:
         d = 3
         net = MetricNetwork.create(d, mode="attention", output_dim=2, n_layers=2,
                                    seed=8)
-        net.attention = AttentionParams(rng.normal(size=d) * 0.5)
+        net.attention.w_a[:] = rng.normal(size=d) * 0.5
         ctx_i, ctx_j = rng.normal(size=(4, d)), rng.normal(size=(3, d))
         p_i, p_j = rng.normal(size=d), rng.normal(size=d)
 
@@ -392,8 +395,8 @@ class TestTrainChecks:
 
     def test_attention_length_mismatch_raises_before_first_step(self):
         table, pairs = toy_training_setup()
-        net = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=1)
-        net.attention = AttentionParams(np.zeros(3))
+        base = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=1)
+        net = MetricNetwork(base.weights, base.biases, attention=AttentionParams(np.zeros(3)))
         before = net.params.copy()
         with pytest.raises(DimensionMismatchError, match=r"attention parameter has shape \(3,\)"):
             train(net, pairs, table, TrainConfig(epochs=2, seed=1))
@@ -621,21 +624,14 @@ class TestParameterBuffer:
         assert net.n_mlp + net.attention.w_a.size == net.params.size
         net.attention.w_a[1] = np.nan
         assert not net.params_finite()
-
-    def test_assigning_attention_keeps_the_layout(self):
-        net = MetricNetwork.create(3, mode="attention", output_dim=2, n_layers=2, seed=3)
-        weights = [w.copy() for w in net.weights]
-        net.attention = AttentionParams(np.arange(3.0))
-        assert np.shares_memory(net.attention.w_a, net.params)
-        assert np.array_equal(net.params[net.n_mlp:], np.arange(3.0))
-        for got, want in zip(net.weights, weights):
-            assert np.shares_memory(got, net.params) and np.array_equal(got, want)
+        with pytest.raises(AttributeError):  # the layout is fixed when the network is built
+            net.attention = AttentionParams(np.zeros(3))
 
 
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         net = MetricNetwork.create(3, mode="attention", output_dim=2, n_layers=3, seed=11)
-        net.attention = AttentionParams(np.random.default_rng(0).normal(size=3))
+        net.attention.w_a[:] = np.random.default_rng(0).normal(size=3)
         path = str(tmp_path / "model.json")
         save_model(net, path, config_hash="abc123", extra={"loss_history": [0.5, 0.25]})
         loaded, meta = load_model(path)
