@@ -81,12 +81,6 @@ def _atomic_write(path, content):
         raise
 
 
-def _loaders():
-    """Input flag -> its loader, built at each call so that a wrapper set on this module
-    (as bench/tracing.py sets) sees every load."""
-    return {"corpus": load_corpus, "vectors": load_word_vectors, "taxonomy": load_taxonomy}
-
-
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
@@ -167,11 +161,16 @@ class Run:
         self.reads, self.writes = {}, {}
         self.manifest  # a malformed manifest stops the command before it parses anything
 
-    def load(self, name):
-        """The parsed --corpus, --vectors or --taxonomy file, read at most once."""
+    def load(self, name, errors=None):
+        """The parsed --corpus, --vectors or --taxonomy file, read at most once; with an
+        ``errors`` list, its loader notes each problem there instead of raising."""
         if self.values.get(name) is None:
             _require(self.args, name)
-            self.values[name] = _loaders()[name](getattr(self.args, name))
+            # built at each call so that a wrapper set on this module (as bench/tracing.py
+            # sets) sees every load
+            loader = {"corpus": load_corpus, "vectors": load_word_vectors,
+                      "taxonomy": load_taxonomy}[name]
+            self.values[name] = loader(getattr(self.args, name), errors=errors)
         self.reads[name] = getattr(self.args, name)
         return self.values[name]
 
@@ -224,16 +223,13 @@ class Run:
 
 
 def cmd_validate(run):
-    """Check every input file; a clean check keeps the parsed inputs in ``run``."""
+    """Summarize the input files, read by ``Run.load`` with one problem list each, and
+    print every problem (exit 1); the parsed files stay in ``run`` for later steps."""
     args = run.args
     _require(args, "corpus", "vectors")
-    problems, loaded = [], {}
-    for name, loader in _loaders().items():
-        if getattr(args, name):
-            errors = []
-            loaded[name] = loader(getattr(args, name), errors=errors)
-            problems += [f"{name}: {e}" for e in errors]
-    corpus, table, tax = loaded["corpus"], loaded["vectors"], loaded.get("taxonomy")
+    errors = {"corpus": [], "vectors": [], "taxonomy": []}
+    corpus, table = run.load("corpus", errors["corpus"]), run.load("vectors", errors["vectors"])
+    tax = run.load("taxonomy", errors["taxonomy"]) if args.taxonomy else None
 
     print(f"sentences: {len(corpus)}")
     print(f"mentions: {corpus.mention_count()}")
@@ -248,16 +244,15 @@ def cmd_validate(run):
         print(f"vocabulary coverage: {known}/{total} ({pct:.1f}%)")
         if known < total:
             print(f"warning: {total - known} corpus token(s) have no vector")
-    if args.taxonomy and tax is not None:
+    if tax is not None:
         print(f"taxonomy: {len(tax.concepts)} concepts, {len(tax.word_map)} mapped words")
         count = len(mapped(corpus.phrases(), tax)[0])
         print(f"phrases with a concept mapping: {count}/{len(corpus.phrase_index)}")
 
+    problems = [f"{name}: {e}" for name, found in errors.items() for e in found]
     for problem in problems:
         print(f"error: {problem}")
     print("validation: " + ("FAILED" if problems else "ok"))
-    if not problems:
-        run.values.update(loaded)
     return 1 if problems else 0
 
 
@@ -400,6 +395,16 @@ def _scoring(resolved):
             "n_init": clustering["n_init"], "max_iter": clustering["max_iter"]}
 
 
+def _report(run, name, report, formatter, command):
+    """Write ``report`` with the config hash as ``name``, print its table, record the step."""
+    report["config_hash"] = run.chash
+    path = run.write(name, json.dumps(report, sort_keys=True, indent=1) + "\n")
+    print(formatter(report))
+    print(f"wrote {path}")
+    run.record(command, run.config["evaluation"]["seed"])
+    return 0
+
+
 def cmd_eval(run):
     _require(run.args, "corpus", "vectors", "out_dir")
     resolved = run.config
@@ -407,12 +412,7 @@ def cmd_eval(run):
     run.claim(METRICS_FILE)
     net, corpus, table = _scored_inputs(run, LEARNED_METHOD in methods)
     report = evaluate_run(corpus, table, methods, net=net, **_scoring(resolved))
-    report["config_hash"] = run.chash
-    path = run.write(METRICS_FILE, json.dumps(report, sort_keys=True, indent=1) + "\n")
-    print(format_report(report))
-    print(f"wrote {path}")
-    run.record("eval", resolved["evaluation"]["seed"])
-    return 0
+    return _report(run, METRICS_FILE, report, format_report, "eval")
 
 
 def cmd_ablate(run):
@@ -425,19 +425,14 @@ def cmd_ablate(run):
         _require(run.args, "taxonomy")  # only the trained combos' pairs read it
     run.claim(ABLATION_FILE)
     corpus = run.load("corpus")
-    gold_and_k(corpus)  # an unlabeled corpus cannot be scored: stop before any pair is drawn
+    gold_and_k(corpus, resolved["clustering"]["k"])  # unscorable: stop before any pair is drawn
     report = run_ablation(
         corpus, run.load("vectors"), combos,
         train_pairs=_draw_pairs(run) if trains else None,
         train_cfg=train_config_from(resolved),
         output_dim=resolved["network"]["output_dim"],
         hidden_dims=resolved["network"]["hidden_dims"], **_scoring(resolved))
-    report["config_hash"] = run.chash
-    path = run.write(ABLATION_FILE, json.dumps(report, sort_keys=True, indent=1) + "\n")
-    print(format_ablation(report))
-    print(f"wrote {path}")
-    run.record("ablate", resolved["evaluation"]["seed"])
-    return 0
+    return _report(run, ABLATION_FILE, report, format_ablation, "ablate")
 
 
 def cmd_run_all(run):
@@ -448,7 +443,7 @@ def cmd_run_all(run):
     code = cmd_validate(run)
     if code:
         return code
-    gold_and_k(run.load("corpus"))  # eval needs gold groups: fail before pairs.jsonl is written
+    gold_and_k(run.load("corpus"), run.config["clustering"]["k"])  # before pairs.jsonl is written
     for step in (cmd_pairs, cmd_train, cmd_cluster, cmd_eval):
         step(run)
     return 0

@@ -197,13 +197,6 @@ def config_hash(resolved):
 
 
 def train_config_from(resolved):
-    """Build a TrainConfig from the training section."""
-    t = resolved["training"]
-    return TrainConfig(
-        margin_t=t["margin_t"],
-        beta=t["beta"],
-        reg_lambda=t["lambda"],
-        learning_rate=t["learning_rate"],
-        epochs=t["epochs"],
-        seed=t["seed"],
-    )
+    """The TrainConfig of [training], whose keys are its fields, ``lambda`` for ``reg_lambda``."""
+    training = dict(resolved["training"])
+    return TrainConfig(reg_lambda=training.pop("lambda"), **training)

@@ -13,7 +13,7 @@ import math
 
 from . import clustering as _clustering
 from .composition import MODES
-from .errors import MissingLabelError
+from .errors import MissingLabelError, TooFewPointsError
 
 ENTROPY_BASE = 2
 
@@ -80,12 +80,16 @@ def entropy(assignments, gold, allow_missing=False):
 def gold_and_k(corpus, k=None):
     """Gold groups of ``corpus``, and ``k`` or else the number of distinct groups.
 
-    Raises MissingLabelError when the corpus carries no gold groups.
+    Raises MissingLabelError when the corpus carries no gold groups, and
+    TooFewPointsError when k exceeds the distinct phrases, one point each.
     """
     gold = corpus.gold_groups()
     if not gold:
         raise MissingLabelError("corpus carries no gold groups")
-    return gold, len(set(gold.values())) if k is None else k
+    k = len(set(gold.values())) if k is None else k
+    if k > len(corpus.phrase_index):
+        raise TooFewPointsError(f"{len(corpus.phrase_index)} points cannot fill {k} clusters")
+    return gold, k
 
 
 def method_setup(method, net):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import (AnnotatedCorpus, AnnotatedSentence, Mention, WordVectorTable, save_corpus,
                      save_word_vectors)
-from .lexicon import build_taxonomy, save_taxonomy
+from .lexicon import Taxonomy, save_taxonomy
 from .network import MetricNetwork
 
 DIMENSION = 8
@@ -138,7 +138,7 @@ def taxonomy_record_dicts():
 
 
 def make_taxonomy():
-    return build_taxonomy(taxonomy_record_dicts())
+    return Taxonomy(taxonomy_record_dicts())
 
 
 def make_network(seed=42):

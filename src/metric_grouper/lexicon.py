@@ -40,10 +40,27 @@ JCN_EPS = 1e-12
 
 
 class Taxonomy:
-    """Immutable concept DAG with counts and a word -> concepts map."""
+    """Immutable concept DAG with counts and a word -> concepts map.
 
-    def __init__(self, parents, counts, word_map):
-        self.parents = {str(c): frozenset(str(p) for p in ps) for c, ps in parents.items()}
+    Built from parsed records of both kinds, mixed: each concept id becomes a
+    string, a missing count is 0, and a word is lowercased, its records merged.
+    """
+
+    def __init__(self, records):
+        self.parents, self.counts, self.word_map = {}, {}, {}
+        for rec in records:
+            if "concept" in rec:
+                cid = str(rec["concept"])
+                if cid in self.parents:
+                    raise FormatError(f"duplicate concept record {cid!r}")
+                self.parents[cid] = frozenset(map(str, rec.get("parents", [])))
+                self.counts[cid] = float(rec.get("count", 0.0))
+            elif "word" in rec:
+                word = str(rec["word"]).lower()
+                self.word_map[word] = (self.word_map.get(word, frozenset())
+                                       | frozenset(map(str, rec.get("concepts", []))))
+            else:
+                raise FormatError("record is neither a concept nor a word entry")
         self.concepts = frozenset(self.parents)
         for c, ps in self.parents.items():
             for p in ps:
@@ -51,12 +68,7 @@ class Taxonomy:
                     raise FormatError(f"concept {c!r} names unknown parent {p!r}")
             if c in ps:
                 raise FormatError(f"concept {c!r} is its own parent")
-        self.counts = {str(c): float(v) for c, v in counts.items()}
-        for c in self.concepts:
-            self.counts.setdefault(c, 0.0)
         for c, v in self.counts.items():
-            if c not in self.concepts:
-                raise FormatError(f"count given for unknown concept {c!r}")
             if not (v >= 0.0) or not math.isfinite(v):
                 raise FormatError(f"concept {c!r} has invalid count {v!r}")
 
@@ -90,14 +102,10 @@ class Taxonomy:
         self._information = {c: -math.log(p / self.total) + 0.0
                              for c, p in self.propagated.items() if p > 0}
 
-        self.word_map: dict[str, frozenset[str]] = {}
-        for word, cs in word_map.items():
-            cs = frozenset(str(c) for c in cs)
+        for word, cs in self.word_map.items():
             for c in cs:
                 if c not in self.concepts:
                     raise FormatError(f"word {word!r} maps to unknown concept {c!r}")
-            key = word.lower()
-            self.word_map[key] = self.word_map.get(key, frozenset()) | cs
 
     def _topological_order(self):
         """Concepts ordered so every parent precedes its children."""
@@ -240,24 +248,6 @@ def incompatible(phrases, tax, eta):
     return np.repeat(indices, counts), np.concatenate(right)
 
 
-def build_taxonomy(records):
-    """Assemble a Taxonomy from parsed record dicts (both kinds mixed)."""
-    parents, counts, word_map = {}, {}, {}
-    for rec in records:
-        if "concept" in rec:
-            cid = str(rec["concept"])
-            if cid in parents:
-                raise FormatError(f"duplicate concept record {cid!r}")
-            parents[cid] = rec.get("parents", [])
-            counts[cid] = rec.get("count", 0.0)
-        elif "word" in rec:
-            word = str(rec["word"]).lower()
-            word_map[word] = set(word_map.get(word, set())) | set(rec.get("concepts", []))
-        else:
-            raise FormatError("record is neither a concept nor a word entry")
-    return Taxonomy(parents, counts, word_map)
-
-
 def _is_id(value):
     """Whether ``value`` can name a concept: a string or an integer, which ``str()`` names."""
     return isinstance(value, str) or is_int(value)
@@ -292,7 +282,7 @@ def load_taxonomy(path, errors=None):
     """
     records = read_jsonl(path, _taxonomy_record, errors)
     try:
-        return build_taxonomy(records)
+        return Taxonomy(records)
     except FormatError as exc:
         reject(path, errors, str(exc), exc)
         return None

@@ -39,14 +39,17 @@ class SamplePair:
 
 
 def generate_samples(corpus):
-    """One sample per (phrase, mentioning sentence) occurrence.
+    """One sample per distinct (phrase, mentioning sentence), in sentence order and,
+    inside a sentence, in order of first mention.
 
-    The context is the full containing sentence, phrase tokens included.
+    The context is the full containing sentence, phrase tokens included; a
+    sentence that mentions a phrase twice gives it one sample, as test-time
+    composition reads such a sentence once.
     """
     samples = []
     for sid, sent in enumerate(corpus.sentences):
-        for m in sent.mentions:
-            samples.append(AspectSample(m.phrase, sent.tokens, (sid,)))
+        for phrase in dict.fromkeys(m.phrase for m in sent.mentions):
+            samples.append(AspectSample(phrase, sent.tokens, (sid,)))
     return samples
 
 
@@ -141,14 +144,24 @@ def _sample_record(sample):
 
 
 def _sample_from_record(obj):
-    """The sample a record holds; raises ValueError or FormatError where a field is bad."""
+    """The sample a record holds; raises ValueError or FormatError where a field is bad.
+
+    ``phrase`` is tokens that obey the token rule, joined by single spaces, and
+    occurs as a run of ``tokens``, as a corpus mention matches its span.
+    """
     phrase, tokens, source = obj["phrase"], obj["tokens"], obj["source"]
     if not isinstance(phrase, str):
         raise ValueError("'phrase' must be a string")
     tokens = record_tokens(tokens)
     if not isinstance(source, list) or not all(map(is_int, source)):
         raise ValueError("'source' must be an array of integers")
-    return AspectSample(phrase.lower(), tokens, tuple(source))
+    phrase = phrase.lower()
+    if phrase.split(" ") != phrase.split():
+        raise ValueError(f"'phrase' must be non-empty tokens joined by single spaces, "
+                         f"got {json.dumps(phrase)}")
+    if f" {phrase} " not in f" {' '.join(tokens)} ":
+        raise ValueError(f"'phrase' {json.dumps(phrase)} does not occur in 'tokens'")
+    return AspectSample(phrase, tokens, tuple(source))
 
 
 def save_pairs(pairs, path, header=None):

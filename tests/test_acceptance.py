@@ -17,7 +17,7 @@ from metric_grouper.composition import AttentionParams, attention_weights
 from metric_grouper.corpus import AnnotatedCorpus, AnnotatedSentence, Mention, WordVectorTable
 from metric_grouper.errors import InsufficientNegativesError
 from metric_grouper.evaluation import entropy, evaluate_run, purity
-from metric_grouper.lexicon import build_taxonomy, jcn_similarity
+from metric_grouper.lexicon import Taxonomy, jcn_similarity
 from metric_grouper.network import (
     MetricNetwork,
     TrainConfig,
@@ -182,7 +182,7 @@ def multi_group_data(seed, groups=8, phrases=6, sentences=5, adjectives=5, dim=1
                 tokens = ("the", phrase, "is", words[a], "and", words[b])
                 sentences_out.append(AnnotatedSentence(tokens, (Mention(phrase, 1, 2, g),)))
     return (AnnotatedCorpus(sentences_out), WordVectorTable(dim, vectors),
-            build_taxonomy(records))
+            Taxonomy(records))
 
 
 def test_criterion_5_synthetic_end_to_end():

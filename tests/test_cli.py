@@ -178,6 +178,9 @@ MALFORMED = [
     pytest.param("pairs", _edit_record("label", lambda r: r["left"].update(source=[True])),
                  "bad pair record ('source' must be an array of integers)",
                  id="pairs-source-boolean"),
+    pytest.param("pairs", _edit_record("label", lambda r: r["left"].update(phrase="zebra")),
+                 "bad pair record ('phrase' \"zebra\" does not occur in 'tokens')",
+                 id="pairs-phrase-elsewhere"),
     pytest.param("model", lambda doc: doc.update(attention_w=[0.0] * 3),
                  "attention_w has 3 entries, expected 8 for input width 16 in attention mode",
                  id="model-attention_w"),
@@ -203,6 +206,11 @@ REPORTED = [
                  "error: split ratios (0.5, 0.5, 0.5) do not sum to 1", id="split-ratios"),
     pytest.param("pairs", "config", lambda text: text + "[bogus]\nk = 1\n", 1,
                  "error: {path}: unknown section [bogus]", id="config-section"),
+    pytest.param("pairs", "config", lambda text: "eta = 0.3\n" + text, 1,
+                 "error: {path}: File contains no section headers.", id="config-no-header"),
+    pytest.param("pairs", "config", lambda text: "[pairs]\neta = 0.3\neta = 0.4\n", 1,
+                 "error: {path}: While reading from '{path}' [line  3]: option 'eta' in "
+                 "section 'pairs' already exists", id="config-duplicate-key"),
     pytest.param("validate", "vectors", lambda text: text + text.splitlines()[0].upper() + "\n",
                  0, "warning: 1 duplicate token(s) ignored (first wins)", id="vectors-duplicate"),
     pytest.param("validate", "taxonomy", lambda text: text + json.dumps(
@@ -690,6 +698,8 @@ class TestGuards:
         (("train", "--learning-rate", "inf"), "[training] learning_rate"),
         (("train", "--learning-rate", "nan"), "[training] learning_rate"),
         (("pairs", "--eta", "-1"), "[pairs] eta"),
+        (("pairs", "--mode", "bogus"), "[composition] mode"),
+        (("train", "--activation", "relu"), "[network] activation"),
         (("pairs", "--seed", "-1"), "[pairs] seed"),
         (("run-all", "clustering.seed=-3"), "[clustering] seed"),
         (("train", "--hidden-dims", "0,3"), "[network] hidden_dims"),
@@ -802,6 +812,24 @@ class TestGuards:
         assert "error: corpus carries no gold groups" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ablate", "run-all"])
+    def test_k_above_distinct_phrases_rejected_before_training(self, fixture_files, tmp_path,
+                                                               capsys, monkeypatch, command):
+        points = len(load_corpus(fixture_files["corpus"]).phrase_index)
+        monkeypatch.setattr(ablation_mod, "train",
+                            lambda *a, **kw: pytest.fail("ablate trained before checking k"))
+        monkeypatch.setattr(cli, "train",
+                            lambda *a, **kw: pytest.fail("run-all trained before checking k"))
+        monkeypatch.setattr(cli, "generate_pairs",
+                            lambda *a, **kw: pytest.fail("pairs drawn before checking k"))
+        out = tmp_path / "out"
+        code = run(command, *data_args(fixture_files), "--k", str(points + 1),
+                   "--out-dir", str(out))
+        assert code == 1
+        assert (f"error: {points} points cannot fill {points + 1} clusters\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, message", [
         (["--combos", "bogus"], "[ablation] combos: combo 'bogus' is not mode:layers:trained|raw"),
         (["--combos", "ap:0:raw,ap:2:raw"],
@@ -809,7 +837,9 @@ class TestGuards:
         (["--combos", "ap:0:raw,ap:0:raw"], "duplicate combos"),
         (["--hidden-dims", "3", "--combos", "attention:3:trained"],
          "[network] hidden_dims: 3 layers need 2 hidden widths, got 1"),
-    ], ids=["bad_combo", "bad_depth", "duplicate_combo", "hidden_dims"])
+        (["--combos", "bogus:0:raw"],
+         "[ablation] combos: combo 'bogus:0:raw': unknown composition mode 'bogus'"),
+    ], ids=["bad_combo", "bad_depth", "duplicate_combo", "hidden_dims", "unknown_mode"])
     def test_ablate_checks_settings_before_reading_input(self, fixture_files, tmp_path, capsys,
                                                          monkeypatch, flags, message):
         for name in ("load_corpus", "load_word_vectors", "load_taxonomy", "generate_pairs"):
@@ -1084,3 +1114,16 @@ class TestTraceContract:
         metrics = self._layer_metrics(tmp_path, "ablate", *data_args(fixture_files),
                                       "--epochs", "10", "--combos", combos)
         assert {name: metrics[name] for name in self.EXPECTED_ABLATE} == self.EXPECTED_ABLATE
+
+
+def test_module_entry_point(fixture_files):
+    # the benchmark times `python -m metric_grouper`, so the module must run as a program
+    repo = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for argv, code, last in ((["--version"], 0, "0.1.0"),
+                             (["validate", *data_args(fixture_files)], 0, "validation: ok")):
+        proc = subprocess.run([sys.executable, "-m", "metric_grouper", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.splitlines()[-1] == last

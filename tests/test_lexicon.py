@@ -14,7 +14,7 @@ from metric_grouper.errors import (
 from metric_grouper.lexicon import (
     JCN_CAP,
     JCN_EPS,
-    build_taxonomy,
+    Taxonomy,
     incompatible,
     information_content,
     jcn_similarity,
@@ -53,7 +53,7 @@ class TestInformationContent:
             information_content("nope", fixture_taxonomy)
 
     def test_zero_propagated_count(self):
-        tax = build_taxonomy([
+        tax = Taxonomy([
             {"concept": "r", "parents": [], "count": 1.0},
             {"concept": "z", "parents": ["r"], "count": 0.0},
             {"word": "zeta", "concepts": ["z"]},
@@ -177,7 +177,7 @@ def random_taxonomy(rng, n_concepts=18, n_words=12):
         records.append({"word": f"w{w:02d}", "concepts": [name(c) for c in picked]})
     records.append({"word": "twin", "concepts": [name(1)]})
     records.append({"word": "w00", "concepts": [name(1)]})
-    return build_taxonomy(records)
+    return Taxonomy(records)
 
 
 class TestIncompatible:
@@ -235,14 +235,14 @@ class TestIncompatible:
 class TestTaxonomyValidation:
     def test_two_roots_rejected(self):
         with pytest.raises(FormatError, match="one root"):
-            build_taxonomy([
+            Taxonomy([
                 {"concept": "a", "parents": [], "count": 1},
                 {"concept": "b", "parents": [], "count": 1},
             ])
 
     def test_cycle_rejected(self):
         with pytest.raises(FormatError, match="cycle"):
-            build_taxonomy([
+            Taxonomy([
                 {"concept": "r", "parents": [], "count": 1},
                 {"concept": "a", "parents": ["b"], "count": 1},
                 {"concept": "b", "parents": ["a"], "count": 1},
@@ -250,22 +250,22 @@ class TestTaxonomyValidation:
 
     def test_unknown_parent_rejected(self):
         with pytest.raises(FormatError, match="unknown parent"):
-            build_taxonomy([{"concept": "a", "parents": ["ghost"], "count": 1}])
+            Taxonomy([{"concept": "a", "parents": ["ghost"], "count": 1}])
 
     def test_negative_count_rejected(self):
         with pytest.raises(FormatError, match="invalid count"):
-            build_taxonomy([{"concept": "r", "parents": [], "count": -1}])
+            Taxonomy([{"concept": "r", "parents": [], "count": -1}])
 
     def test_word_to_unknown_concept_rejected(self):
         with pytest.raises(FormatError, match="unknown concept"):
-            build_taxonomy([
+            Taxonomy([
                 {"concept": "r", "parents": [], "count": 1},
                 {"word": "x", "concepts": ["ghost"]},
             ])
 
     def test_diamond_counts_once(self):
         # d reaches the root via two paths; its count must not double
-        tax = build_taxonomy([
+        tax = Taxonomy([
             {"concept": "r", "parents": [], "count": 0},
             {"concept": "a", "parents": ["r"], "count": 0},
             {"concept": "b", "parents": ["r"], "count": 0},

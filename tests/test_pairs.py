@@ -9,7 +9,7 @@ import pytest
 
 from metric_grouper.corpus import AnnotatedCorpus, AnnotatedSentence, Mention, WordVectorTable
 from metric_grouper.errors import EmptyError, FormatError, InsufficientNegativesError
-from metric_grouper.lexicon import build_taxonomy, jcn_similarity
+from metric_grouper.lexicon import Taxonomy, jcn_similarity
 from metric_grouper.network import MetricNetwork, TrainConfig, train
 from metric_grouper.pairs import (
     AspectSample,
@@ -67,7 +67,7 @@ def two_branch_taxonomy():
                          ("gamma", "right"), ("delta", "right")):
         records.append({"concept": f"c-{word}", "parents": [branch], "count": 1})
         records.append({"word": word, "concepts": [f"c-{word}"]})
-    return build_taxonomy(records)
+    return Taxonomy(records)
 
 
 class TestGenerateSamples:
@@ -80,6 +80,14 @@ class TestGenerateSamples:
     def test_sample_count_equals_mention_count(self):
         corpus = corpus_of(["alpha", "beta", "alpha", "gamma"])
         assert len(generate_samples(corpus)) == corpus.mention_count()
+
+    def test_one_sample_per_phrase_and_sentence(self):
+        tokens = ("picture", "and", "sound", "and", "picture")
+        sent = AnnotatedSentence(tokens, (Mention("picture", 0, 1), Mention("sound", 2, 3),
+                                          Mention("picture", 4, 5)))
+        samples = generate_samples(AnnotatedCorpus([sent, sent]))
+        assert [(s.phrase, s.source) for s in samples] == [
+            ("picture", (0,)), ("sound", (0,)), ("picture", (1,)), ("sound", (1,))]
 
     def test_two_mentions_share_context(self):
         sent = AnnotatedSentence(
@@ -153,6 +161,15 @@ class TestGeneratePairs:
         samples = generate_samples(corpus_of(["alpha", "alpha", "gamma", "gamma"]))
         for p in generate_pairs(samples, tax, 0.5, seed=3):
             assert p.left != p.right
+
+    def test_no_positive_pair_joins_a_sample_to_itself(self):
+        # a sentence that mentions alpha twice is one alpha sample, not two equal ones
+        twice = AnnotatedSentence(("alpha", "beats", "alpha"),
+                                  (Mention("alpha", 0, 1), Mention("alpha", 2, 3)))
+        corpus = AnnotatedCorpus([twice, *corpus_of(["alpha", "gamma", "gamma"]).sentences])
+        positives = [p for p in generate_pairs(generate_samples(corpus), two_branch_taxonomy(),
+                                               0.5, seed=0) if p.label == 1]
+        assert positives and all(p.left != p.right for p in positives)
 
     def test_contracts_on_randomized_corpora(self):
         tax = two_branch_taxonomy()
@@ -267,7 +284,7 @@ class TestGeneratePairs:
         for word in words:
             records.append({"concept": f"c-{word}", "parents": ["root"], "count": 1})
             records.append({"word": word, "concepts": [f"c-{word}"]})
-        tax = build_taxonomy(records)
+        tax = Taxonomy(records)
         samples = generate_samples(corpus_of(words * 2))
         tracemalloc.start()
         try:
@@ -320,6 +337,10 @@ class TestPairIo:
         pytest.param("left", "tokens", ["the", 1], id="left-tokens-number"),
         pytest.param("left", "source", ["3"], id="left-source-string"),
         pytest.param("right", "source", 3, id="right-source-number"),
+        pytest.param("left", "phrase", "", id="left-phrase-empty"),
+        pytest.param("right", "phrase", "alpha  works", id="right-phrase-double-space"),
+        pytest.param("left", "phrase", "beta", id="left-phrase-elsewhere"),
+        pytest.param("right", "phrase", "the alpha", id="right-phrase-other-side"),
     ])
     def test_bad_sample_record_names_file_and_line(self, tmp_path, side, field, value):
         pair = SamplePair(
