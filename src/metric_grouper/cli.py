@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -163,16 +164,28 @@ class Run:
 
     def load(self, name, errors=None):
         """The parsed --corpus, --vectors or --taxonomy file, read at most once; with an
-        ``errors`` list, its loader notes each problem there instead of raising."""
+        ``errors`` list, its loader notes each problem there instead of raising. Of
+        --vectors, only the rows of ``_lookups()`` are kept."""
         if self.values.get(name) is None:
             _require(self.args, name)
             # built at each call so that a wrapper set on this module (as bench/tracing.py
             # sets) sees every load
             loader = {"corpus": load_corpus, "vectors": load_word_vectors,
                       "taxonomy": load_taxonomy}[name]
-            self.values[name] = loader(getattr(self.args, name), errors=errors)
+            keep = {"keep": self._lookups()} if name == "vectors" else {}
+            self.values[name] = loader(getattr(self.args, name), errors=errors, **keep)
         self.reads[name] = getattr(self.args, name)
         return self.values[name]
+
+    def _lookups(self):
+        """Every token this command can look a vector up for: the tokens of the corpus it
+        has read or, for a command that reads none, of its pairs. A phrase's tokens are
+        among its sentence's, so phrase vectors are covered too."""
+        corpus = self.values.get("corpus")
+        if corpus is not None:
+            return corpus.distinct_tokens()
+        return {token for pair in self.values[PAIRS_FILE]
+                for sample in (pair.left, pair.right) for token in sample.context_tokens}
 
     def artifact(self, name):
         """--out-dir's ``name`` as an earlier step of this run made it, or else as read
@@ -364,8 +377,10 @@ def cmd_cluster(run):
 
     k = section["k"] if section["k"] is not None else gold_and_k(corpus)[1]
     phrases, composed, points = _clustering.phrase_points(corpus, table, net=net, mode=mode)
-    result = _clustering.kmeans(
-        points, k, seed=section["seed"], n_init=section["n_init"], max_iter=section["max_iter"])
+    with warnings.catch_warnings():  # empty clusters are reported below, once
+        warnings.filterwarnings("ignore", r"\d+ cluster\(s\) ended up empty", UserWarning)
+        result = _clustering.kmeans(points, k, seed=section["seed"], n_init=section["n_init"],
+                                    max_iter=section["max_iter"])
 
     lines = [f"# config_hash={run.chash}"]
     lines += [f"{phrase}\t{label}" for phrase, label in zip(phrases, result.labels.tolist())]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -26,10 +27,12 @@ class WordVectorTable:
     """Token -> fixed-length vector lookup; an out-of-vocabulary token looks up as a zero row.
 
     ``matrix`` is one read-only ``(n, d)`` float64 array and ``vectors``
-    maps each lowercased token to a read-only view of its row.
+    maps each lowercased token to a read-only view of its row. ``len()``
+    counts the distinct tokens of the source, so a table loaded with a
+    ``keep`` set holds fewer rows than its length.
     """
 
-    def __init__(self, dimension, vectors, duplicate_count=0):
+    def __init__(self, dimension, vectors):
         dimension = int(dimension)
         if dimension <= 0:
             raise ValueError("dimension must be positive")
@@ -48,24 +51,25 @@ class WordVectorTable:
             tokens.append(key)
             rows.append(arr)
         matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, dimension))
-        self._adopt(tokens, matrix, duplicate_count)
+        self._adopt(tokens, matrix, 0, len(tokens))
 
     @classmethod
-    def _from_matrix(cls, tokens, matrix, duplicate_count):
+    def _from_matrix(cls, tokens, matrix, duplicate_count, entries):
         """Table over an already checked matrix, taken without a copy."""
         table = cls.__new__(cls)
-        table._adopt(tokens, matrix, duplicate_count)
+        table._adopt(tokens, matrix, duplicate_count, entries)
         return table
 
-    def _adopt(self, tokens, matrix, duplicate_count):
+    def _adopt(self, tokens, matrix, duplicate_count, entries):
         matrix.flags.writeable = False
         self.matrix = matrix
         self.dimension = matrix.shape[1]
         self.duplicate_count = duplicate_count
+        self._entries = entries
         self.vectors: dict[str, np.ndarray] = dict(zip(tokens, matrix))
 
     def __len__(self):
-        return len(self.vectors)
+        return self._entries
 
     def __contains__(self, token):
         return token.lower() in self.vectors
@@ -94,58 +98,83 @@ class WordVectorTable:
         return known, len(distinct)
 
 
-def _component_fields(fh, tokens):
-    """Yield each non-blank line's components, appending its lowercased token to ``tokens``.
+# Lines per np.loadtxt call: a chunk of 100-wide rows is 410 KB, however long the file.
+CHUNK_LINES = 512
 
-    Raises ValueError where ``np.loadtxt`` would go wrong without one: it
-    would skip a token-only line as blank, and warn on a file with no rows.
+
+def _holds(token, seen, wanted):
+    """Whether a checked row of ``token`` is held: the token's first (``seen`` notes it)
+    and wanted, every token being wanted when ``wanted`` is None.
+
+    ``seen`` is a dict used as a set: at 20k tokens it takes a quarter of a set's memory.
+    """
+    if token in seen:
+        return False
+    seen[token] = None
+    return wanted is None or token in wanted
+
+
+def _token_fields(fh):
+    """``(token, components)`` for each non-blank line, the token lowercased.
+
+    Raises ValueError for a token-only line, which ``np.loadtxt`` would skip
+    as blank.
     """
     for line in fh:
         parts = line.split(None, 1)
-        if not parts:
-            continue
         if len(parts) == 1:
             raise ValueError("entry has no vector components")
-        tokens.append(parts[0].lower())
-        yield parts[1]
-    if not tokens:
-        raise ValueError("no word vectors")
+        if parts:
+            yield parts[0].lower(), parts[1]
 
 
-def load_word_vectors(path, errors=None):
+def load_word_vectors(path, errors=None, keep=None):
     """Parse a word-vector text file into a WordVectorTable.
 
     The first non-empty line fixes the dimension; later lines with a
     different arity are format errors. When ``errors`` is a list, problems
     are appended as ``"line N: message"`` strings and bad lines are
-    skipped instead of raising.
+    skipped instead of raising. Every line is checked, but only the rows
+    of tokens in ``keep`` (compared lowercased) are held, or every row
+    when ``keep`` is None; the table's length and ``duplicate_count``
+    count the whole file.
 
-    A clean file is parsed in one ``np.loadtxt`` pass. Any other file is
-    re-read line by line, which names the offending line.
+    A clean file is parsed ``CHUNK_LINES`` lines per ``np.loadtxt`` call.
+    Any other file is re-read line by line, which names the offending line.
     """
-    tokens = []
+    wanted = None if keep is None else {token.lower() for token in keep}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            matrix = np.loadtxt(_component_fields(fh, tokens), dtype=np.float64,
-                                comments=None, ndmin=2)
-    except ValueError:
-        matrix = None
-    if matrix is None or not np.isfinite(matrix).all():
-        return _load_line_by_line(path, errors)
-    first_row = {}
-    for row, token in enumerate(tokens):
-        first_row.setdefault(token, row)  # first occurrence wins
-    duplicates = len(tokens) - len(first_row)
-    if duplicates:
-        matrix = matrix[list(first_row.values())]
-    return WordVectorTable._from_matrix(list(first_row), matrix, duplicates)
+            return _load_chunked(fh, wanted)
+    except ValueError:  # a defect, or text that is not UTF-8
+        return _load_line_by_line(path, errors, wanted)
 
 
-def _load_line_by_line(path, errors):
+def _load_chunked(fh, wanted):
+    """``load_word_vectors`` of a clean file; raises ValueError at the first defect."""
+    tokens, blocks, seen, rows, width = [], [], {}, 0, None
+    fields = _token_fields(fh)
+    while chunk := list(islice(fields, CHUNK_LINES)):
+        matrix = np.loadtxt([comps for _token, comps in chunk], dtype=np.float64,
+                            comments=None, ndmin=2)
+        width = matrix.shape[1] if width is None else width
+        if matrix.shape[1] != width or not np.isfinite(matrix).all():
+            raise ValueError("inconsistent dimension or non-finite vector component")
+        picks = [i for i, (token, _comps) in enumerate(chunk) if _holds(token, seen, wanted)]
+        tokens += [chunk[i][0] for i in picks]
+        blocks.append(matrix[picks])  # a copy: a view would keep the whole chunk alive
+        rows += len(chunk)
+    if not rows:
+        raise ValueError("no word vectors")
+    return WordVectorTable._from_matrix(tokens, np.concatenate(blocks), rows - len(seen),
+                                        len(seen))
+
+
+def _load_line_by_line(path, errors, wanted):
     """``load_word_vectors`` one line at a time, naming each defective line."""
-    entries: dict[str, np.ndarray] = {}
+    tokens, held, seen = [], [], {}
     dimension = None
-    duplicates = 0
+    rows = 0
 
     def fail(lineno, message):
         reject(path, errors, f"line {lineno}: {message}")
@@ -172,15 +201,16 @@ def _load_line_by_line(path, errors):
             if not np.all(np.isfinite(vec)):
                 fail(lineno, "non-finite vector component")
                 continue
-            if token in entries:
-                duplicates += 1  # first occurrence wins after lowercasing
-                continue
-            entries[token] = vec
+            rows += 1
+            if _holds(token, seen, wanted):  # first occurrence wins after lowercasing
+                tokens.append(token)
+                held.append(vec)
 
-    if not entries:
+    if not rows:
         reject(path, errors, "no word vectors loaded", kind=EmptyError)
         return None
-    return WordVectorTable(dimension, entries, duplicate_count=duplicates)
+    matrix = np.array(held, dtype=np.float64).reshape(-1, dimension)
+    return WordVectorTable._from_matrix(tokens, matrix, rows - len(seen), len(seen))
 
 
 @dataclass(frozen=True)

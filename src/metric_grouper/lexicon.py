@@ -63,7 +63,7 @@ class Taxonomy:
                 raise FormatError("record is neither a concept nor a word entry")
         self.concepts = frozenset(self.parents)
         for c, ps in self.parents.items():
-            for p in ps:
+            for p in sorted(ps):  # sorted: a set's order depends on the hash seed
                 if p not in self.concepts:
                     raise FormatError(f"concept {c!r} names unknown parent {p!r}")
             if c in ps:
@@ -103,7 +103,7 @@ class Taxonomy:
                              for c, p in self.propagated.items() if p > 0}
 
         for word, cs in self.word_map.items():
-            for c in cs:
+            for c in sorted(cs):
                 if c not in self.concepts:
                     raise FormatError(f"word {word!r} maps to unknown concept {c!r}")
 
@@ -263,6 +263,10 @@ def _taxonomy_record(obj):
             raise FormatError("'concept' must be a string or an integer")
         if isinstance(count, bool) or not isinstance(count, (int, float)):
             raise FormatError("'count' must be a number")
+        try:
+            float(count)
+        except OverflowError:  # an integer beyond the float range
+            raise FormatError("'count' must be a number") from None
     else:
         field = "concepts"
         if not isinstance(obj["word"], str):

@@ -19,7 +19,9 @@ from metric_grouper import config
 from metric_grouper.cli import _atomic_write, main
 from metric_grouper.corpus import load_corpus, load_word_vectors
 from metric_grouper.errors import ConfigError, FormatError
+from metric_grouper.fixture import DIMENSION
 from metric_grouper.network import TRAINING_RANGES, TrainConfig, load_model
+from metric_grouper.pairs import load_pairs
 
 ARTIFACTS = ("pairs.jsonl", "model.json", "clusters.tsv", "metrics.json", "manifest.json")
 
@@ -43,6 +45,13 @@ def fixture_files(tmp_path_factory):
 def data_args(files):
     return ["--corpus", files["corpus"], "--vectors", files["vectors"],
             "--taxonomy", files["taxonomy"], "--config", files["config"]]
+
+
+def _src_env(**extra):
+    """The environment of a CLI subprocess that imports this checkout's package."""
+    repo = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +117,51 @@ class TestValidate:
         assert "warning" in out
 
 
+# defect -> rows of a token no corpus sentence uses, and the line validate prints for
+# them; {n} is the first row's line number and {d} the fixture's vector width
+UNUSED_ROW_DEFECTS = {
+    "arity": (["{t} 1.0 2.0"], "error: vectors: line {n}: inconsistent dimension: got 2, "
+                               "expected {d}"),
+    "non-numeric": (["{t}" + " oops" * DIMENSION],
+                    "error: vectors: line {n}: non-numeric vector component"),
+    "non-finite": (["{t}" + " nan" * DIMENSION],
+                   "error: vectors: line {n}: non-finite vector component"),
+    "duplicate": (["{t}" + " 1.0" * DIMENSION, "{t}" + " 2.0" * DIMENSION],
+                  "warning: 1 duplicate token(s) ignored (first wins)"),
+}
+
+
+@pytest.mark.parametrize("defects", [[name] for name in UNUSED_ROW_DEFECTS]
+                         + [list(UNUSED_ROW_DEFECTS)], ids=[*UNUSED_ROW_DEFECTS, "all"])
+def test_unused_row_defects_validate_as_without_keep(fixture_files, tmp_path, monkeypatch,
+                                                     capsys, defects):
+    lines = Path(fixture_files["vectors"]).read_text(encoding="utf-8").splitlines()
+    expected = []
+    for name in defects:
+        rows, message = UNUSED_ROW_DEFECTS[name]
+        expected.append(message.format(n=len(lines) + 1, d=DIMENSION))
+        lines += [row.format(t=f"unused-{name}") for row in rows]
+    vecs = tmp_path / "vectors.txt"
+    vecs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args = data_args(dict(fixture_files, vectors=str(vecs)))
+
+    tables, outputs = [], []
+    for keeps in (True, False):
+        def loading(path, errors=None, keep=None, keeps=keeps):
+            tables.append(load_word_vectors(path, errors=errors, keep=keep if keeps else None))
+            return tables[-1]
+
+        monkeypatch.setattr(cli, "load_word_vectors", loading)
+        outputs.append((run("validate", *args), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    code, captured = outputs[0]
+    assert code == (0 if defects == ["duplicate"] else 1) and captured.err == ""
+    assert all(line + "\n" in captured.out for line in expected)
+    entries = 30 + ("duplicate" in defects)
+    assert f"word vectors: {entries} entries, dimension {DIMENSION}\n" in captured.out
+    assert len(tables[0].vectors) == 27 < len(tables[1].vectors)
+
+
 def _edit_record(key, change):
     """A line edit that applies ``change`` to a JSON record holding ``key``, None elsewhere."""
     def edit(line):
@@ -157,6 +211,8 @@ MALFORMED = [
                  "'count' must be a number", id="taxonomy-count-string"),
     pytest.param("taxonomy", _edit_record("concept", lambda r: r.update(count=None)),
                  "'count' must be a number", id="taxonomy-count-null"),
+    pytest.param("taxonomy", _edit_record("concept", lambda r: r.update(count=10 ** 400)),
+                 "'count' must be a number", id="taxonomy-count-beyond-float"),
     pytest.param("taxonomy", _edit_record("concept", lambda r: r.update(parents="audio-branch")),
                  f"'parents' {IDS}", id="taxonomy-parents-string"),
     pytest.param("taxonomy", _edit_record("concept", lambda r: r.update(concept=["x"])),
@@ -386,6 +442,21 @@ class TestPipeline:
         args = data_args(fixture_files) + ["--out-dir", str(tmp_path)]
         assert run("cluster", "--method", "avg", *args) == 0
         assert (tmp_path / "clusters.tsv").exists()
+
+    def test_empty_clusters_reported_once(self, tmp_path):
+        # two of three phrases have no vector, so their zero rows coincide and k=3 leaves
+        # a cluster empty
+        corpus, vecs = tmp_path / "corpus.jsonl", tmp_path / "vectors.txt"
+        corpus.write_text("".join(
+            json.dumps({"tokens": [w], "mentions": [{"phrase": w, "start": 0, "end": 1}]}) + "\n"
+            for w in ("alpha", "beta", "gamma")), encoding="utf-8")
+        vecs.write_text("alpha 1.0 0.0\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "metric_grouper", "cluster", "--method", "ap", "--k", "3",
+             "--corpus", str(corpus), "--vectors", str(vecs), "--out-dir", str(tmp_path)],
+            env=_src_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.endswith("warning: empty clusters [2]\n")
 
     def test_dump_flags(self, pipeline_dir, tmp_path):
         out, args = pipeline_dir
@@ -970,8 +1041,22 @@ class TestRunAll:
                                                           monkeypatch):
         steps_dir, all_dir = tmp_path / "steps", tmp_path / "all"
         base = data_args(fixture_files) + ["--epochs", "3"]
+        kept = {}
         for command in ("validate", "pairs", "train", "cluster", "eval"):
+            def loading(path, errors=None, keep=None, command=command):
+                kept[command] = keep
+                return load_word_vectors(path, errors=errors, keep=keep)
+
+            monkeypatch.setattr(cli, "load_word_vectors", loading)
             assert run(command, *base, "--out-dir", str(steps_dir)) == 0
+        monkeypatch.undo()
+        # a step keeps the vector rows of the corpus it reads; standalone train reads none
+        corpus_tokens = load_corpus(fixture_files["corpus"]).distinct_tokens()
+        pairs, _meta = load_pairs(str(steps_dir / "pairs.jsonl"))
+        pair_tokens = {token for pair in pairs for sample in (pair.left, pair.right)
+                       for token in sample.context_tokens}
+        assert kept == {"validate": corpus_tokens, "train": pair_tokens,
+                        "cluster": corpus_tokens, "eval": corpus_tokens}
 
         # pairs and model pass from step to step in memory; each file is hashed once
         calls = count_calls(monkeypatch, cli, "load_word_vectors", "load_corpus", "load_taxonomy",
@@ -1002,6 +1087,37 @@ class TestRunAll:
         assert "validation: FAILED" in out
         assert not (out_dir / "pairs.jsonl").exists()
         assert not (out_dir / "model.json").exists()
+
+
+def test_output_does_not_depend_on_hash_seed(fixture_files, tmp_path):
+    # a concept with three unknown parents and a word with three unknown concepts: the
+    # one named must not depend on the order in which a set yields them
+    unknown = ["ghost", "phantom", "zz"]
+    taxonomies = {
+        "parent": [{"concept": "r", "count": 1}, {"concept": "c", "parents": unknown}],
+        "concept": [{"concept": "r", "count": 1}, {"word": "x", "concepts": unknown}],
+    }
+    commands = [("run-all", *data_args(fixture_files), "--epochs", "3", "--out-dir", "out")]
+    for name, records in taxonomies.items():
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        commands.append(("validate", *data_args(dict(fixture_files, taxonomy=str(path)))))
+    seen = {}
+    for hash_seed in ("1", "4"):  # two seeds under which these sets iterate differently
+        cwd = tmp_path / f"hash-seed-{hash_seed}"
+        cwd.mkdir()
+        procs = [subprocess.run([sys.executable, "-m", "metric_grouper", *argv], cwd=cwd,
+                                env=_src_env(PYTHONHASHSEED=hash_seed), capture_output=True,
+                                text=True, timeout=300)
+                 for argv in commands]
+        seen[hash_seed] = ([(p.returncode, p.stdout, p.stderr) for p in procs],
+                           {f.name: f.read_bytes() for f in sorted((cwd / "out").iterdir())})
+    assert seen["1"] == seen["4"]
+    outputs, artifacts = seen["1"]
+    assert sorted(artifacts) == sorted(ARTIFACTS)
+    assert [code for code, _out, _err in outputs] == [0, 1, 1]
+    assert "error: taxonomy: concept 'c' names unknown parent 'ghost'\n" in outputs[1][1]
+    assert "error: taxonomy: word 'x' maps to unknown concept 'ghost'\n" in outputs[2][1]
 
 
 class TestAtomicWrite:
@@ -1089,12 +1205,10 @@ class TestTraceContract:
         repo = Path(__file__).resolve().parent.parent
         tracer = repo / "bench" / "tracing.py"
         spans = tmp_path / "spans.json"
-        path = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, str(tracer), "--spans", str(spans), "--t0", "0", "--",
              *cli_args, "--out-dir", str(tmp_path / "out")],
-            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
-            timeout=600)
+            env=_src_env(), capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(spans.read_text(encoding="utf-8"))
         assert doc["unwrapped"] == []
@@ -1118,9 +1232,7 @@ class TestTraceContract:
 
 def test_module_entry_point(fixture_files):
     # the benchmark times `python -m metric_grouper`, so the module must run as a program
-    repo = Path(__file__).resolve().parent.parent
-    path = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = _src_env()
     for argv, code, last in ((["--version"], 0, "0.1.0"),
                              (["validate", *data_args(fixture_files)], 0, "validation: ok")):
         proc = subprocess.run([sys.executable, "-m", "metric_grouper", *argv], env=env,

@@ -1,5 +1,7 @@
 import json
+import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -128,6 +130,24 @@ class TestLoadWordVectors:
             assert np.shares_memory(vec, table.matrix) and not vec.flags.writeable
 
 
+class TestKeepMemory:
+    def test_peak_is_a_fraction_of_the_whole_matrix(self, tmp_path):
+        # tracemalloc sees numpy's buffers; a kept row that is a view of its chunk would
+        # keep every chunk alive, and the peak would pass the whole matrix
+        rows, dim = 20_000, 100
+        row = " ".join(f"{x:.4f}" for x in np.random.default_rng(0).normal(size=dim))
+        path = write(tmp_path, "v.txt", "".join(f"w{i} {row}\n" for i in range(rows)))
+        keep = {f"w{i}" for i in range(0, rows, 64)}  # a few hundred, in every chunk
+        tracemalloc.start()
+        try:
+            table = load_word_vectors(path, keep=keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(table), len(table.vectors)) == (rows, len(keep))
+        assert peak < rows * dim * 8 / 3
+
+
 def random_vector_text(rng):
     """A clean vector file mixing float syntaxes, separators, line endings and duplicates."""
     dim = int(rng.integers(1, 6))
@@ -155,19 +175,35 @@ def random_vector_text(rng):
 class TestBulkParseReference:
     @pytest.mark.parametrize("seed", range(10))
     def test_bulk_parse_equals_line_loop(self, tmp_path, monkeypatch, seed):
-        path = write(tmp_path, "v.txt", random_vector_text(np.random.default_rng(seed)))
-        want = corpus_module._load_line_by_line(path, None)
+        rng = np.random.default_rng(seed)
+        text = random_vector_text(rng)
+        path = write(tmp_path, "v.txt", text)
+        want = corpus_module._load_line_by_line(path, None, None)
+        # tok0..tok24 may occur, most more than once; tok25..tok29 never do
+        keep = {str(rng.choice([f"tok{i}", f"TOK{i}"])) for i in rng.choice(30, 15, replace=False)}
+        keep |= {"tok25"}
+        rows = Counter(line.split()[0].lower() for line in text.splitlines() if line.split())
+        assert any(rows[token.lower()] > 1 for token in keep)
 
         def no_fallback(*args):
             raise AssertionError("a clean file fell back to the line loop")
 
         monkeypatch.setattr(corpus_module, "_load_line_by_line", no_fallback)
+        monkeypatch.setattr(corpus_module, "CHUNK_LINES", 1 + 7 * seed)  # chunks of 1 to 64 lines
         got = load_word_vectors(path)
         assert list(got.vectors) == list(want.vectors)
         assert got.duplicate_count == want.duplicate_count > 0
         assert got.dimension == want.dimension
         for token, vec in want.vectors.items():
             assert got.vectors[token].tobytes() == vec.tobytes()
+
+        kept = load_word_vectors(path, keep=keep)
+        wanted = {token.lower() for token in keep}
+        assert list(kept.vectors) == [token for token in want.vectors if token in wanted]
+        assert (len(kept), kept.duplicate_count, kept.dimension) == \
+            (len(want), want.duplicate_count, want.dimension)
+        for token, vec in kept.vectors.items():
+            assert vec.tobytes() == want.vectors[token].tobytes()
 
 
 class TestMappingConstructor:
