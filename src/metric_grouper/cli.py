@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import tempfile
-import warnings
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from . import clustering as _clustering
 from .ablation import check_combos, format_ablation, run_ablation
 from .config import FLAGS, config_hash, resolve, train_config_from
 from .corpus import AnnotatedCorpus, load_corpus, load_word_vectors, save_corpus
-from .errors import ArtifactMismatchError, MetricGrouperError, MissingModelError
+from .errors import ArtifactMismatchError, MetricGrouperError, MissingLabelError, MissingModelError
 from .evaluation import (LEARNED_METHOD, METHODS, evaluate_run, format_report, gold_and_k,
                          method_setup)
 from .fixture import write_fixture
@@ -375,12 +374,12 @@ def cmd_cluster(run):
     trained, corpus, table = _scored_inputs(run, method == LEARNED_METHOD)
     net, mode = method_setup(method, trained)
 
+    if section["k"] is None and not corpus.has_labels():
+        raise MissingLabelError("corpus carries no gold groups to count clusters by; pass --k")
     k = section["k"] if section["k"] is not None else gold_and_k(corpus)[1]
     phrases, composed, points = _clustering.phrase_points(corpus, table, net=net, mode=mode)
-    with warnings.catch_warnings():  # empty clusters are reported below, once
-        warnings.filterwarnings("ignore", r"\d+ cluster\(s\) ended up empty", UserWarning)
-        result = _clustering.kmeans(points, k, seed=section["seed"], n_init=section["n_init"],
-                                    max_iter=section["max_iter"])
+    result = _clustering.kmeans(points, k, seed=section["seed"], n_init=section["n_init"],
+                                max_iter=section["max_iter"])
 
     lines = [f"# config_hash={run.chash}"]
     lines += [f"{phrase}\t{label}" for phrase, label in zip(phrases, result.labels.tolist())]
@@ -422,11 +421,10 @@ def _report(run, name, report, formatter, command):
 
 def cmd_eval(run):
     _require(run.args, "corpus", "vectors", "out_dir")
-    resolved = run.config
-    methods = resolved["evaluation"]["methods"]
+    methods = run.config["evaluation"]["methods"]
     run.claim(METRICS_FILE)
     net, corpus, table = _scored_inputs(run, LEARNED_METHOD in methods)
-    report = evaluate_run(corpus, table, methods, net=net, **_scoring(resolved))
+    report = evaluate_run(corpus, table, methods, net=net, **_scoring(run.config))
     return _report(run, METRICS_FILE, report, format_report, "eval")
 
 

@@ -8,7 +8,6 @@ cosine similarity. kmeans() itself is plain Euclidean K-means.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +21,8 @@ class Clustering:
     """Labels, centroids and inertia of one finished run.
 
     ``labels[i]`` is the cluster of row i of the clustered matrix.
-    ``empty_clusters`` flags cluster ids that ended up with no members,
-    which can only happen when duplicate points make K distinct centroids
-    impossible.
+    ``empty_clusters`` lists the cluster ids left with no member, which only
+    duplicate points can cause; it is the one place a run reports them.
     """
     labels: np.ndarray
     centroids: np.ndarray
@@ -124,12 +122,7 @@ def kmeans(points, k, seed=0, n_init=10, max_iter=100, trace=None):
         if best is None or inertia < best[2]:
             best = (assign, centers, inertia)
     assign, centers, inertia = best
-    sizes = np.bincount(assign, minlength=k)
-    empty = tuple(int(c) for c in np.flatnonzero(sizes == 0))
-    if empty:
-        warnings.warn(
-            f"{len(empty)} cluster(s) ended up empty; duplicate points make "
-            f"{k} distinct centroids impossible", stacklevel=2)
+    empty = tuple(np.flatnonzero(np.bincount(assign, minlength=k) == 0).tolist())
     return Clustering(labels=assign, centroids=centers, inertia=inertia, empty_clusters=empty)
 
 

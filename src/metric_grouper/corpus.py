@@ -321,9 +321,12 @@ def load_corpus(path, errors=None):
     """Load a line-delimited JSON corpus.
 
     When ``errors`` is a list, malformed records are collected as strings
-    and skipped; otherwise the first problem raises FormatError.
-    """
-    return AnnotatedCorpus(read_jsonl(path, _parse_sentence, errors))
+    and skipped; otherwise the first problem raises FormatError, or EmptyError
+    for a file with no sentence."""
+    sentences = read_jsonl(path, _parse_sentence, errors)
+    if not sentences:
+        reject(path, errors, "no sentences loaded", kind=EmptyError)
+    return AnnotatedCorpus(sentences)
 
 
 def corpus_records(corpus):

@@ -109,7 +109,8 @@ def score_methods(corpus, table, setups, k, runs, seed, n_init, max_iter):
     Run r uses seed ``seed + r``; ``k`` None means the number of distinct gold
     groups. Each entry's phrases are composed (and mapped through ``net``)
     once; only K-means repeats per seed, scored from one contingency table
-    per run. Returns the report head and one row per name.
+    per run. Returns the report head and one row per name, which counts its
+    runs that left a cluster empty as ``empty_cluster_runs`` if there are any.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
@@ -118,17 +119,20 @@ def score_methods(corpus, table, setups, k, runs, seed, n_init, max_iter):
     rows, skipped = {}, 0
     for name, (net, mode) in setups.items():
         phrases, _, points = _clustering.phrase_points(corpus, table, net=net, mode=mode)
-        purities, entropies = [], []
+        purities, entropies, empty = [], [], 0
         for s in seeds:
-            labels = _clustering.kmeans(points, k, seed=s, n_init=n_init, max_iter=max_iter).labels
+            result = _clustering.kmeans(points, k, seed=s, n_init=n_init, max_iter=max_iter)
+            empty += bool(result.empty_clusters)
             counts, n, skipped = contingency(
-                dict(zip(phrases, labels.tolist())), gold, allow_missing=True)
+                dict(zip(phrases, result.labels.tolist())), gold, allow_missing=True)
             p, e = _scores(counts, n)
             purities.append(p)
             entropies.append(e)
         rows[name] = {"purity_mean": sum(purities) / runs, "purity_runs": purities,
                       "entropy_mean": sum(entropies) / runs, "entropy_runs": entropies,
                       "metric": _clustering.metric_for(net), "mode": mode}
+        if empty:
+            rows[name]["empty_cluster_runs"] = empty
     return {"k": k, "runs": runs, "seeds": seeds, "skipped_unlabeled": skipped}, rows
 
 
@@ -144,16 +148,25 @@ def evaluate_run(corpus, table, methods, net=None, k=None, runs=10, seed=0,
     return {**head, "entropy_base": ENTROPY_BASE, "methods": rows}
 
 
-def format_report(report):
-    """Aligned plain-text table, one row per method."""
-    lines = []
-    lines.append(f"k={report['k']}  runs={report['runs']}  entropy base {report['entropy_base']}")
+def format_table(report, title, rows, header, cells):
+    """Aligned plain-text table of a score report: the head line (k, runs, ``title``),
+    a warning for unlabeled phrases and one per row with empty-cluster runs,
+    ``header`` and its rule, then ``cells(name, row)`` for each of ``rows`` by name."""
+    lines = [f"k={report['k']}  runs={report['runs']}  {title}"]
     if report.get("skipped_unlabeled"):
         lines.append(f"warning: {report['skipped_unlabeled']} phrase(s) lacked gold labels")
-    header = f"{'method':<10} {'purity':>8} {'entropy':>8}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for method in sorted(report["methods"]):
-        row = report["methods"][method]
-        lines.append(f"{method:<10} {row['purity_mean']:>8.4f} {row['entropy_mean']:>8.4f}")
+    for name in sorted(rows):
+        if rows[name].get("empty_cluster_runs"):
+            lines.append(f"warning: {name}: {rows[name]['empty_cluster_runs']} of "
+                         f"{report['runs']} run(s) left a cluster empty")
+    lines += [header, "-" * len(header)]
+    lines += [cells(name, rows[name]) for name in sorted(rows)]
     return "\n".join(lines)
+
+
+def format_report(report):
+    """Aligned plain-text table, one row per method."""
+    return format_table(
+        report, f"entropy base {report['entropy_base']}", report["methods"],
+        f"{'method':<10} {'purity':>8} {'entropy':>8}",
+        lambda name, row: f"{name:<10} {row['purity_mean']:>8.4f} {row['entropy_mean']:>8.4f}")

@@ -18,12 +18,12 @@ class TestCombo:
         assert [c.key for c in combos] == ["ap:0:raw", "attention:1:trained"]
 
     def test_raw_with_layers_rejected(self):
-        with pytest.raises(ConfigError):
-            Combo("attention", 3, False)
+        with pytest.raises(ConfigError, match="training goes with mlp_layers > 0, raw with 0"):
+            Combo.parse("attention:3:raw")
 
     def test_trained_without_layers_rejected(self):
-        with pytest.raises(ConfigError):
-            Combo("avg", 0, True)
+        with pytest.raises(ConfigError, match="training goes with mlp_layers > 0, raw with 0"):
+            Combo.parse("avg:0:trained")
 
     def test_bad_depth_rejected(self):
         with pytest.raises(ConfigError):

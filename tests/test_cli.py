@@ -107,6 +107,15 @@ class TestValidate:
             header = json.loads(fh.readline())
         assert set(header) == {"kind", "config_hash", "eta", "seed", "positives", "negatives"}
 
+    def test_corpus_without_sentences_fails(self, fixture_files, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n", encoding="utf-8")
+        code = run("validate", "--corpus", str(empty), "--vectors", fixture_files["vectors"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "sentences: 0\n" in out
+        assert out.endswith("error: corpus: no sentences loaded\nvalidation: FAILED\n")
+
     def test_missing_vectors_warn_but_pass(self, fixture_files, tmp_path, capsys):
         vecs = tmp_path / "small.txt"
         vecs.write_text("picture 1.0 0.0\nsound 0.0 1.0\n", encoding="utf-8")
@@ -443,20 +452,40 @@ class TestPipeline:
         assert run("cluster", "--method", "avg", *args) == 0
         assert (tmp_path / "clusters.tsv").exists()
 
-    def test_empty_clusters_reported_once(self, tmp_path):
-        # two of three phrases have no vector, so their zero rows coincide and k=3 leaves
-        # a cluster empty
+    @staticmethod
+    def _three_phrases(tmp_path, *argv):
+        """Run the CLI on three labeled phrases, two of which have no vector: their zero
+        rows coincide, so k=3 leaves a cluster empty in every run."""
         corpus, vecs = tmp_path / "corpus.jsonl", tmp_path / "vectors.txt"
         corpus.write_text("".join(
-            json.dumps({"tokens": [w], "mentions": [{"phrase": w, "start": 0, "end": 1}]}) + "\n"
-            for w in ("alpha", "beta", "gamma")), encoding="utf-8")
+            json.dumps({"tokens": [w], "mentions": [{"phrase": w, "start": 0, "end": 1,
+                                                     "group": g}]}) + "\n"
+            for w, g in (("alpha", 0), ("beta", 1), ("gamma", 1))), encoding="utf-8")
         vecs.write_text("alpha 1.0 0.0\n", encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "-m", "metric_grouper", "cluster", "--method", "ap", "--k", "3",
-             "--corpus", str(corpus), "--vectors", str(vecs), "--out-dir", str(tmp_path)],
+        return subprocess.run(
+            [sys.executable, "-m", "metric_grouper", *argv, "--k", "3", "--corpus", str(corpus),
+             "--vectors", str(vecs), "--out-dir", str(tmp_path)],
             env=_src_env(), capture_output=True, text=True, timeout=120)
+
+    def test_empty_clusters_reported_once(self, tmp_path):
+        proc = self._three_phrases(tmp_path, "cluster", "--method", "ap")
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.endswith("warning: empty clusters [2]\n")
+
+    @pytest.mark.parametrize("argv, artifact, rows", [
+        (["eval", "--methods", "ap,avg"], "metrics.json", ("methods", "ap", "avg")),
+        (["ablate", "--combos", "ap:0:raw,avg:0:raw"], "ablation.json",
+         ("combos", "ap:0:raw", "avg:0:raw")),
+    ], ids=["eval", "ablate"])
+    def test_scores_count_empty_cluster_runs(self, tmp_path, argv, artifact, rows):
+        proc = self._three_phrases(tmp_path, *argv, "--runs", "2")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        report = json.loads((tmp_path / artifact).read_text(encoding="utf-8"))
+        key, *names = rows
+        assert {name: row.get("empty_cluster_runs") for name, row in report[key].items()} == {
+            name: 2 for name in names}
+        for name in names:
+            assert f"warning: {name}: 2 of 2 run(s) left a cluster empty\n" in proc.stdout
 
     def test_dump_flags(self, pipeline_dir, tmp_path):
         out, args = pipeline_dir
@@ -882,6 +911,22 @@ class TestGuards:
         assert code == 1
         assert "error: corpus carries no gold groups" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_cluster_unlabeled_corpus_asks_for_k(self, fixture_files, tmp_path, capsys):
+        records = [json.loads(line) for line in
+                   Path(fixture_files["corpus"]).read_text(encoding="utf-8").splitlines()]
+        for rec in records:
+            for mention in rec["mentions"]:
+                del mention["group"]
+        corpus = tmp_path / "unlabeled.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        argv = data_args(dict(fixture_files, corpus=str(corpus))) + [
+            "--out-dir", str(tmp_path / "out"), "--method", "avg"]
+        assert run("cluster", *argv) == 1
+        assert capsys.readouterr().err == (
+            "error: corpus carries no gold groups to count clusters by; pass --k\n")
+        assert not (tmp_path / "out").exists()
+        assert run("cluster", *argv, "--k", "2") == 0
 
     @pytest.mark.parametrize("command", ["ablate", "run-all"])
     def test_k_above_distinct_phrases_rejected_before_training(self, fixture_files, tmp_path,

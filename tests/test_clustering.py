@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -111,9 +112,10 @@ class TestKmeans:
                 kmeans(np.ones(shape), 1, seed=0)
 
     def test_duplicate_points_flag_empty_clusters(self):
-        with pytest.warns(UserWarning, match="empty"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = kmeans(np.zeros((3, 2)), 3, seed=0)
-        assert result.empty_clusters
+        assert result.empty_clusters == (1, 2)
         assert result.inertia == pytest.approx(0.0)
 
     def test_inertia_matches_recomputation(self):
@@ -136,7 +138,6 @@ class TestKmeans:
 
     # Unit rows with d = 1 leave two distinct points, so some cases end with
     # empty clusters; both implementations must agree there too.
-    @pytest.mark.filterwarnings("ignore:.*ended up empty")
     def test_matches_broadcast_reference(self, monkeypatch):
         rng = np.random.default_rng(31)
         cases = []

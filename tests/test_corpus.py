@@ -330,6 +330,21 @@ class TestLoadCorpus:
         assert len(corpus) == 1
         assert len(errors) == 2
 
+    @pytest.mark.parametrize("text", ["", "\n \n"])
+    def test_no_sentence_rejected(self, tmp_path, text):
+        path = write(tmp_path, "c.jsonl", text)
+        with pytest.raises(EmptyError, match="c.jsonl: no sentences loaded$"):
+            load_corpus(path)
+        errors = []
+        assert len(load_corpus(path, errors=errors)) == 0
+        assert errors == ["no sentences loaded"]
+
+    def test_no_good_sentence_collects_both_problems(self, tmp_path):
+        path = write(tmp_path, "c.jsonl", "not json\n")
+        errors = []
+        assert len(load_corpus(path, errors=errors)) == 0
+        assert errors[1:] == ["no sentences loaded"] and errors[0].startswith("line 1: ")
+
 
 def random_corpus(rng, n_sentences=20):
     vocab = [f"w{i}" for i in range(12)]
