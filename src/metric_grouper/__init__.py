@@ -8,7 +8,7 @@ K-means in the learned subspace, Purity/Entropy scoring.
 __version__ = "0.1.0"
 
 from .clustering import Clustering, kmeans, phrase_points
-from .composition import AttentionParams, ComposedInput, attention_weights, compose, compose_test_phrase
+from .composition import AttentionParams, compose_test_phrase
 from .corpus import AnnotatedCorpus, AnnotatedSentence, Mention, WordVectorTable, load_corpus, load_word_vectors
 from .evaluation import entropy, evaluate_run, purity
 from .lexicon import Taxonomy, incompatible, information_content, jcn_similarity, lcs, load_taxonomy
@@ -21,15 +21,12 @@ __all__ = [
     "AspectSample",
     "AttentionParams",
     "Clustering",
-    "ComposedInput",
     "MetricNetwork",
     "Mention",
     "SamplePair",
     "Taxonomy",
     "TrainConfig",
     "WordVectorTable",
-    "attention_weights",
-    "compose",
     "compose_test_phrase",
     "entropy",
     "evaluate_run",

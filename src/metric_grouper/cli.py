@@ -292,6 +292,10 @@ def cmd_split(run):
         "test.jsonl": order[n_train:n_train + n_test],
         "dev.jsonl": order[n_train + n_test:],
     }
+    for (name, idxs), ratio in zip(buckets.items(), ratios):  # readers refuse an empty part
+        if not len(idxs):
+            raise MetricGrouperError(f"[split] {name[:-6]}_ratio: {ratio:g} of {len(order)} "
+                                     f"sentences leaves {name} empty")
     for name, idxs in buckets.items():
         part = AnnotatedCorpus(corpus.sentences[i] for i in sorted(idxs))
         path = run.write(name, lambda tmp, part=part: save_corpus(part, tmp))
@@ -358,9 +362,9 @@ def _scored_inputs(run, learned):
     vectors of another width than --vectors stops the command before anything is composed."""
     net = run.artifact(MODEL_FILE) if learned else None
     corpus, table = run.load("corpus"), run.load("vectors")
-    if net is not None and net.attention.w_a.size != table.dimension:
+    if net is not None and net.word_dim != table.dimension:
         raise MetricGrouperError(
-            f"{run.reads[MODEL_FILE]} composes {net.attention.w_a.size}-dimensional word "
+            f"{run.reads[MODEL_FILE]} composes {net.word_dim}-dimensional word "
             f"vectors; --vectors {run.args.vectors} has dimension {table.dimension}")
     return net, corpus, table
 

@@ -137,7 +137,8 @@ def phrase_points(corpus, table, net=None, mode=None):
     Returns (phrases, composed, points): ``corpus.phrases()`` in sorted order
     and two matrices with one row per phrase in that order. With a network,
     phrases are composed in its mode with its attention parameters, and
-    ``points`` are its outputs; another explicit ``mode`` raises ValueError.
+    ``points`` are its outputs; another explicit ``mode`` raises ValueError, and
+    ``net.check_word_dim()`` refuses another table width before any phrase is composed.
     Without one, ``mode`` defaults to attention with zero parameters, and
     ``points`` are the composed rows scaled to unit length, zero rows left at zero.
     """
@@ -145,11 +146,12 @@ def phrase_points(corpus, table, net=None, mode=None):
         params = AttentionParams.zeros(table.dimension)
         mode = "attention" if mode is None else mode
     elif mode in (None, net.composition_mode):
+        net.check_word_dim(table.dimension)
         params, mode = net.attention, net.composition_mode
     else:
         raise ValueError(f"mode {mode!r} is not the network's mode {net.composition_mode!r}")
     phrases = corpus.phrases()
-    rows = [compose_test_phrase(phrase, corpus, table, params, mode).x for phrase in phrases]
+    rows = [compose_test_phrase(phrase, corpus, table, params, mode) for phrase in phrases]
     composed = np.array(rows)
     if net is not None:
         return phrases, composed, np.array([net.forward(x) for x in rows])

@@ -7,8 +7,9 @@ weighted average with an elementwise reduction; the ap mode drops context
 entirely and uses the phrase vector alone.
 
 This module owns that layout: input_width() is the one width rule, [p] in
-ap mode and [c~; p] otherwise, and compose_backward() is the attention
-backward beside its forward, attend().
+ap mode and [c~; p] otherwise. compose_vectors() is the one checked entry
+and returns the composed array; attend() is the unchecked attention kernel
+and also returns the word weights its backward, compose_backward(), reads.
 """
 from __future__ import annotations
 
@@ -26,13 +27,16 @@ def input_width(mode, d):
     return d if mode == "ap" else 2 * d
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttentionParams:
-    """Score weights, one scalar per component of a context word vector."""
+    """Score weights, one scalar per component of a context word vector.
+
+    Frozen, so that a network's ``w_a`` stays the view into its parameter buffer.
+    """
     w_a: np.ndarray
 
     def __post_init__(self):
-        self.w_a = np.asarray(self.w_a, dtype=float)
+        object.__setattr__(self, "w_a", np.asarray(self.w_a, dtype=float))
         if self.w_a.ndim != 1:
             raise DimensionMismatchError("attention parameter must be a flat vector")
         if not np.all(np.isfinite(self.w_a)):
@@ -44,47 +48,26 @@ class AttentionParams:
         return cls(np.zeros(word_dim))
 
 
-@dataclass
-class ComposedInput:
-    """The composed vector plus, for attention mode, the word weights."""
-    x: np.ndarray
-    attention_weights: np.ndarray | None = None
-
-
-def check_w_a(params, d):
-    """Raise DimensionMismatchError unless ``params.w_a`` has length d."""
-    if params.w_a.shape != (d,):
-        raise DimensionMismatchError(
-            f"attention parameter has shape {params.w_a.shape}, expected ({d},)")
-
-
-def attention_weights(context, p, params):
-    """Softmax over per-word scores w_a . e_i, max-subtracted.
-
-    ``context`` is (n, d), ``p`` is (d,); returns n nonnegative weights summing to one.
-    """
-    return compose_vectors(context, p, params, "attention").attention_weights
-
-
 def attend(context, p, w_a):
     """Unchecked attention composition of (n, d) ``context``, (d,) ``p`` and (d,) ``w_a``.
 
-    The word weights are a softmax over the max-subtracted scores w_a . e_i.
-    A phrase term in the score would add one constant to every word's score,
-    which the max-subtraction cancels, so the weights do not depend on ``p``.
+    Returns (x, weights): the composed [c~; p] and the n word weights, a
+    softmax over the max-subtracted scores w_a . e_i. A phrase term in the
+    score would add one constant to every word's score, which the
+    max-subtraction cancels, so the weights do not depend on ``p``.
     """
     weights = np.dot(context, w_a)
     weights -= np.maximum.reduce(weights)
     np.exp(weights, out=weights)
     weights /= np.add.reduce(weights)
-    return ComposedInput(np.concatenate([np.dot(weights, context), p]), weights)
+    return np.concatenate([np.dot(weights, context), p]), weights
 
 
 def compose_backward(context, weights, grad_x):
     """Gradient of w_a from a gradient on an attention-composed [c~; p].
 
     ``weights`` are the attention weights of the forward composition, attend().
-    Inputs are unchecked; network.train() checks their shapes before the first step.
+    Inputs are unchecked; network.train() checks the word width before the first step.
     """
     ds = np.dot(context, grad_x[:context.shape[1]])  # per-word influence on c~
     ds -= float(np.dot(weights, ds))
@@ -93,12 +76,16 @@ def compose_backward(context, weights, grad_x):
 
 
 def compose_vectors(context, p, params, mode):
-    """Compose from raw arrays; the workhorse behind compose()."""
+    """Compose (n, d) ``context`` and (d,) ``p`` in ``mode``; returns the composed array.
+
+    Checks the mode, the context, the phrase width and, in attention mode,
+    the length of ``params.w_a``; ap mode reads only ``p``.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     p = np.asarray(p, dtype=float)
     if mode == "ap":
-        return ComposedInput(p.copy())
+        return p.copy()
     context = np.asarray(context, dtype=float)
     if context.ndim != 2 or context.shape[0] == 0:
         raise EmptyContextError(f"mode {mode!r} needs a non-empty context")
@@ -106,15 +93,17 @@ def compose_vectors(context, p, params, mode):
         raise DimensionMismatchError(
             f"phrase vector has shape {p.shape}, expected ({context.shape[1]},)")
     if mode == "attention":
-        check_w_a(params, p.shape[0])
-        return attend(context, p, params.w_a)
+        if params.w_a.shape != p.shape:
+            raise DimensionMismatchError(
+                f"attention parameter has shape {params.w_a.shape}, expected {p.shape}")
+        return attend(context, p, params.w_a)[0]
     if mode == "avg":
         reduced = context.mean(axis=0)
     elif mode == "min":
         reduced = context.min(axis=0)
     else:
         reduced = context.max(axis=0)
-    return ComposedInput(np.concatenate([reduced, p]))
+    return np.concatenate([reduced, p])
 
 
 def used_context(phrase, context_tokens, mode):
@@ -129,28 +118,14 @@ def used_context(phrase, context_tokens, mode):
     return context_tokens
 
 
-def _compose_tokens(phrase, context_tokens, table, params, mode):
-    """Compose ``phrase`` over ``context_tokens``, read through WordVectorTable.lookup().
-
-    The phrase vector is looked up first, so a phrase with no tokens raises
-    EmptyPhraseError before a missing context raises EmptyContextError
-    (used_context()). Unknown tokens give zero rows.
-    """
-    p = table.phrase_lookup(phrase)
-    return compose_vectors(table.lookup(used_context(phrase, context_tokens, mode)), p,
-                           params, mode)
-
-
-def compose(sample, table, params, mode="attention"):
-    """Compose one aspect sample, which needs ``phrase`` and ``context_tokens``."""
-    return _compose_tokens(sample.phrase, sample.context_tokens, table, params, mode)
-
-
 def compose_test_phrase(phrase, corpus, table, params, mode="attention"):
-    """Compose a phrase over every sentence that mentions it.
+    """Compose a phrase over every sentence that mentions it; returns the composed array.
 
     Contexts are the token-order concatenation of all mentioning sentences
-    in corpus order, so clustering sees one vector per distinct phrase.
+    in corpus order, so clustering sees one vector per distinct phrase. The
+    phrase vector is looked up first, so a phrase with no tokens raises
+    EmptyPhraseError before a missing context raises EmptyContextError
+    (used_context()). Unknown tokens give zero rows.
     """
     phrase = phrase.lower()
     occurrences = corpus.phrase_index.get(phrase)
@@ -159,4 +134,5 @@ def compose_test_phrase(phrase, corpus, table, params, mode="attention"):
     tokens: list[str] = []
     for sid in dict.fromkeys(sid for sid, _span in occurrences):
         tokens.extend(corpus.sentences[sid].tokens)
-    return _compose_tokens(phrase, tokens, table, params, mode)
+    p = table.phrase_lookup(phrase)
+    return compose_vectors(table.lookup(used_context(phrase, tokens, mode)), p, params, mode)

@@ -43,11 +43,14 @@ def _choice(options):
 
 
 def _choices(options):
-    """Comma-separated, non-empty list of values from ``options``."""
+    """Comma-separated, non-empty list of distinct values from ``options``."""
     def parse(raw):
         values = [x.strip() for x in raw.split(",") if x.strip()]
         if not values or any(v not in options for v in values):
             raise ValueError(f"must list values from {options}, got {raw!r}")
+        repeated = next((v for v in values if values.count(v) > 1), None)
+        if repeated is not None:
+            raise ValueError(f"lists {repeated!r} more than once, in {raw!r}")
         return values
     return parse
 

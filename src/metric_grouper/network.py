@@ -22,8 +22,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .composition import (MODES, AttentionParams, attend, check_w_a, compose_backward,
-                          compose_vectors, input_width, used_context)
+from .composition import (MODES, AttentionParams, attend, compose_backward, compose_vectors,
+                          input_width, used_context)
 from .errors import ConfigError, DimensionMismatchError, DivergenceError, FormatError
 from .jsonl import is_int
 
@@ -104,6 +104,7 @@ class MetricNetwork:
     ``weights``, ``biases`` and ``attention.w_a`` are views into one flat
     buffer, ``params``, in that order layer by layer; its first ``n_mlp``
     entries are the MLP parameters, and gradients share their layout.
+    No network is built whose ``w_a``, one entry per word component, misfits its input.
     """
 
     def __init__(self, weights, biases, activation="tanh", attention=None,
@@ -126,10 +127,15 @@ class MetricNetwork:
         self.activation = activation
         self._tanh = activation == "tanh"
         self.composition_mode = composition_mode
+        width = weights[0].shape[1]
         if attention is None:
-            input_dim = weights[0].shape[1]
-            attention = AttentionParams.zeros(
-                input_dim if composition_mode == "ap" else input_dim // 2)
+            attention = AttentionParams.zeros(width if composition_mode == "ap" else width // 2)
+        size = attention.w_a.size
+        if input_width(composition_mode, size) != width:
+            raise DimensionMismatchError(
+                f"attention_w has {size} entries, expected "
+                f"{width if composition_mode == 'ap' else width / 2:g} for input width "
+                f"{width} in {composition_mode} mode")
         self._shapes = [w.shape for w in weights]
         self.params = np.concatenate(
             [a.ravel() for wb in zip(weights, biases) for a in wb] + [attention.w_a])
@@ -150,6 +156,18 @@ class MetricNetwork:
     @property
     def attention(self):
         return self._attention
+
+    @property
+    def word_dim(self):
+        """Width of the word vectors the network composes: the length of ``w_a``."""
+        return self._attention.w_a.size
+
+    def check_word_dim(self, d):
+        """Raise DimensionMismatchError unless the network composes d-wide word vectors."""
+        if d != self.word_dim:
+            raise DimensionMismatchError(
+                f"the network composes {self.word_dim}-dimensional word vectors; "
+                f"the word vectors have dimension {d}")
 
     @property
     def input_dim(self):
@@ -330,13 +348,14 @@ def train(net, pairs, table, cfg):
     vector, one per distinct phrase; a step gathers the rows it composes,
     and the epoch objective keeps one output row per sample. One
     ``WordVectorTable.lookup`` call builds that matrix, an unknown token
-    getting a zero row. Labels, each sample's context tokens
-    (composition.used_context()), the composed input width and the length
-    of ``w_a`` are checked before the first step. Raises DivergenceError,
+    getting a zero row. The word width (MetricNetwork.check_word_dim()),
+    labels and each sample's context tokens (composition.used_context())
+    are checked before anything is composed. Raises DivergenceError,
     naming epoch and pair index, if any parameter stops being finite.
     """
     if not pairs:
         raise ValueError("no training pairs")
+    net.check_word_dim(table.dimension)
     mode = net.composition_mode
     rng = np.random.default_rng(cfg.seed)
 
@@ -357,24 +376,17 @@ def train(net, pairs, table, cfg):
         samples.append((np.array([token_rows.setdefault(t, len(token_rows)) for t in tokens],
                                  dtype=np.intp), phrase_vecs[s.phrase]))
     context = table.lookup(list(token_rows))
-    d = table.dimension
-    width = input_width(mode, d)
-    if width != net.input_dim:
-        raise DimensionMismatchError(
-            f"composed inputs have width {width}, network expects {net.input_dim}")
     recompose = mode == "attention"
     w_a = net.attention.w_a
     if recompose:
-        check_w_a(net.attention, d)
-
         def composed(k):
-            """Sample k's gathered context rows (a C-contiguous copy) and composition."""
+            """Sample k's gathered context rows (a C-contiguous copy), input and word weights."""
             rows, p = samples[k]
             rows = context.take(rows, axis=0)
-            return rows, attend(rows, p, w_a)
+            return (rows, *attend(rows, p, w_a))
     else:
-        static = [(None, compose_vectors(context.take(rows, axis=0), p, net.attention, mode))
-                  for rows, p in samples]
+        static = [(None, compose_vectors(context.take(rows, axis=0), p, net.attention, mode),
+                   None) for rows, p in samples]
         composed = static.__getitem__
 
     lr = cfg.learning_rate
@@ -386,35 +398,25 @@ def train(net, pairs, table, cfg):
     for epoch in range(cfg.epochs):
         for k in rng.permutation(len(pair_idx)):
             a, b, label = pair_idx[k]
-            (rows_a, left), (rows_b, right) = composed(a), composed(b)
-            grads = pair_gradients(net, left.x, right.x, label, cfg, input_grads=recompose,
+            (rows_a, x_a, weights_a), (rows_b, x_b, weights_b) = composed(a), composed(b)
+            grads = pair_gradients(net, x_a, x_b, label, cfg, input_grads=recompose,
                                    workspace=workspace)
             np.add(grads["flat"], np.multiply(lam, mlp, out=step), out=step)
             mlp -= np.multiply(lr, step, out=step)  # mlp -= lr * (g + lam * mlp)
             if recompose:
-                for rows_k, comp, gx in ((rows_a, left, grads["x_i"]),
-                                         (rows_b, right, grads["x_j"])):
-                    w_a -= lr * compose_backward(rows_k, comp.attention_weights, gx)
+                for rows_k, weights_k, gx in ((rows_a, weights_a, grads["x_i"]),
+                                              (rows_b, weights_b, grads["x_j"])):
+                    w_a -= lr * compose_backward(rows_k, weights_k, gx)
             if not net.params_finite():
                 raise DivergenceError(
                     f"non-finite parameter at epoch {epoch + 1}, pair index {int(k)}")
-        total = objective(net, lambda k: composed(k)[1].x, pair_idx, cfg)
+        total = objective(net, lambda k: composed(k)[1], pair_idx, cfg)
         history.append(total / len(pairs))
     return net, history
 
 
-def check_attention_width(net):
-    """Raise DimensionMismatchError unless ``w_a`` fits the network's input width in its mode."""
-    size, width, mode = net.attention.w_a.size, net.input_dim, net.composition_mode
-    if input_width(mode, size) != width:
-        raise DimensionMismatchError(
-            f"attention_w has {size} entries, expected "
-            f"{width if mode == 'ap' else width / 2:g} for input width {width} in {mode} mode")
-
-
 def save_model(net, path, config_hash=None, extra=None):
     """Write a JSON checkpoint; floats round-trip exactly."""
-    check_attention_width(net)  # load_model() would refuse the file: write none
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "input_dim": net.input_dim,
@@ -459,10 +461,6 @@ def load_model(path):
         raise FormatError(f"{path}: malformed checkpoint ({exc})") from exc
     if not net.params_finite():
         raise FormatError(f"{path}: checkpoint holds a non-finite parameter")
-    try:
-        check_attention_width(net)
-    except DimensionMismatchError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
     for key, width in (("input_dim", net.input_dim), ("output_dim", net.output_dim)):
         if not is_int(doc.get(key)) or doc[key] != width:
             raise FormatError(f"{path}: {key} {json.dumps(doc.get(key))} is not the layers' "

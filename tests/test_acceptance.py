@@ -13,7 +13,7 @@ from conftest import record_criterion
 from metric_grouper import fixture as fx
 from metric_grouper.cli import main as cli_main
 from metric_grouper.clustering import kmeans
-from metric_grouper.composition import AttentionParams, attention_weights
+from metric_grouper.composition import attend
 from metric_grouper.corpus import AnnotatedCorpus, AnnotatedSentence, Mention, WordVectorTable
 from metric_grouper.errors import InsufficientNegativesError
 from metric_grouper.evaluation import entropy, evaluate_run, purity
@@ -44,7 +44,7 @@ def random_network(rng):
         weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
         biases.append(rng.normal(size=fan_out) * 0.1)
     return MetricNetwork(weights, biases, activation="tanh",
-                         composition_mode="avg")
+                         composition_mode="ap")
 
 
 def finite_difference_gradients(net, x_i, x_j, label, cfg, h=1e-5):
@@ -99,7 +99,7 @@ def test_criterion_2_mahalanobis_equivalence():
         fan_in = int(rng.integers(2, 9))
         fan_out = int(rng.integers(2, 7))
         w = rng.normal(size=(fan_out, fan_in))
-        net = MetricNetwork([w], [np.zeros(fan_out)], activation="identity", composition_mode="avg")
+        net = MetricNetwork([w], [np.zeros(fan_out)], activation="identity", composition_mode="ap")
         x_i, x_j = rng.normal(size=fan_in), rng.normal(size=fan_in)
         diff = x_i - x_j
         expected = float(diff @ (w.T @ w) @ diff)
@@ -115,20 +115,16 @@ def test_criterion_3_attention_normalization():
     nonneg = True
     for _ in range(1000):
         n, d = int(rng.integers(1, 10)), int(rng.integers(1, 7))
-        weights = attention_weights(
-            rng.normal(size=(n, d)) * 4, rng.normal(size=d) * 4,
-            AttentionParams(rng.normal(size=d) * 4))
+        _, weights = attend(
+            rng.normal(size=(n, d)) * 4, rng.normal(size=d) * 4, rng.normal(size=d) * 4)
         nonneg = nonneg and bool((weights >= 0).all())
         worst_sum = max(worst_sum, abs(float(weights.sum()) - 1.0))
     worst_uniform = 0.0
     for _ in range(100):
         n, d = int(rng.integers(1, 10)), int(rng.integers(1, 7))
-        equal = attention_weights(
-            np.tile(rng.normal(size=d), (n, 1)), rng.normal(size=d),
-            AttentionParams(rng.normal(size=d)))
-        zero = attention_weights(
-            rng.normal(size=(n, d)), rng.normal(size=d),
-            AttentionParams(np.zeros(d)))
+        _, equal = attend(
+            np.tile(rng.normal(size=d), (n, 1)), rng.normal(size=d), rng.normal(size=d))
+        _, zero = attend(rng.normal(size=(n, d)), rng.normal(size=d), np.zeros(d))
         for weights in (equal, zero):
             worst_uniform = max(worst_uniform, float(np.abs(weights - 1.0 / n).max()))
     ok = nonneg and worst_sum <= 1e-9 and worst_uniform <= 1e-12

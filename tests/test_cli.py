@@ -247,8 +247,8 @@ MALFORMED = [
                  "bad pair record ('phrase' \"zebra\" does not occur in 'tokens')",
                  id="pairs-phrase-elsewhere"),
     pytest.param("model", lambda doc: doc.update(attention_w=[0.0] * 3),
-                 "attention_w has 3 entries, expected 8 for input width 16 in attention mode",
-                 id="model-attention_w"),
+                 "malformed checkpoint (attention_w has 3 entries, expected 8 for input width 16 "
+                 "in attention mode)", id="model-attention_w"),
     pytest.param("model", lambda doc: doc["layers"][0].update(w="abc"), "malformed checkpoint",
                  id="model-weights"),
     pytest.param("model", lambda doc: doc.update(input_dim=99),
@@ -269,6 +269,10 @@ REPORTED = [
     pytest.param("split", "config", lambda text: "[split]\ntrain_ratio = 0.5\n"
                  "test_ratio = 0.5\ndev_ratio = 0.5\n", 1,
                  "error: split ratios (0.5, 0.5, 0.5) do not sum to 1", id="split-ratios"),
+    pytest.param("split", "config", lambda text: "[split]\ntrain_ratio = 0.5\n"
+                 "test_ratio = 0.5\ndev_ratio = 0.0\n", 1,
+                 "error: [split] dev_ratio: 0 of 60 sentences leaves dev.jsonl empty",
+                 id="split-empty-part"),
     pytest.param("pairs", "config", lambda text: text + "[bogus]\nk = 1\n", 1,
                  "error: {path}: unknown section [bogus]", id="config-section"),
     pytest.param("pairs", "config", lambda text: "eta = 0.3\n" + text, 1,
@@ -829,6 +833,14 @@ class TestGuards:
         assert f"error: {setting}: " in err
         assert os.listdir(tmp_path) == []
 
+    def test_repeated_method_rejected_before_reading(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.jsonl")
+        code = run("eval", "--methods", "avg,avg,ap", "--runs", "2", "--corpus", missing,
+                   "--vectors", missing, "--out-dir", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: [evaluation] methods: lists 'avg' more than once, in 'avg,avg,ap'\n")
+
     NO_OUT_DIR = [
         *(pytest.param(command, ["--k", "0"], "[clustering] k: ", id=command)
           for command in ["split", "pairs", "train", "cluster", "eval", "ablate"]),
@@ -1026,6 +1038,21 @@ class TestSplit:
         for name in ("train.jsonl", "test.jsonl", "dev.jsonl"):
             total += len((tmp_path / name).read_text(encoding="utf-8").splitlines())
         assert total == 60
+
+    @pytest.mark.parametrize("ratios, empty", [
+        ((0.5, 0.5, 0.0), "dev"), ((0.0, 0.5, 0.5), "train"), ((0.5, 0.0, 0.5), "test")])
+    def test_no_part_written_when_one_is_empty(self, fixture_files, tmp_path, capsys, ratios,
+                                               empty):
+        ini = tmp_path / "split.ini"
+        ini.write_text("[split]\n" + "".join(
+            f"{part}_ratio = {r}\n" for part, r in zip(("train", "test", "dev"), ratios)),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run("split", "--corpus", fixture_files["corpus"], "--config", str(ini),
+                   "--out-dir", str(out)) == 1
+        assert f"leaves {empty}.jsonl empty" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
 
 class TestAblate:

@@ -257,7 +257,7 @@ class TestClusterCorpus:
             phrases, composed, points = phrase_points(corpus, table, mode="avg")
             assert phrases == ["alpha", "beta", "gamma"]
             for phrase, row in zip(phrases, composed):
-                want = compose_test_phrase(phrase, corpus, table, zeros, "avg").x
+                want = compose_test_phrase(phrase, corpus, table, zeros, "avg")
                 assert row.tobytes() == want.tobytes()
             seen.append((composed.tobytes(), points.tobytes()))
         assert len(set(seen)) == 1

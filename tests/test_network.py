@@ -4,9 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from conftest import count_calls
 
-from metric_grouper import network
-from metric_grouper.composition import AttentionParams, compose_vectors
+from metric_grouper import clustering, network
+from metric_grouper import fixture as fx
+from metric_grouper.composition import AttentionParams, attend
 from metric_grouper.corpus import WordVectorTable
 from metric_grouper.errors import (DimensionMismatchError, DivergenceError, EmptyContextError,
                                    FormatError)
@@ -32,7 +34,7 @@ CFG = TrainConfig()
 def linear_net(w):
     w = np.atleast_2d(np.asarray(w, dtype=float))
     return MetricNetwork([w], [np.zeros(w.shape[0])], activation="identity",
-                         composition_mode="avg")
+                         composition_mode="ap")
 
 
 class TestForward:
@@ -44,7 +46,7 @@ class TestForward:
 
     def test_zero_weights_tanh(self):
         net = MetricNetwork([np.zeros((2, 3))], [np.zeros(2)], activation="tanh",
-                            composition_mode="avg")
+                            composition_mode="ap")
         h = net.forward(np.array([1.0, 2.0, 3.0]))
         assert np.array_equal(h, np.zeros(2))
 
@@ -268,13 +270,12 @@ class TestComposeBackward:
         p_i, p_j = rng.normal(size=d), rng.normal(size=d)
 
         def compose_pair():
-            return (compose_vectors(ctx_i, p_i, net.attention, "attention"),
-                    compose_vectors(ctx_j, p_j, net.attention, "attention"))
+            return (attend(ctx_i, p_i, net.attention.w_a), attend(ctx_j, p_j, net.attention.w_a))
 
-        a, b = compose_pair()
-        grads = pair_gradients(net, a.x, b.x, -1, CFG)
-        g_wa = (compose_backward(ctx_i, a.attention_weights, grads["x_i"])
-                + compose_backward(ctx_j, b.attention_weights, grads["x_j"]))
+        (x_i, weights_i), (x_j, weights_j) = compose_pair()
+        grads = pair_gradients(net, x_i, x_j, -1, CFG)
+        g_wa = (compose_backward(ctx_i, weights_i, grads["x_i"])
+                + compose_backward(ctx_j, weights_j, grads["x_j"]))
 
         step = 1e-6
         w_a = net.attention.w_a
@@ -284,7 +285,7 @@ class TestComposeBackward:
             values = []
             for shifted in (orig + step, orig - step):
                 w_a[idx] = shifted
-                values.append(pair_loss(net, *(c.x for c in compose_pair()), -1, CFG)[0])
+                values.append(pair_loss(net, *(x for x, _ in compose_pair()), -1, CFG)[0])
             w_a[idx] = orig
             fd[idx] = (values[0] - values[1]) / (2 * step)
         assert rel_err(g_wa, fd) < 1e-4
@@ -362,6 +363,32 @@ class TestTrain:
         assert np.abs(net.attention.w_a).max() > 0
 
 
+class TestWordDim:
+    """Word vectors of another width than the network's get one refusal, before any
+    phrase is composed."""
+
+    @pytest.mark.parametrize("mode", ["attention", "avg", "ap"])
+    def test_train_and_phrase_points_refuse_before_composing(
+            self, monkeypatch, fixture_corpus, fixture_table, fixture_pairs, mode):
+        wide = WordVectorTable(fx.DIMENSION + 1, {
+            token: np.append(vec, 0.0) for token, vec in fixture_table.vectors.items()})
+        net = MetricNetwork.create(fx.DIMENSION, mode=mode, output_dim=2, n_layers=2, seed=1)
+        assert net.word_dim == 8
+        before = net.params.copy()
+        calls = count_calls(monkeypatch, clustering, "compose_test_phrase")
+        calls.update(count_calls(monkeypatch, network, "attend", "compose_vectors"))
+        message = ("the network composes 8-dimensional word vectors; "
+                   "the word vectors have dimension 9")
+        with pytest.raises(DimensionMismatchError) as info:
+            train(net, fixture_pairs, wide, TrainConfig(epochs=1))
+        assert str(info.value) == message
+        with pytest.raises(DimensionMismatchError) as info:
+            clustering.phrase_points(fixture_corpus, wide, net=net)
+        assert str(info.value) == message
+        assert calls == {"compose_test_phrase": [], "attend": [], "compose_vectors": []}
+        assert np.array_equal(net.params, before)
+
+
 class TestTrainChecks:
     """Bad input fails before the first step, leaving the network as it was."""
 
@@ -376,11 +403,13 @@ class TestTrainChecks:
 
     def test_width_mismatch_raises_before_first_step(self):
         table, pairs = toy_training_setup()
-        # word width 3 gives input width 6; the table composes to width 4
+        # the network composes 3-wide word vectors; the table's are 2 wide
         net = MetricNetwork.create(3, mode="avg", output_dim=2, n_layers=2, seed=1)
         before = net.params.copy()
-        with pytest.raises(DimensionMismatchError, match="composed inputs"):
+        with pytest.raises(DimensionMismatchError) as info:
             train(net, pairs, table, TrainConfig(epochs=2, seed=1))
+        assert str(info.value) == ("the network composes 3-dimensional word vectors; "
+                                   "the word vectors have dimension 2")
         assert np.array_equal(net.params, before)
 
     def test_empty_context_raises_before_first_step(self):
@@ -394,13 +423,13 @@ class TestTrainChecks:
         assert np.array_equal(net.params, before)
 
     def test_attention_length_mismatch_raises_before_first_step(self):
-        table, pairs = toy_training_setup()
+        # A w_a that does not fit the input width never reaches train(): no
+        # such network is built.
         base = MetricNetwork.create(2, mode="attention", output_dim=2, n_layers=2, seed=1)
-        net = MetricNetwork(base.weights, base.biases, attention=AttentionParams(np.zeros(3)))
-        before = net.params.copy()
-        with pytest.raises(DimensionMismatchError, match=r"attention parameter has shape \(3,\)"):
-            train(net, pairs, table, TrainConfig(epochs=2, seed=1))
-        assert np.array_equal(net.params, before)
+        with pytest.raises(DimensionMismatchError) as info:
+            MetricNetwork(base.weights, base.biases, attention=AttentionParams(np.zeros(3)))
+        assert str(info.value) == ("attention_w has 3 entries, expected 2 for input width 4 "
+                                   "in attention mode")
 
     def test_divergence_in_attention_alone(self, monkeypatch):
         table, pairs = toy_training_setup()
@@ -626,6 +655,8 @@ class TestParameterBuffer:
         assert not net.params_finite()
         with pytest.raises(AttributeError):  # the layout is fixed when the network is built
             net.attention = AttentionParams(np.zeros(3))
+        with pytest.raises(AttributeError):  # and so is w_a's length
+            net.attention.w_a = np.zeros(2)
 
 
 class TestCheckpoint:
@@ -693,8 +724,8 @@ class TestCheckpoint:
         with pytest.raises(FormatError) as info:
             load_model(str(path))
         assert str(info.value) == (
-            f"{path}: attention_w has {size} entries, expected {expected} for input width "
-            f"{net.input_dim} in {mode} mode")
+            f"{path}: malformed checkpoint (attention_w has {size} entries, expected "
+            f"{expected} for input width {net.input_dim} in {mode} mode)")
 
     @pytest.mark.parametrize("weights, attention, message", [
         pytest.param((4, 16), AttentionParams(np.zeros(5)),
@@ -704,13 +735,11 @@ class TestCheckpoint:
                      "attention_w has 7 entries, expected 7.5 for input width 15 in attention mode",
                      id="odd-width"),
     ])
-    def test_save_refuses_what_load_refuses(self, tmp_path, weights, attention, message):
-        net = MetricNetwork([np.zeros(weights)], [np.zeros(weights[0])], attention=attention)
-        path = tmp_path / "model.json"
+    def test_constructor_refuses_what_load_refuses(self, weights, attention, message):
+        # so save_model() is never handed a network load_model() would refuse
         with pytest.raises(DimensionMismatchError) as info:
-            save_model(net, str(path))
+            MetricNetwork([np.zeros(weights)], [np.zeros(weights[0])], attention=attention)
         assert str(info.value) == message
-        assert not path.exists()
 
     # version 1 had a dropout_rate field, version 2 a 2d-long attention_w
     @pytest.mark.parametrize("version, extra", [
