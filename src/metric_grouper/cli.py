@@ -31,8 +31,8 @@ from .ablation import check_combos, format_ablation, run_ablation
 from .config import FLAGS, config_hash, resolve, train_config_from
 from .corpus import AnnotatedCorpus, load_corpus, load_word_vectors, save_corpus
 from .errors import ArtifactMismatchError, MetricGrouperError, MissingLabelError, MissingModelError
-from .evaluation import (LEARNED_METHOD, METHODS, evaluate_run, format_report, gold_and_k,
-                         method_setup)
+from .evaluation import (LEARNED_METHOD, METHODS, check_k, evaluate_run, format_report,
+                         gold_and_k, method_setup)
 from .fixture import write_fixture
 from .lexicon import load_taxonomy, mapped
 from .network import MetricNetwork, check_hidden_dims, load_model, save_model, train
@@ -357,16 +357,22 @@ def cmd_train(run):
     return 0
 
 
-def _scored_inputs(run, learned):
-    """(model.json if ``learned`` else None, corpus, vectors); a model that composes word
-    vectors of another width than --vectors stops the command before anything is composed."""
+def _scored_inputs(run, learned, scoring):
+    """(model.json if ``learned`` else None, corpus, vectors, k): k, --k or the gold group
+    count, is checked before --vectors is read, and ``scoring`` needs gold groups even with
+    --k; a model that composes word vectors of another width than --vectors stops the
+    command before anything is composed."""
     net = run.artifact(MODEL_FILE) if learned else None
-    corpus, table = run.load("corpus"), run.load("vectors")
+    corpus, k = run.load("corpus"), run.config["clustering"]["k"]
+    if not (scoring or k is not None or corpus.has_labels()):
+        raise MissingLabelError("corpus carries no gold groups to count clusters by; pass --k")
+    k = gold_and_k(corpus, k)[1] if scoring or k is None else check_k(corpus, k)
+    table = run.load("vectors")
     if net is not None and net.word_dim != table.dimension:
         raise MetricGrouperError(
             f"{run.reads[MODEL_FILE]} composes {net.word_dim}-dimensional word "
             f"vectors; --vectors {run.args.vectors} has dimension {table.dimension}")
-    return net, corpus, table
+    return net, corpus, table, k
 
 
 def cmd_cluster(run):
@@ -375,12 +381,8 @@ def cmd_cluster(run):
     section = run.config["clustering"]
     run.claim(CLUSTERS_FILE, dumps=("dump_composed", "dump_centroids"))
     method = getattr(args, "method", LEARNED_METHOD)
-    trained, corpus, table = _scored_inputs(run, method == LEARNED_METHOD)
+    trained, corpus, table, k = _scored_inputs(run, method == LEARNED_METHOD, scoring=False)
     net, mode = method_setup(method, trained)
-
-    if section["k"] is None and not corpus.has_labels():
-        raise MissingLabelError("corpus carries no gold groups to count clusters by; pass --k")
-    k = section["k"] if section["k"] is not None else gold_and_k(corpus)[1]
     phrases, composed, points = _clustering.phrase_points(corpus, table, net=net, mode=mode)
     result = _clustering.kmeans(points, k, seed=section["seed"], n_init=section["n_init"],
                                 max_iter=section["max_iter"])
@@ -427,7 +429,7 @@ def cmd_eval(run):
     _require(run.args, "corpus", "vectors", "out_dir")
     methods = run.config["evaluation"]["methods"]
     run.claim(METRICS_FILE)
-    net, corpus, table = _scored_inputs(run, LEARNED_METHOD in methods)
+    net, corpus, table, _ = _scored_inputs(run, LEARNED_METHOD in methods, scoring=True)
     report = evaluate_run(corpus, table, methods, net=net, **_scoring(run.config))
     return _report(run, METRICS_FILE, report, format_report, "eval")
 

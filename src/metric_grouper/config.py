@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+from dataclasses import fields
 
 from .ablation import parse_combos
 from .composition import MODES
@@ -43,7 +44,7 @@ def _choice(options):
 
 
 def _choices(options):
-    """Comma-separated, non-empty list of distinct values from ``options``."""
+    """Comma-separated, non-empty list of distinct values from ``options``, in their order."""
     def parse(raw):
         values = [x.strip() for x in raw.split(",") if x.strip()]
         if not values or any(v not in options for v in values):
@@ -51,7 +52,7 @@ def _choices(options):
         repeated = next((v for v in values if values.count(v) > 1), None)
         if repeated is not None:
             raise ValueError(f"lists {repeated!r} more than once, in {raw!r}")
-        return values
+        return [v for v in options if v in values]
     return parse
 
 
@@ -72,6 +73,10 @@ def _positive(parse):
 _ratio = _check(float, lambda v: 0 <= v <= 1, "between 0 and 1")
 _seed = _check(int, *TRAINING_RANGES["seed"])
 
+# flag help of each TrainConfig field; its default and range are TrainConfig's own
+_TRAINING_HELP = {"margin_t": "distance margin threshold t", "beta": "softplus sharpness",
+                  "reg_lambda": "L2 regularization weight", "learning_rate": "SGD step size",
+                  "epochs": "training epochs", "seed": None}
 
 # section -> key -> (parser, default-as-string, help of the flag named after the key).
 # A key whose help is None has no flag of its own: the seeds, which --seed sets
@@ -94,17 +99,11 @@ SCHEMA = {
                         "comma-separated hidden widths (default: geometric)"),
         "activation": (_choice(ACTIVATIONS), "tanh", " or ".join(ACTIVATIONS)),
     },
-    "training": {
-        "margin_t": (_check(float, *TRAINING_RANGES["margin_t"]), "3.0",
-                     "distance margin threshold t"),
-        "beta": (_check(float, *TRAINING_RANGES["beta"]), "2.0", "softplus sharpness"),
-        "lambda": (_check(float, *TRAINING_RANGES["reg_lambda"]), "0.002",
-                   "L2 regularization weight"),
-        "learning_rate": (_check(float, *TRAINING_RANGES["learning_rate"]), "0.03",
-                          "SGD step size"),
-        "epochs": (_check(int, *TRAINING_RANGES["epochs"]), "30", "training epochs"),
-        "seed": (_seed, "42", None),
-    },
+    "training": {  # TrainConfig's fields and defaults, ``lambda`` for ``reg_lambda``
+        "lambda" if f.name == "reg_lambda" else f.name: (
+            _check(int if f.type == "int" else float, *TRAINING_RANGES[f.name]), str(f.default),
+            _TRAINING_HELP[f.name])
+        for f in fields(TrainConfig)},
     "clustering": {
         "k": (_positive(_parse_opt_int), "", "cluster count (default: number of gold groups)"),
         "n_init": (_positive(int), "10", "k-means restarts per run"),
@@ -185,6 +184,8 @@ def resolve(config_path=None, overrides=None):
                 resolved[section][key] = parse(raw[section][key])
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    # however the methods are listed, one report is filed under one configuration
+    raw["evaluation"]["methods"] = ",".join(resolved["evaluation"]["methods"])
     resolved["_raw"] = raw
     return resolved
 

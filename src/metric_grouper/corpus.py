@@ -1,7 +1,7 @@
 """Corpus and word-vector I/O.
 
 File formats:
-  word vectors: UTF-8 text, one entry per line, ``token f1 f2 ... fd``.
+  word vectors: UTF-8 text, one entry per line, ``token f1 f2 ... fd``, read in one pass.
   corpus: UTF-8 text, one JSON object per line with fields ``tokens``
     (array of strings) and ``mentions`` (array of
     ``{"phrase": str, "start": int, "end": int, "group": int?}``).
@@ -13,14 +13,13 @@ threads.
 """
 from __future__ import annotations
 
-from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyError, EmptyPhraseError, FormatError, reject
-from .jsonl import is_int, read_jsonl, record_tokens, text_lines, write_jsonl
+from .jsonl import is_int, is_utf8, read_jsonl, record_tokens, write_jsonl
 
 
 class WordVectorTable:
@@ -114,103 +113,87 @@ def _holds(token, seen, wanted):
     return wanted is None or token in wanted
 
 
-def _token_fields(fh):
-    """``(token, components)`` for each non-blank line, the token lowercased.
-
-    Raises ValueError for a token-only line, which ``np.loadtxt`` would skip
-    as blank.
-    """
-    for line in fh:
-        parts = line.split(None, 1)
-        if len(parts) == 1:
-            raise ValueError("entry has no vector components")
-        if parts:
-            yield parts[0].lower(), parts[1]
-
-
 def load_word_vectors(path, errors=None, keep=None):
     """Parse a word-vector text file into a WordVectorTable.
 
     The first non-empty line fixes the dimension; later lines with a
     different arity are format errors. When ``errors`` is a list, problems
-    are appended as ``"line N: message"`` strings and bad lines are
-    skipped instead of raising. Every line is checked, but only the rows
-    of tokens in ``keep`` (compared lowercased) are held, or every row
-    when ``keep`` is None; the table's length and ``duplicate_count``
+    are appended as ``"line N: message"`` strings, in file order, and bad
+    lines are skipped instead of raising. Every line is checked, but only
+    the rows of tokens in ``keep`` (compared lowercased) are held, or every
+    row when ``keep`` is None; the table's length and ``duplicate_count``
     count the whole file.
 
-    A clean file is parsed ``CHUNK_LINES`` lines per ``np.loadtxt`` call.
-    Any other file is re-read line by line, which names the offending line.
+    The file is read once, ``CHUNK_LINES`` non-blank lines at a time, with
+    one ``np.loadtxt`` call per chunk; only a chunk that call refuses is
+    parsed line by line, which names each offending line.
     """
     wanted = None if keep is None else {token.lower() for token in keep}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return _load_chunked(fh, wanted)
-    except ValueError:  # a defect, or text that is not UTF-8
-        return _load_line_by_line(path, errors, wanted)
-
-
-def _load_chunked(fh, wanted):
-    """``load_word_vectors`` of a clean file; raises ValueError at the first defect."""
     tokens, blocks, seen, rows, width = [], [], {}, 0, None
-    fields = _token_fields(fh)
-    while chunk := list(islice(fields, CHUNK_LINES)):
-        matrix = np.loadtxt([comps for _token, comps in chunk], dtype=np.float64,
-                            comments=None, ndmin=2)
-        width = matrix.shape[1] if width is None else width
-        if matrix.shape[1] != width or not np.isfinite(matrix).all():
-            raise ValueError("inconsistent dimension or non-finite vector component")
-        picks = [i for i, (token, _comps) in enumerate(chunk) if _holds(token, seen, wanted)]
-        tokens += [chunk[i][0] for i in picks]
-        blocks.append(matrix[picks])  # a copy: a view would keep the whole chunk alive
-        rows += len(chunk)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        entries = ((lineno, parts) for lineno, line in enumerate(fh, 1)
+                   if (parts := line.split(None, 1)))
+        while chunk := list(islice(entries, CHUNK_LINES)):
+            good, matrix, width = _loadtxt(chunk, width) or _parse_lines(path, errors, chunk, width)
+            picks = [i for i, token in enumerate(good) if _holds(token, seen, wanted)]
+            tokens += [good[i] for i in picks]
+            if good:  # a chunk with no good line may not know the width yet
+                blocks.append(matrix[picks])  # a copy: a view would keep the whole chunk alive
+            rows += len(good)
     if not rows:
-        raise ValueError("no word vectors")
+        reject(path, errors, "no word vectors loaded", kind=EmptyError)
+        return None
     return WordVectorTable._from_matrix(tokens, np.concatenate(blocks), rows - len(seen),
                                         len(seen))
 
 
-def _load_line_by_line(path, errors, wanted):
-    """``load_word_vectors`` one line at a time, naming each defective line."""
-    tokens, held, seen = [], [], {}
-    dimension = None
-    rows = 0
-
-    def fail(lineno, message):
-        reject(path, errors, f"line {lineno}: {message}")
-
-    with closing(text_lines(path, errors)) as lines:
-        for lineno, line in lines:
-            parts = line.split()
-            if not parts:
-                continue
-            token = parts[0].lower()
-            if dimension is None:
-                if len(parts) < 2:
-                    fail(lineno, "entry has no vector components")
-                    continue
-                dimension = len(parts) - 1
-            if len(parts) - 1 != dimension:
-                fail(lineno, f"inconsistent dimension: got {len(parts) - 1}, expected {dimension}")
-                continue
-            try:
-                vec = np.array([float(x) for x in parts[1:]])
-            except ValueError:
-                fail(lineno, "non-numeric vector component")
-                continue
-            if not np.all(np.isfinite(vec)):
-                fail(lineno, "non-finite vector component")
-                continue
-            rows += 1
-            if _holds(token, seen, wanted):  # first occurrence wins after lowercasing
-                tokens.append(token)
-                held.append(vec)
-
-    if not rows:
-        reject(path, errors, "no word vectors loaded", kind=EmptyError)
+def _loadtxt(chunk, width):
+    """``(tokens, matrix, width)`` of a chunk of ``(N, [token, components])`` entries by one
+    ``np.loadtxt`` call, or None if a line has no components or is not UTF-8, or a value is
+    not a finite number ``np.loadtxt`` reads, or the rows are not ``width`` wide."""
+    if any(len(parts) == 1 for _lineno, parts in chunk) or \
+            not is_utf8("".join(parts[0] for _lineno, parts in chunk)):
+        return None  # np.loadtxt would skip a token-only line; it refuses a surrogate itself
+    try:
+        matrix = np.loadtxt([parts[1] for _lineno, parts in chunk], dtype=np.float64,
+                            comments=None, ndmin=2)
+    except ValueError:
         return None
-    matrix = np.array(held, dtype=np.float64).reshape(-1, dimension)
-    return WordVectorTable._from_matrix(tokens, matrix, rows - len(seen), len(seen))
+    if width not in (None, matrix.shape[1]) or not np.isfinite(matrix).all():
+        return None
+    return [parts[0].lower() for _lineno, parts in chunk], matrix, matrix.shape[1]
+
+
+def _parse_lines(path, errors, chunk, width):
+    """``(tokens, rows, width)`` of a chunk's good lines, parsed one at a time; each bad
+    line is reported by ``errors.reject`` as ``line N: message``, in file order."""
+    tokens, vecs = [], []
+    for lineno, parts in chunk:
+        fields = parts[1].split() if len(parts) > 1 else []
+        if not is_utf8(" ".join(parts)):
+            message = "not valid UTF-8"
+        elif width is None and not fields:
+            message = "entry has no vector components"
+        elif len(fields) != (width := width or len(fields)):
+            message = f"inconsistent dimension: got {len(fields)}, expected {width}"
+        elif (vec := _floats(fields)) is None:
+            message = "non-numeric vector component"
+        elif not np.isfinite(vec).all():
+            message = "non-finite vector component"
+        else:
+            tokens.append(parts[0].lower())
+            vecs.append(vec)
+            continue
+        reject(path, errors, f"line {lineno}: {message}")
+    return tokens, np.array(vecs, dtype=np.float64), width
+
+
+def _floats(fields):
+    """``fields`` as Python floats, or None if one is not a number."""
+    try:
+        return [float(x) for x in fields]
+    except ValueError:
+        return None
 
 
 @dataclass(frozen=True)

@@ -86,10 +86,14 @@ def gold_and_k(corpus, k=None):
     gold = corpus.gold_groups()
     if not gold:
         raise MissingLabelError("corpus carries no gold groups")
-    k = len(set(gold.values())) if k is None else k
+    return gold, check_k(corpus, len(set(gold.values())) if k is None else k)
+
+
+def check_k(corpus, k):
+    """``k``, or TooFewPointsError when it exceeds the distinct phrases of ``corpus``."""
     if k > len(corpus.phrase_index):
         raise TooFewPointsError(f"{len(corpus.phrase_index)} points cannot fill {k} clusters")
-    return gold, k
+    return k
 
 
 def method_setup(method, net):

@@ -150,7 +150,6 @@ def make_network(seed=42):
 
 FIXTURE_OUTPUT_DIM = 8
 FIXTURE_HIDDEN_DIMS = (32, 16)
-FIXTURE_ETA = 0.3  # the [pairs] eta default
 
 # Only the fixture's departures from the defaults; every other key resolves from config.SCHEMA.
 CONFIG_INI = f"""\

@@ -8,26 +8,18 @@ or whose record the parser rejects with FormatError, is reported by
 from __future__ import annotations
 
 import json
-from contextlib import closing
 
 from .errors import FormatError, reject
 
 
-def text_lines(path, errors=None):
-    """``(N, line)`` for each line N of text file ``path`` that is valid UTF-8.
-
-    Lines split as a plain text-mode read splits them. A line that is not
-    UTF-8 raises FormatError naming ``path`` and the line or, when ``errors``
-    is a list, is noted there and skipped. Close the generator to close the file.
-    """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
-            try:
-                line.encode("utf-8")  # a byte that did not decode is a lone surrogate here
-            except UnicodeEncodeError as exc:
-                reject(path, errors, f"line {lineno}: not valid UTF-8", exc)
-                continue
-            yield lineno, line
+def is_utf8(text):
+    """Whether ``text``, read with ``errors="surrogateescape"``, was UTF-8: a byte that did
+    not decode reads as a lone surrogate, which does not encode."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def read_jsonl(path, parse, errors=None):
@@ -37,16 +29,17 @@ def read_jsonl(path, parse, errors=None):
     ``errors`` is a list, is noted there and skipped.
     """
     parsed = []
-    with closing(text_lines(path, errors)) as lines:
-        for lineno, line in lines:
-            if not line.strip():
-                continue
-            try:
-                parsed.append(parse(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                reject(path, errors, f"line {lineno}: invalid JSON ({exc.msg})", exc)
-            except FormatError as exc:
-                reject(path, errors, f"line {lineno}: {exc}", exc)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not is_utf8(line):
+                reject(path, errors, f"line {lineno}: not valid UTF-8")
+            elif line.strip():
+                try:
+                    parsed.append(parse(json.loads(line)))
+                except json.JSONDecodeError as exc:
+                    reject(path, errors, f"line {lineno}: invalid JSON ({exc.msg})", exc)
+                except FormatError as exc:
+                    reject(path, errors, f"line {lineno}: {exc}", exc)
     return parsed
 
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from metric_grouper import config
 from metric_grouper import fixture as fx
 from metric_grouper.network import MetricNetwork, TrainConfig, train
 from metric_grouper.pairs import generate_pairs, generate_samples
@@ -66,7 +67,7 @@ def fixture_taxonomy():
 @pytest.fixture(scope="session")
 def fixture_pairs(fixture_corpus, fixture_taxonomy):
     samples = generate_samples(fixture_corpus)
-    return generate_pairs(samples, fixture_taxonomy, fx.FIXTURE_ETA, seed=42)
+    return generate_pairs(samples, fixture_taxonomy, config.resolve()["pairs"]["eta"], seed=42)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import pytest
 
+from metric_grouper import config
 from metric_grouper import fixture as fx
 from metric_grouper.ablation import Combo, format_ablation, parse_combos, run_ablation
 from metric_grouper.errors import ConfigError
@@ -42,7 +43,7 @@ def ablation_report(request):
     from metric_grouper.pairs import generate_pairs, generate_samples
 
     samples = generate_samples(fixture_corpus)
-    pairs = generate_pairs(samples, fixture_taxonomy, fx.FIXTURE_ETA, seed=42)
+    pairs = generate_pairs(samples, fixture_taxonomy, config.resolve()["pairs"]["eta"], seed=42)
     report = run_ablation(
         fixture_corpus, fixture_table,
         parse_combos("ap:0:raw,avg:0:raw,min:0:raw,max:0:raw,attention:1:trained,"

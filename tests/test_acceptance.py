@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
+from metric_grouper import config
 from metric_grouper import fixture as fx
 from metric_grouper.cli import main as cli_main
 from metric_grouper.clustering import kmeans
@@ -187,7 +188,7 @@ def test_criterion_5_synthetic_end_to_end():
     table = fx.make_vectors()
     tax = fx.make_taxonomy()
     samples = generate_samples(corpus)
-    pairs = generate_pairs(samples, tax, fx.FIXTURE_ETA, seed=42)
+    pairs = generate_pairs(samples, tax, config.resolve()["pairs"]["eta"], seed=42)
     cfg = TrainConfig()  # defaults, seed 42
     net = fx.make_network(seed=cfg.seed)
     net, history = train(net, pairs, table, cfg)
@@ -364,7 +365,7 @@ def test_criterion_9_pair_generation_contracts():
     tax = fx.make_taxonomy()
     words = sorted(tax.word_map)
     rng = np.random.default_rng(909)
-    eta = fx.FIXTURE_ETA
+    eta = config.resolve()["pairs"]["eta"]
     violations = 0
     total = 0
     trials = 0
@@ -404,9 +405,9 @@ def test_criterion_10_directional_check_on_real_data(tmp_path):
             "--vectors", os.path.join(data_dir, "vectors.txt"),
             "--taxonomy", os.path.join(data_dir, "taxonomy.jsonl"),
             "--out-dir", str(tmp_path)]
-    config = os.path.join(data_dir, "config.ini")
-    if os.path.exists(config):
-        args += ["--config", config]
+    ini = os.path.join(data_dir, "config.ini")
+    if os.path.exists(ini):
+        args += ["--config", ini]
     for command in ("pairs", "train", "eval"):
         assert cli_main([command] + args) == 0, command
     report = json.loads((tmp_path / "metrics.json").read_text(encoding="utf-8"))

@@ -833,6 +833,17 @@ class TestGuards:
         assert f"error: {setting}: " in err
         assert os.listdir(tmp_path) == []
 
+    def test_methods_hash_in_one_order(self, fixture_files, tmp_path):
+        reports = []
+        for n, methods in enumerate(["avg,ap", "ap,avg", "ap, avg"]):
+            out = tmp_path / str(n)
+            assert run("eval", *data_args(fixture_files), "--methods", methods, "--runs", "2",
+                       "--out-dir", str(out)) == 0
+            reports.append((out / "metrics.json").read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+        assert config.config_hash(config.resolve(overrides={"methods": "metric, avg,ap"})) == \
+            config.config_hash(config.resolve())
+
     def test_repeated_method_rejected_before_reading(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.jsonl")
         code = run("eval", "--methods", "avg,avg,ap", "--runs", "2", "--corpus", missing,
@@ -956,6 +967,21 @@ class TestGuards:
         assert code == 1
         assert (f"error: {points} points cannot fill {points + 1} clusters\n"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["cluster", "--method", "avg"], ["eval", "--methods", "avg"]],
+                             ids=["cluster", "eval"])
+    def test_k_above_distinct_phrases_rejected_before_vectors(self, fixture_files, tmp_path,
+                                                              capsys, monkeypatch, argv):
+        points = len(load_corpus(fixture_files["corpus"]).phrase_index)
+        loads = count_calls(monkeypatch, cli, "load_word_vectors")
+        composed = count_calls(monkeypatch, clustering_mod, "compose_test_phrase")
+        out = tmp_path / "out"
+        code = run(*argv, *data_args(fixture_files), "--k", str(points + 1), "--out-dir", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {points} points cannot fill {points + 1} clusters\n"
+        assert (loads, composed) == ({"load_word_vectors": []}, {"compose_test_phrase": []})
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [

@@ -172,13 +172,29 @@ def random_vector_text(rng):
     return "".join(line + str(rng.choice(["\n", "\r\n"])) for line in lines)
 
 
+def per_line(monkeypatch, path, errors=None, keep=None):
+    """``load_word_vectors`` with every chunk sent to the per-line parser."""
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus_module, "_loadtxt", lambda chunk, width: None)
+        return load_word_vectors(path, errors=errors, keep=keep)
+
+
+def assert_same_table(got, want):
+    assert list(got.vectors) == list(want.vectors)
+    assert (len(got), got.duplicate_count, got.dimension) == \
+        (len(want), want.duplicate_count, want.dimension)
+    for token, vec in want.vectors.items():
+        assert got.vectors[token].tobytes() == vec.tobytes()
+
+
 class TestBulkParseReference:
     @pytest.mark.parametrize("seed", range(10))
     def test_bulk_parse_equals_line_loop(self, tmp_path, monkeypatch, seed):
         rng = np.random.default_rng(seed)
         text = random_vector_text(rng)
         path = write(tmp_path, "v.txt", text)
-        want = corpus_module._load_line_by_line(path, None, None)
+        monkeypatch.setattr(corpus_module, "CHUNK_LINES", 1 + 7 * seed)  # chunks of 1 to 64 lines
+        want = per_line(monkeypatch, path)
         # tok0..tok24 may occur, most more than once; tok25..tok29 never do
         keep = {str(rng.choice([f"tok{i}", f"TOK{i}"])) for i in rng.choice(30, 15, replace=False)}
         keep |= {"tok25"}
@@ -186,16 +202,12 @@ class TestBulkParseReference:
         assert any(rows[token.lower()] > 1 for token in keep)
 
         def no_fallback(*args):
-            raise AssertionError("a clean file fell back to the line loop")
+            raise AssertionError("a clean chunk fell back to the line loop")
 
-        monkeypatch.setattr(corpus_module, "_load_line_by_line", no_fallback)
-        monkeypatch.setattr(corpus_module, "CHUNK_LINES", 1 + 7 * seed)  # chunks of 1 to 64 lines
+        monkeypatch.setattr(corpus_module, "_parse_lines", no_fallback)
         got = load_word_vectors(path)
-        assert list(got.vectors) == list(want.vectors)
-        assert got.duplicate_count == want.duplicate_count > 0
-        assert got.dimension == want.dimension
-        for token, vec in want.vectors.items():
-            assert got.vectors[token].tobytes() == vec.tobytes()
+        assert_same_table(got, want)
+        assert got.duplicate_count > 0
 
         kept = load_word_vectors(path, keep=keep)
         wanted = {token.lower() for token in keep}
@@ -204,6 +216,77 @@ class TestBulkParseReference:
             (len(want), want.duplicate_count, want.dimension)
         for token, vec in kept.vectors.items():
             assert vec.tobytes() == want.vectors[token].tobytes()
+
+
+class TestRefusedChunk:
+    """Only a chunk ``np.loadtxt`` refuses is parsed line by line, with the messages of the
+    per-line parser in file order."""
+
+    @pytest.mark.parametrize("chunk_lines", [1, 2, 512])
+    def test_defects_named_in_file_order(self, tmp_path, monkeypatch, chunk_lines):
+        # a numeric defect before a line that is not UTF-8, in one chunk or two
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"a 1 2\nb nan 1\nc 1 2\nd\xff 1 2\ne 1 2\n")
+        monkeypatch.setattr(corpus_module, "CHUNK_LINES", chunk_lines)
+        with pytest.raises(FormatError) as info:
+            load_word_vectors(str(path))
+        assert str(info.value) == f"{path}: line 2: non-finite vector component"
+        errors = []
+        table = load_word_vectors(str(path), errors=errors)
+        assert errors == ["line 2: non-finite vector component", "line 4: not valid UTF-8"]
+        assert list(table.vectors) == ["a", "c", "e"]
+        assert (len(table), table.duplicate_count, table.dimension) == (3, 0, 2)
+
+    def test_first_chunk_without_a_good_line(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "v.txt", "a\nb\nc 1 2\nd 3 4\n")
+        monkeypatch.setattr(corpus_module, "CHUNK_LINES", 2)
+        with pytest.raises(FormatError) as info:
+            load_word_vectors(path)
+        assert str(info.value) == f"{path}: line 1: entry has no vector components"
+        errors = []
+        table = load_word_vectors(path, errors=errors)
+        assert errors == ["line 1: entry has no vector components",
+                          "line 2: entry has no vector components"]
+        assert table.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert list(table.vectors) == ["c", "d"]
+        kept = load_word_vectors(path, errors=[], keep={"zzz"})
+        assert kept.matrix.shape == (0, 2) and len(kept) == 2
+
+    @pytest.mark.parametrize("defect, message", [
+        ("B nan 1", "non-finite vector component"),
+        ("B 1 x", "non-numeric vector component"),
+        ("B 1 2 3", "inconsistent dimension: got 3, expected 2"),
+        ("B", "inconsistent dimension: got 0, expected 2"),
+        ("B\udcff 1 2", "not valid UTF-8"),
+        ("B 1 \udcff", "not valid UTF-8"),
+    ], ids=["nan", "non-numeric", "arity", "token-only", "token-not-utf8", "component-not-utf8"])
+    def test_defect_only_in_second_chunk(self, tmp_path, monkeypatch, defect, message):
+        lines = [f"w{i} {i} {-i}" for i in range(7)] + ["A 9 9", "b 5 6", defect, "a 7 8", "c 3 4"]
+        path = tmp_path / "v.txt"
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+        path = str(path)
+        monkeypatch.setattr(corpus_module, "CHUNK_LINES", 8)
+        want_errors = []
+        want = per_line(monkeypatch, path, errors=want_errors)
+        assert want_errors == [f"line 10: {message}"]
+
+        parsed = []
+        parse_lines = corpus_module._parse_lines
+
+        def spy(path, errors, chunk, width):
+            parsed.append([lineno for lineno, _parts in chunk])
+            return parse_lines(path, errors, chunk, width)
+
+        monkeypatch.setattr(corpus_module, "_parse_lines", spy)
+        with pytest.raises(FormatError) as info:
+            load_word_vectors(path)
+        assert str(info.value) == f"{path}: line 10: {message}"
+        errors = []
+        got = load_word_vectors(path, errors=errors)
+        assert errors == want_errors
+        assert parsed == [[9, 10, 11, 12]] * 2
+        assert_same_table(got, want)
+        assert got.duplicate_count == 1 and got.get("a").tolist() == [9.0, 9.0]
 
 
 class TestMappingConstructor:
