@@ -29,6 +29,8 @@ class Combo:
             raise ConfigError(f"unknown composition mode {self.mode!r}")
         if self.mlp_layers not in (0, 1, 3):
             raise ConfigError("mlp_layers must be 0, 1 or 3")
+        if self.mode == "attention" and not self.train:  # no network, so no learned w_a
+            raise ConfigError("attention mode needs training (mlp_layers 1 or 3)")
 
     @property
     def train(self):

@@ -134,12 +134,14 @@ class Run:
     def claim(self, *names, dumps=()):
         """Start a step that writes --out-dir's ``names`` and the ``dumps`` flags' files.
 
-        Runs before any input is parsed: the manifest is read and checked, and an
-        output is refused if it would overwrite an input file, one of --out-dir's
-        artifacts or another output, if it is a directory, or if its directory does
-        not exist.
+        Runs before any input is parsed: --out-dir is refused if it exists but is not
+        a directory, the manifest is read and checked, and an output is refused if it
+        would overwrite an input file, one of --out-dir's artifacts or another output,
+        if it is a directory, or if its directory does not exist.
         """
         _require(self.args, "out_dir")
+        if os.path.exists(self.args.out_dir) and not os.path.isdir(self.args.out_dir):
+            raise MetricGrouperError(f"--out-dir {self.args.out_dir} is not a directory")
         dumps = {flag.replace("_", "-"): path for flag in dumps
                  if (path := getattr(self.args, flag, None))}
         taken = {os.path.realpath(path): f"--{flag}" for flag in INPUT_FLAGS

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import AttentionParams, compose_test_phrase
+from .composition import compose_test_phrase
 from .errors import DimensionMismatchError, TooFewPointsError
 
 
@@ -139,17 +139,17 @@ def phrase_points(corpus, table, net=None, mode=None):
     phrases are composed in its mode with its attention parameters, and
     ``points`` are its outputs; another explicit ``mode`` raises ValueError, and
     ``net.check_word_dim()`` refuses another table width before any phrase is composed.
-    Without one, ``mode`` defaults to attention with zero parameters, and
+    Without one, ``mode`` must be a baseline mode, not attention (ValueError), and
     ``points`` are the composed rows scaled to unit length, zero rows left at zero.
     """
-    if net is None:
-        params = AttentionParams.zeros(table.dimension)
-        mode = "attention" if mode is None else mode
-    elif mode in (None, net.composition_mode):
+    if net is not None:
+        if mode not in (None, net.composition_mode):
+            raise ValueError(f"mode {mode!r} is not the network's mode {net.composition_mode!r}")
         net.check_word_dim(table.dimension)
-        params, mode = net.attention, net.composition_mode
-    else:
-        raise ValueError(f"mode {mode!r} is not the network's mode {net.composition_mode!r}")
+        mode = net.composition_mode
+    elif mode in (None, "attention"):
+        raise ValueError("without a network, phrase_points needs a baseline mode")
+    params = net.attention if mode == "attention" else None
     phrases = corpus.phrases()
     rows = [compose_test_phrase(phrase, corpus, table, params, mode) for phrase in phrases]
     composed = np.array(rows)

@@ -25,10 +25,10 @@ from .jsonl import is_int, is_utf8, read_jsonl, record_tokens, write_jsonl
 class WordVectorTable:
     """Token -> fixed-length vector lookup; an out-of-vocabulary token looks up as a zero row.
 
-    ``matrix`` is one read-only ``(n, d)`` float64 array and ``vectors``
-    maps each lowercased token to a read-only view of its row. ``len()``
-    counts the distinct tokens of the source, so a table loaded with a
-    ``keep`` set holds fewer rows than its length.
+    ``matrix`` is one read-only ``(n + 1, d)`` float64 array whose last row is the
+    zero row, and ``index`` maps each lowercased token to its row. ``len()`` counts
+    the distinct tokens of the source, so a table loaded with a ``keep`` set holds
+    fewer rows than its length.
     """
 
     def __init__(self, dimension, vectors):
@@ -49,12 +49,11 @@ class WordVectorTable:
             seen.add(key)
             tokens.append(key)
             rows.append(arr)
-        matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, dimension))
-        self._adopt(tokens, matrix, 0, len(tokens))
+        self._adopt(tokens, np.array(rows + [np.zeros(dimension)]), 0, len(tokens))
 
     @classmethod
     def _from_matrix(cls, tokens, matrix, duplicate_count, entries):
-        """Table over an already checked matrix, taken without a copy."""
+        """Table over an already checked matrix that ends in its zero row, taken without a copy."""
         table = cls.__new__(cls)
         table._adopt(tokens, matrix, duplicate_count, entries)
         return table
@@ -65,23 +64,19 @@ class WordVectorTable:
         self.dimension = matrix.shape[1]
         self.duplicate_count = duplicate_count
         self._entries = entries
-        self.vectors: dict[str, np.ndarray] = dict(zip(tokens, matrix))
+        self.index: dict[str, int] = {token: row for row, token in enumerate(tokens)}
 
     def __len__(self):
         return self._entries
 
-    def __contains__(self, token):
-        return token.lower() in self.vectors
-
-    def get(self, token):
-        """Vector for ``token`` or None when absent."""
-        return self.vectors.get(token.lower())
+    def rows(self, tokens):
+        """Row numbers of ``tokens`` in ``matrix``, the zero row's for each unknown token."""
+        zero = len(self.index)
+        return np.array([self.index.get(tok.lower(), zero) for tok in tokens], dtype=np.intp)
 
     def lookup(self, tokens):
-        """(n, d) rows for ``tokens``, a zero row for each unknown token."""
-        zero = np.zeros(self.dimension)
-        rows = [self.vectors.get(tok.lower(), zero) for tok in tokens]
-        return np.array(rows) if rows else np.zeros((0, self.dimension))
+        """(n, d) rows for ``tokens`` in one gather, the zero row for each unknown token."""
+        return self.matrix.take(self.rows(tokens), axis=0)
 
     def phrase_lookup(self, phrase):
         """Mean of the token rows of ``phrase``; raises EmptyPhraseError for no tokens."""
@@ -93,8 +88,7 @@ class WordVectorTable:
     def coverage(self, tokens):
         """(known, total) over the distinct lowercased tokens given."""
         distinct = {t.lower() for t in tokens}
-        known = sum(1 for t in distinct if t in self.vectors)
-        return known, len(distinct)
+        return len(distinct & self.index.keys()), len(distinct)
 
 
 # Lines per np.loadtxt call: a chunk of 100-wide rows is 410 KB, however long the file.
@@ -131,7 +125,12 @@ def load_word_vectors(path, errors=None, keep=None):
     wanted = None if keep is None else {token.lower() for token in keep}
     tokens, blocks, seen, rows, width = [], [], {}, 0, None
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        entries = ((lineno, parts) for lineno, line in enumerate(fh, 1)
+        if bom := fh.read(1) == "\ufeff":  # it would join the first token
+            reject(path, errors, "line 1: starts with a UTF-8 byte-order mark")
+            fh.readline()  # the rest of line 1 is skipped, as a bad line is
+        else:
+            fh.seek(0)
+        entries = ((lineno, parts) for lineno, line in enumerate(fh, 1 + bom)
                    if (parts := line.split(None, 1)))
         while chunk := list(islice(entries, CHUNK_LINES)):
             good, matrix, width = _loadtxt(chunk, width) or _parse_lines(path, errors, chunk, width)
@@ -143,8 +142,8 @@ def load_word_vectors(path, errors=None, keep=None):
     if not rows:
         reject(path, errors, "no word vectors loaded", kind=EmptyError)
         return None
-    return WordVectorTable._from_matrix(tokens, np.concatenate(blocks), rows - len(seen),
-                                        len(seen))
+    return WordVectorTable._from_matrix(tokens, np.concatenate(blocks + [np.zeros((1, width))]),
+                                        rows - len(seen), len(seen))
 
 
 def _loadtxt(chunk, width):
@@ -333,6 +332,6 @@ def save_corpus(corpus, path):
 def save_word_vectors(table, path):
     """Write a table back to the text format, tokens sorted."""
     with open(path, "w", encoding="utf-8") as fh:
-        for token in sorted(table.vectors):
-            comps = " ".join(repr(float(x)) for x in table.vectors[token])
+        for token in sorted(table.index):
+            comps = " ".join(repr(float(x)) for x in table.matrix[table.index[token]])
             fh.write(f"{token} {comps}\n")

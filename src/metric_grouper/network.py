@@ -343,15 +343,14 @@ def train(net, pairs, table, cfg):
     ``cfg.seed`` draws the pair order, so identical seeds and data
     reproduce it bitwise.
 
-    A sample is kept as the row indices of its context tokens into one
-    matrix of the distinct context tokens the pairs use, and its phrase's
-    vector, one per distinct phrase; a step gathers the rows it composes,
-    and the epoch objective keeps one output row per sample. One
-    ``WordVectorTable.lookup`` call builds that matrix, an unknown token
-    getting a zero row. The word width (MetricNetwork.check_word_dim()),
-    labels and each sample's context tokens (composition.used_context())
-    are checked before anything is composed. Raises DivergenceError,
-    naming epoch and pair index, if any parameter stops being finite.
+    A sample is kept as its context tokens' rows of ``table.matrix``
+    (``WordVectorTable.rows``: an unknown token's is the zero row) and its
+    phrase's vector, one per distinct phrase; a step gathers the rows it
+    composes, and the epoch objective keeps one output row per sample. The
+    word width (MetricNetwork.check_word_dim()), labels and each sample's
+    context tokens (composition.used_context()) are checked before anything
+    is composed. Raises DivergenceError, naming epoch and pair index, if any
+    parameter stops being finite.
     """
     if not pairs:
         raise ValueError("no training pairs")
@@ -367,25 +366,23 @@ def train(net, pairs, table, cfg):
         for s in (pair.left, pair.right):
             index.setdefault(s, len(index))
         pair_idx.append((index[pair.left], index[pair.right], pair.label))
-    token_rows, phrase_vecs = {}, {}  # context token -> row of context; phrase -> its vector
-    samples = []  # per distinct sample: (context row indices, phrase vector)
+    phrase_vecs = {}  # phrase -> its vector
+    samples = []  # per distinct sample: (its context rows in table.matrix, phrase vector)
     for s in index:
         if s.phrase not in phrase_vecs:
             phrase_vecs[s.phrase] = table.phrase_lookup(s.phrase)
-        tokens = used_context(s.phrase, s.context_tokens, mode)
-        samples.append((np.array([token_rows.setdefault(t, len(token_rows)) for t in tokens],
-                                 dtype=np.intp), phrase_vecs[s.phrase]))
-    context = table.lookup(list(token_rows))
+        samples.append((table.rows(used_context(s.phrase, s.context_tokens, mode)),
+                        phrase_vecs[s.phrase]))
     recompose = mode == "attention"
     w_a = net.attention.w_a
     if recompose:
         def composed(k):
             """Sample k's gathered context rows (a C-contiguous copy), input and word weights."""
             rows, p = samples[k]
-            rows = context.take(rows, axis=0)
+            rows = table.matrix.take(rows, axis=0)
             return (rows, *attend(rows, p, w_a))
     else:
-        static = [(None, compose_vectors(context.take(rows, axis=0), p, net.attention, mode),
+        static = [(None, compose_vectors(table.matrix.take(rows, axis=0), p, net.attention, mode),
                    None) for rows, p in samples]
         composed = static.__getitem__
 

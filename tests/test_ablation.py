@@ -26,6 +26,11 @@ class TestCombo:
         with pytest.raises(ConfigError, match="training goes with mlp_layers > 0, raw with 0"):
             Combo.parse("avg:0:trained")
 
+    def test_raw_attention_rejected(self):
+        # with no network there is no learned w_a, and phrase_points refuses attention mode
+        with pytest.raises(ConfigError, match="attention mode needs training"):
+            Combo.parse("attention:0:raw")
+
     def test_bad_depth_rejected(self):
         with pytest.raises(ConfigError):
             Combo.parse("avg:2:trained")

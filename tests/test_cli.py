@@ -116,6 +116,15 @@ class TestValidate:
         assert "sentences: 0\n" in out
         assert out.endswith("error: corpus: no sentences loaded\nvalidation: FAILED\n")
 
+    def test_vectors_byte_order_mark_listed(self, fixture_files, tmp_path, capsys):
+        vecs = tmp_path / "bom.txt"
+        vecs.write_bytes(b"\xef\xbb\xbf" + Path(fixture_files["vectors"]).read_bytes())
+        code = run("validate", *data_args(dict(fixture_files, vectors=str(vecs))))
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "error: vectors: line 1: starts with a UTF-8 byte-order mark\n" in out
+        assert out.endswith("validation: FAILED\n")
+
     def test_missing_vectors_warn_but_pass(self, fixture_files, tmp_path, capsys):
         vecs = tmp_path / "small.txt"
         vecs.write_text("picture 1.0 0.0\nsound 0.0 1.0\n", encoding="utf-8")
@@ -168,7 +177,7 @@ def test_unused_row_defects_validate_as_without_keep(fixture_files, tmp_path, mo
     assert all(line + "\n" in captured.out for line in expected)
     entries = 30 + ("duplicate" in defects)
     assert f"word vectors: {entries} entries, dimension {DIMENSION}\n" in captured.out
-    assert len(tables[0].vectors) == 27 < len(tables[1].vectors)
+    assert len(tables[0].index) == 27 < len(tables[1].index)
 
 
 def _edit_record(key, change):
@@ -659,6 +668,20 @@ class TestGuards:
         assert (tmp_path / "manifest.json").read_text(encoding="utf-8") == text
         assert os.listdir(tmp_path) == ["manifest.json"]
         assert {name: len(seen) for name, seen in calls.items()} == dict.fromkeys(calls, 0)
+
+    @pytest.mark.parametrize("command, flags", [
+        ("run-all", []), ("eval", ["--methods", "avg,ap"])], ids=["run-all", "eval"])
+    def test_out_dir_that_is_a_file_rejected_before_parsing(self, fixture_files, tmp_path, capsys,
+                                                             monkeypatch, command, flags):
+        out = tmp_path / "somefile"
+        out.write_text("kept\n", encoding="utf-8")
+        calls = count_calls(monkeypatch, cli, "load_corpus", "load_word_vectors", "load_taxonomy")
+        code = run(command, *data_args(fixture_files), *flags, "--out-dir", str(out))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: --out-dir {out} is not a directory\n"
+        assert out.read_text(encoding="utf-8") == "kept\n"
+        assert calls == {"load_corpus": [], "load_word_vectors": [], "load_taxonomy": []}
 
     @pytest.mark.parametrize("command, message", [
         ("train", "run the pairs command first"),

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import count_calls
 
 from metric_grouper import clustering
 from metric_grouper.clustering import kmeans, phrase_points
@@ -287,6 +288,24 @@ class TestClusterCorpus:
         assert points.tobytes() == np.array([net.forward(x) for x in want]).tobytes()
         with pytest.raises(ValueError, match="'attention' is not the network's mode 'min'"):
             phrase_points(corpus, table, net=net, mode="attention")
+
+    @pytest.mark.parametrize("mode", [None, "attention"])
+    def test_no_network_needs_a_baseline_mode(self, monkeypatch, mode):
+        calls = count_calls(monkeypatch, clustering, "compose_test_phrase")
+        with pytest.raises(ValueError, match="without a network, phrase_points needs a baseline"):
+            phrase_points(context_corpus(), context_table(), mode=mode)
+        assert calls == {"compose_test_phrase": []}
+
+    @pytest.mark.parametrize("mode", ["attention", "avg", "ap"])
+    def test_only_attention_mode_gets_attention_parameters(self, monkeypatch, mode):
+        net = MetricNetwork.create(2, mode=mode, output_dim=3, n_layers=1, seed=5)
+        calls = count_calls(monkeypatch, clustering, "compose_test_phrase")
+        phrase_points(context_corpus(), context_table(), net=net)
+        if mode != "attention":
+            phrase_points(context_corpus(), context_table(), mode=mode)
+        want = net.attention if mode == "attention" else None
+        assert calls["compose_test_phrase"] and \
+            all(args[3] is want for args in calls["compose_test_phrase"])
 
     def test_learned_path_projects(self, fixture_corpus, fixture_table, trained_net):
         net, _ = trained_net

@@ -29,12 +29,13 @@ class TestLoadWordVectors:
         table = load_word_vectors(path)
         assert table.dimension == 2
         assert len(table) == 2
-        assert np.array_equal(table.get("a"), [1.0, 0.0])
+        assert np.array_equal(table.lookup(["a"]), [[1.0, 0.0]])
 
     def test_absent_token_zero_policy(self, tmp_path):
         path = write(tmp_path, "v.txt", "a 1.0 0.0\nb 0.0 1.0\n")
         table = load_word_vectors(path)
-        assert table.get("zzz") is None
+        assert "zzz" not in table.index and table.rows(["zzz"]).tolist() == [2]
+        assert np.array_equal(table.lookup(["zzz"]), [[0.0, 0.0]])
         assert np.array_equal(table.phrase_lookup("zzz"), [0.0, 0.0])
 
     def test_empty_file(self, tmp_path):
@@ -47,7 +48,7 @@ class TestLoadWordVectors:
         table = load_word_vectors(path)
         assert len(table) == 1
         assert table.duplicate_count == 1
-        assert np.array_equal(table.get("a"), [1.0, 2.0])
+        assert np.array_equal(table.lookup(["a"]), [[1.0, 2.0]])
 
     def test_n_distinct_lines_give_n_entries(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -67,8 +68,8 @@ class TestLoadWordVectors:
     def test_lookup_is_case_insensitive(self, tmp_path):
         path = write(tmp_path, "v.txt", "Apple 1.0 0.0\n")
         table = load_word_vectors(path)
-        assert "APPLE" in table
-        assert np.array_equal(table.get("apple"), [1.0, 0.0])
+        assert table.index == {"apple": 0}
+        assert np.array_equal(table.lookup(["APPLE", "apple"]), [[1.0, 0.0], [1.0, 0.0]])
 
     @pytest.mark.parametrize("mode", ["raise", "errors"])
     @pytest.mark.parametrize("text, lineno, message, kept", [
@@ -78,7 +79,11 @@ class TestLoadWordVectors:
         ("a 1.0 0.0\n\nb 1.0 oops\n", 3, "non-numeric vector component", ["a"]),
         ("a 1.0 nan\nb 1 2\n", 1, "non-finite vector component", ["b"]),
         ("a 1 2\nb -inf 1e999\n", 2, "non-finite vector component", ["a"]),
-    ], ids=["token-only-first", "token-only", "arity-change", "non-numeric", "nan", "inf"])
+        ("\ufeffa 1 2\nb 1 2\n", 1, "starts with a UTF-8 byte-order mark", ["b"]),
+        ("\ufeff\nb 1 2\n\ufeffc 3 4\n", 1, "starts with a UTF-8 byte-order mark",
+         ["b", "\ufeffc"]),
+    ], ids=["token-only-first", "token-only", "arity-change", "non-numeric", "nan", "inf",
+            "byte-order-mark", "byte-order-mark-alone"])
     def test_line_defect(self, tmp_path, mode, text, lineno, message, kept):
         path = write(tmp_path, "v.txt", text)
         if mode == "raise":
@@ -89,7 +94,7 @@ class TestLoadWordVectors:
             errors = []
             table = load_word_vectors(path, errors=errors)
             assert errors == [f"line {lineno}: {message}"]
-            assert list(table.vectors) == kept
+            assert list(table.index) == kept
 
     def test_finite_duplicate_after_non_finite_first_wins(self, tmp_path):
         path = write(tmp_path, "v.txt", "a nan 1\nb 0 1\nA 1 2\n")
@@ -97,8 +102,8 @@ class TestLoadWordVectors:
         table = load_word_vectors(path, errors=errors)
         assert errors == ["line 1: non-finite vector component"]
         assert table.duplicate_count == 0
-        assert list(table.vectors) == ["b", "a"]
-        assert np.array_equal(table.get("a"), [1.0, 2.0])
+        assert list(table.index) == ["b", "a"]
+        assert np.array_equal(table.lookup(["a"]), [[1.0, 2.0]])
 
     @pytest.mark.parametrize("mode", ["raise", "errors"])
     def test_python_float_syntax_outside_loadtxt(self, tmp_path, mode):
@@ -107,8 +112,7 @@ class TestLoadWordVectors:
         errors = None if mode == "raise" else []
         table = load_word_vectors(path, errors=errors)
         assert errors in (None, [])
-        assert table.get("a").tolist() == [1000.0, 12.0]
-        assert table.get("b").tolist() == [0.5, 2.0]
+        assert table.lookup(["a", "b"]).tolist() == [[1000.0, 12.0], [0.5, 2.0]]
 
     @pytest.mark.parametrize("text", ["", "\n\n", " \t\r\n\n"])
     def test_empty_file_without_warning(self, tmp_path, text):
@@ -124,10 +128,9 @@ class TestLoadWordVectors:
     def test_table_is_one_read_only_matrix(self, tmp_path):
         path = write(tmp_path, "v.txt", "a 1 2\nB 3 4\nA 5 6\n")
         table = load_word_vectors(path)
-        assert table.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert table.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]]
         assert not table.matrix.flags.writeable
-        for vec in table.vectors.values():
-            assert np.shares_memory(vec, table.matrix) and not vec.flags.writeable
+        assert table.index == {"a": 0, "b": 1}
 
 
 class TestKeepMemory:
@@ -144,7 +147,7 @@ class TestKeepMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (len(table), len(table.vectors)) == (rows, len(keep))
+        assert (len(table), len(table.index)) == (rows, len(keep))
         assert peak < rows * dim * 8 / 3
 
 
@@ -180,11 +183,10 @@ def per_line(monkeypatch, path, errors=None, keep=None):
 
 
 def assert_same_table(got, want):
-    assert list(got.vectors) == list(want.vectors)
+    assert list(got.index) == list(want.index)
     assert (len(got), got.duplicate_count, got.dimension) == \
         (len(want), want.duplicate_count, want.dimension)
-    for token, vec in want.vectors.items():
-        assert got.vectors[token].tobytes() == vec.tobytes()
+    assert got.matrix.tobytes() == want.matrix.tobytes()
 
 
 class TestBulkParseReference:
@@ -211,11 +213,10 @@ class TestBulkParseReference:
 
         kept = load_word_vectors(path, keep=keep)
         wanted = {token.lower() for token in keep}
-        assert list(kept.vectors) == [token for token in want.vectors if token in wanted]
+        assert list(kept.index) == [token for token in want.index if token in wanted]
         assert (len(kept), kept.duplicate_count, kept.dimension) == \
             (len(want), want.duplicate_count, want.dimension)
-        for token, vec in kept.vectors.items():
-            assert vec.tobytes() == want.vectors[token].tobytes()
+        assert kept.lookup(kept.index).tobytes() == want.lookup(kept.index).tobytes()
 
 
 class TestRefusedChunk:
@@ -234,7 +235,7 @@ class TestRefusedChunk:
         errors = []
         table = load_word_vectors(str(path), errors=errors)
         assert errors == ["line 2: non-finite vector component", "line 4: not valid UTF-8"]
-        assert list(table.vectors) == ["a", "c", "e"]
+        assert list(table.index) == ["a", "c", "e"]
         assert (len(table), table.duplicate_count, table.dimension) == (3, 0, 2)
 
     def test_first_chunk_without_a_good_line(self, tmp_path, monkeypatch):
@@ -247,10 +248,10 @@ class TestRefusedChunk:
         table = load_word_vectors(path, errors=errors)
         assert errors == ["line 1: entry has no vector components",
                           "line 2: entry has no vector components"]
-        assert table.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-        assert list(table.vectors) == ["c", "d"]
+        assert table.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]]
+        assert list(table.index) == ["c", "d"]
         kept = load_word_vectors(path, errors=[], keep={"zzz"})
-        assert kept.matrix.shape == (0, 2) and len(kept) == 2
+        assert kept.matrix.tolist() == [[0.0, 0.0]] and len(kept) == 2
 
     @pytest.mark.parametrize("defect, message", [
         ("B nan 1", "non-finite vector component"),
@@ -286,23 +287,21 @@ class TestRefusedChunk:
         assert errors == want_errors
         assert parsed == [[9, 10, 11, 12]] * 2
         assert_same_table(got, want)
-        assert got.duplicate_count == 1 and got.get("a").tolist() == [9.0, 9.0]
+        assert got.duplicate_count == 1 and got.lookup(["a"]).tolist() == [[9.0, 9.0]]
 
 
 class TestMappingConstructor:
     def test_ends_matrix_backed(self):
         a = np.array([1.0, 2.0])
         table = WordVectorTable(2, {"A": a, "b": [3, 4]})
-        assert list(table.vectors) == ["a", "b"]
-        assert table.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert table.index == {"a": 0, "b": 1}
+        assert table.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]]
         assert not table.matrix.flags.writeable
-        for vec in table.vectors.values():
-            assert np.shares_memory(vec, table.matrix) and not vec.flags.writeable
         assert a.flags.writeable  # the caller's array is copied, not frozen
 
     def test_empty_mapping(self):
         table = WordVectorTable(3, {})
-        assert len(table) == 0 and table.matrix.shape == (0, 3)
+        assert len(table) == 0 and table.matrix.tolist() == [[0.0, 0.0, 0.0]]
 
     @pytest.mark.parametrize("vectors, error, message", [
         ({"a": [1, 2], "B": [1, 2, 3]}, DimensionMismatchError,

@@ -371,7 +371,8 @@ class TestWordDim:
     def test_train_and_phrase_points_refuse_before_composing(
             self, monkeypatch, fixture_corpus, fixture_table, fixture_pairs, mode):
         wide = WordVectorTable(fx.DIMENSION + 1, {
-            token: np.append(vec, 0.0) for token, vec in fixture_table.vectors.items()})
+            token: np.append(fixture_table.matrix[row], 0.0)
+            for token, row in fixture_table.index.items()})
         net = MetricNetwork.create(fx.DIMENSION, mode=mode, output_dim=2, n_layers=2, seed=1)
         assert net.word_dim == 8
         before = net.params.copy()
@@ -538,9 +539,10 @@ def reference_train(net, pairs, table, cfg, mode):
     This is the training loop as it stood before the flat parameter
     buffer: two branch forwards and backwards per pair, the per-layer sums
     gw_i + gw_j, a decay step per array, and an epoch objective that
-    forwards both samples of every pair. Its token lookups are the ones
-    training had before they went through WordVectorTable.lookup()
-    (``_reference_parts``), and it composes and backpropagates into w_a
+    forwards both samples of every pair. Its token lookups go through a
+    plain token -> vector dict, as training's did before it gathered rows
+    of ``table.matrix``, and ``_reference_parts`` turns an unknown token
+    into a zero row of its own; it composes and backpropagates into w_a
     with its own copies of that arithmetic. Returns (weights, biases, w_a,
     history) and leaves ``net`` untouched.
     """
@@ -557,7 +559,9 @@ def reference_train(net, pairs, table, cfg, mode):
                 samples.append(s)
     pair_idx = [(index[p.left], index[p.right], p.label) for p in pairs]
     recompose = mode == "attention"
-    parts = [_reference_parts(s, table.get, table.dimension, True, mode) for s in samples]
+    vectors = {token: table.matrix[row] for token, row in table.index.items()}
+    parts = [_reference_parts(s, lambda tok: vectors.get(tok.lower()), table.dimension, True, mode)
+             for s in samples]
 
     def compose_now(k):
         return _reference_compose(*parts[k], w_a, mode)
@@ -605,6 +609,9 @@ def reference_train(net, pairs, table, cfg, mode):
     return weights, biases, w_a, history
 
 
+UNKNOWN_TOKENS = {"the", "clear", "image"}  # two context words and one phrase word
+
+
 class TestReferenceLoop:
     """train() reproduces the separate-array loop bit for bit."""
 
@@ -622,6 +629,9 @@ class TestReferenceLoop:
             # a zero last vector column zeroes two components of every composed
             # input, so every step multiplies exact zeros into weight gradients
             ("attention", 3, "tanh", None, "zero-column"),
+            # two context words and one phrase word with no vector look up as the zero row
+            ("attention", 3, "tanh", None, "unknown-tokens"),
+            ("avg", 3, "tanh", None, "unknown-tokens"),
         ]
     ])
     def test_bitwise_equal(self, fixture_pairs, fixture_table,
@@ -629,7 +639,14 @@ class TestReferenceLoop:
         table = fixture_table
         if inputs == "zero-column":
             table = WordVectorTable(table.dimension, {
-                token: np.append(vec[:-1], 0.0) for token, vec in table.vectors.items()})
+                token: np.append(table.matrix[row, :-1], 0.0)
+                for token, row in table.index.items()})
+        elif inputs == "unknown-tokens":
+            table = WordVectorTable(table.dimension, {
+                token: table.matrix[row] for token, row in table.index.items()
+                if token not in UNKNOWN_TOKENS})
+            used = {t for p in fixture_pairs for s in (p.left, p.right) for t in s.context_tokens}
+            assert UNKNOWN_TOKENS <= used and "image" in {p.left.phrase for p in fixture_pairs}
         penalty = {} if reg_lambda is None else {"reg_lambda": reg_lambda}
         cfg = TrainConfig(epochs=2, seed=7, **penalty)
         net = MetricNetwork.create(table.dimension, mode=mode, output_dim=6,
