@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .composition import MODES
 from .errors import ConfigError
-from .evaluation import format_table, score_methods
+from .evaluation import LEARNED_METHOD, evaluate_run, format_table
 from .network import MetricNetwork, check_hidden_dims, train
 
 REFERENCE_KEY = "ap:0:raw"
@@ -77,9 +77,9 @@ def run_ablation(corpus, table, combos, train_pairs=None, train_cfg=None,
 
     ``train_pairs`` is the shared distant-supervision pair list; it is
     required as soon as any combo trains. Each combo is trained, then scored
-    by evaluation.score_methods before the next one trains; the report is
-    sorted by combo key and counts the phrases with no gold label. A combo's
-    entry carries score_methods' ``empty_cluster_runs`` when it has one.
+    by evaluation.evaluate_run, as its learned method or its raw mode, before the
+    next one trains; the report is sorted by combo key and counts the phrases with
+    no gold label. A combo's entry carries its ``empty_cluster_runs`` when it has one.
     """
     combos = list(combos)
     if not any(c.key == REFERENCE_KEY for c in combos):
@@ -100,9 +100,10 @@ def run_ablation(corpus, table, combos, train_pairs=None, train_cfg=None,
                 hidden_dims=hidden_dims if combo.mlp_layers == 3 else None,
                 activation="identity" if combo.mlp_layers == 1 else "tanh", seed=train_cfg.seed)
             _, history = train(net, train_pairs, table, train_cfg)
-        head, rows = score_methods(corpus, table, {combo.key: (net, combo.mode)},
-                                   k, runs, seed, n_init, max_iter)
-        row = rows[combo.key]
+        report = evaluate_run(corpus, table, [LEARNED_METHOD if combo.train else combo.mode],
+                              net=net, k=k, runs=runs, seed=seed, n_init=n_init,
+                              max_iter=max_iter)
+        (row,) = report["methods"].values()
         entry = {"mode": combo.mode, "mlp_layers": combo.mlp_layers, "trained": combo.train,
                  **{name: row[name] for name in ("purity_mean", "entropy_mean",
                                                  "empty_cluster_runs") if name in row}}
@@ -116,7 +117,8 @@ def run_ablation(corpus, table, combos, train_pairs=None, train_cfg=None,
                             ("entropy", ref["entropy_mean"] - row["entropy_mean"])):
             base = ref[f"{score}_mean"]
             row[f"{score}_improvement_pct"] = gain / base * 100.0 if base else 0.0
-    return {**head, "reference": REFERENCE_KEY,
+    return {**{name: report[name] for name in ("k", "runs", "seeds", "skipped_unlabeled")},
+            "reference": REFERENCE_KEY,
             "combos": {key: results[key] for key in sorted(results)}}
 
 

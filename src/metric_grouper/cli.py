@@ -134,14 +134,18 @@ class Run:
     def claim(self, *names, dumps=()):
         """Start a step that writes --out-dir's ``names`` and the ``dumps`` flags' files.
 
-        Runs before any input is parsed: --out-dir is refused if it exists but is not
-        a directory, the manifest is read and checked, and an output is refused if it
-        would overwrite an input file, one of --out-dir's artifacts or another output,
-        if it is a directory, or if its directory does not exist.
+        Runs before any input is parsed: --out-dir is refused unless it, or else its
+        nearest existing ancestor, is a directory; the manifest is read and checked; an
+        output is refused if it would overwrite an input file, one of --out-dir's artifacts
+        or another output, if it is a directory, or if its directory does not exist.
         """
         _require(self.args, "out_dir")
-        if os.path.exists(self.args.out_dir) and not os.path.isdir(self.args.out_dir):
-            raise MetricGrouperError(f"--out-dir {self.args.out_dir} is not a directory")
+        nearest = os.path.abspath(self.args.out_dir)
+        while not os.path.exists(nearest):  # the root exists
+            nearest = os.path.dirname(nearest)
+        if not os.path.isdir(nearest):
+            inside = "" if os.path.exists(self.args.out_dir) else f": {nearest}"
+            raise MetricGrouperError(f"--out-dir {self.args.out_dir}{inside} is not a directory")
         dumps = {flag.replace("_", "-"): path for flag in dumps
                  if (path := getattr(self.args, flag, None))}
         taken = {os.path.realpath(path): f"--{flag}" for flag in INPUT_FLAGS
@@ -411,10 +415,10 @@ def cmd_cluster(run):
 
 
 def _scoring(resolved):
-    """The [clustering] and [evaluation] settings that score a method, as keywords."""
-    clustering, evaluation = resolved["clustering"], resolved["evaluation"]
-    return {"k": clustering["k"], "runs": evaluation["runs"], "seed": evaluation["seed"],
-            "n_init": clustering["n_init"], "max_iter": clustering["max_iter"]}
+    """[evaluation] runs and [clustering]'s settings, as keywords: run r seeds K-means
+    with ``[clustering] seed + r``, so run 0 is the partition ``cluster`` writes."""
+    return {"runs": resolved["evaluation"]["runs"], **{
+        key: resolved["clustering"][key] for key in ("k", "seed", "n_init", "max_iter")}}
 
 
 def _report(run, name, report, formatter, command):
@@ -423,7 +427,7 @@ def _report(run, name, report, formatter, command):
     path = run.write(name, json.dumps(report, sort_keys=True, indent=1) + "\n")
     print(formatter(report))
     print(f"wrote {path}")
-    run.record(command, run.config["evaluation"]["seed"])
+    run.record(command, run.config["clustering"]["seed"])
     return 0
 
 

@@ -19,6 +19,7 @@ from .ablation import parse_combos
 from .composition import MODES
 from .errors import ConfigError
 from .evaluation import METHODS
+from .jsonl import is_utf8
 from .network import ACTIVATIONS, TRAINING_RANGES, TrainConfig
 
 
@@ -112,7 +113,6 @@ SCHEMA = {
     },
     "evaluation": {
         "runs": (_positive(int), "10", "clustering repetitions averaged in reports"),
-        "seed": (_seed, "42", None),
         "methods": (_choices(METHODS), "metric,avg,ap",
                     f"comma-separated eval methods ({','.join(METHODS)})"),
     },
@@ -149,11 +149,14 @@ def resolve(config_path=None, overrides=None):
 
     if config_path is not None:
         parser = configparser.ConfigParser(interpolation=None)
+        with open(config_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            text = fh.read()
+        if text.startswith("\ufeff"):
+            raise ConfigError(f"{config_path}: line 1: starts with a UTF-8 byte-order mark")
+        if bad := next((n for n, line in enumerate(text.split("\n"), 1) if not is_utf8(line)), 0):
+            raise ConfigError(f"{config_path}: line {bad}: not valid UTF-8")
         try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                parser.read_file(fh)
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{config_path}: not valid UTF-8") from exc
+            parser.read_string(text, source=config_path)
         except configparser.Error as exc:
             raise ConfigError(f"{config_path}: {exc}") from exc
         for section in parser.sections():

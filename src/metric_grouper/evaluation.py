@@ -107,22 +107,24 @@ def method_setup(method, net):
     raise ValueError(f"unknown method {method!r}")
 
 
-def score_methods(corpus, table, setups, k, runs, seed, n_init, max_iter):
-    """The one seeds -> K-means -> Purity/Entropy loop, over ``{name: (net, mode)}``.
+def evaluate_run(corpus, table, methods, net=None, k=None, runs=10, seed=0,
+                 n_init=10, max_iter=100):
+    """The one seeds -> K-means -> Purity/Entropy loop: mean scores of ``runs`` runs per
+    method, which format_report renders as an aligned table.
 
-    Run r uses seed ``seed + r``; ``k`` None means the number of distinct gold
-    groups. Each entry's phrases are composed (and mapped through ``net``)
-    once; only K-means repeats per seed, scored from one contingency table
-    per run. Returns the report head and one row per name, which counts its
-    runs that left a cluster empty as ``empty_cluster_runs`` if there are any.
+    Run r uses seed ``seed + r``; ``k`` None means the number of distinct gold groups.
+    Each method's phrases are composed (and mapped through ``net``) once; only K-means
+    repeats per seed, scored from one contingency table per run. A method's row counts
+    its runs that left a cluster empty as ``empty_cluster_runs`` if there are any.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
     gold, k = gold_and_k(corpus, k)
     seeds = [seed + r for r in range(runs)]
     rows, skipped = {}, 0
-    for name, (net, mode) in setups.items():
-        phrases, _, points = _clustering.phrase_points(corpus, table, net=net, mode=mode)
+    for method in methods:
+        method_net, mode = method_setup(method, net)
+        phrases, _, points = _clustering.phrase_points(corpus, table, net=method_net, mode=mode)
         purities, entropies, empty = [], [], 0
         for s in seeds:
             result = _clustering.kmeans(points, k, seed=s, n_init=n_init, max_iter=max_iter)
@@ -132,24 +134,13 @@ def score_methods(corpus, table, setups, k, runs, seed, n_init, max_iter):
             p, e = _scores(counts, n)
             purities.append(p)
             entropies.append(e)
-        rows[name] = {"purity_mean": sum(purities) / runs, "purity_runs": purities,
-                      "entropy_mean": sum(entropies) / runs, "entropy_runs": entropies,
-                      "metric": _clustering.metric_for(net), "mode": mode}
+        rows[method] = {"purity_mean": sum(purities) / runs, "purity_runs": purities,
+                        "entropy_mean": sum(entropies) / runs, "entropy_runs": entropies,
+                        "metric": _clustering.metric_for(method_net), "mode": mode}
         if empty:
-            rows[name]["empty_cluster_runs"] = empty
-    return {"k": k, "runs": runs, "seeds": seeds, "skipped_unlabeled": skipped}, rows
-
-
-def evaluate_run(corpus, table, methods, net=None, k=None, runs=10, seed=0,
-                 n_init=10, max_iter=100):
-    """Average Purity/Entropy of ``runs`` clustering runs per method.
-
-    The report is score_methods' head and rows plus the entropy base;
-    format_report renders it as an aligned table.
-    """
-    setups = {method: method_setup(method, net) for method in methods}
-    head, rows = score_methods(corpus, table, setups, k, runs, seed, n_init, max_iter)
-    return {**head, "entropy_base": ENTROPY_BASE, "methods": rows}
+            rows[method]["empty_cluster_runs"] = empty
+    return {"k": k, "runs": runs, "seeds": seeds, "skipped_unlabeled": skipped,
+            "entropy_base": ENTROPY_BASE, "methods": rows}
 
 
 def format_table(report, title, rows, header, cells):

@@ -19,6 +19,7 @@ from metric_grouper import config
 from metric_grouper.cli import _atomic_write, main
 from metric_grouper.corpus import load_corpus, load_word_vectors
 from metric_grouper.errors import ConfigError, FormatError
+from metric_grouper.evaluation import entropy, purity
 from metric_grouper.fixture import DIMENSION
 from metric_grouper.network import TRAINING_RANGES, TrainConfig, load_model
 from metric_grouper.pairs import load_pairs
@@ -289,6 +290,10 @@ REPORTED = [
     pytest.param("pairs", "config", lambda text: "[pairs]\neta = 0.3\neta = 0.4\n", 1,
                  "error: {path}: While reading from '{path}' [line  3]: option 'eta' in "
                  "section 'pairs' already exists", id="config-duplicate-key"),
+    pytest.param("pairs", "config", lambda text: "\ufeff" + text, 1,
+                 "error: {path}: line 1: starts with a UTF-8 byte-order mark", id="config-bom"),
+    pytest.param("pairs", "config", lambda text: text + "; caf\udcff\n", 1,
+                 "error: {path}: line 4: not valid UTF-8", id="config-not-utf8"),
     pytest.param("validate", "vectors", lambda text: text + text.splitlines()[0].upper() + "\n",
                  0, "warning: 1 duplicate token(s) ignored (first wins)", id="vectors-duplicate"),
     pytest.param("validate", "taxonomy", lambda text: text + json.dumps(
@@ -317,7 +322,9 @@ def test_input_problem_reported(fixture_files, pipeline_dir, tmp_path, capsys, c
     else:
         path = Path(shutil.copy(files[name], tmp_path))
         files[name] = str(path)
-    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    # a lone surrogate in the edited text writes the byte that did not decode
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8",
+                    errors="surrogateescape")
     assert run(command, *data_args(files), "--out-dir", str(out_dir)) == code
     captured = capsys.readouterr()
     stream = captured.out if command == "validate" else captured.err
@@ -409,7 +416,7 @@ class TestMalformedInput:
             assert f"error: {name}: line 2: not valid UTF-8\n" in captured.out
             assert captured.out.endswith("validation: FAILED\n")
         else:
-            where = {"config": ": ", "model": ": ", "manifest": " is "}.get(name, ": line 2: ")
+            where = {"model": ": ", "manifest": " is "}.get(name, ": line 2: ")
             tail = "; move it aside" if name == "manifest" else ""
             assert captured.err == f"error: {path}{where}not valid UTF-8{tail}\n"
 
@@ -459,6 +466,30 @@ class TestPipeline:
         model = json.loads((out / "model.json").read_text(encoding="utf-8"))
         assert len(model["config_hash"]) == 64
         assert len(model["loss_history"]) == 3
+
+    def test_clustering_seed_seeds_eval_and_ablate(self, fixture_files, tmp_path):
+        # run r of eval and ablate seeds K-means with [clustering] seed + r, so the
+        # partition cluster writes is eval's run 0 under any configuration
+        cfg = tmp_path / "seed7.ini"
+        cfg.write_text(Path(fixture_files["config"]).read_text(encoding="utf-8")
+                       + "[clustering]\nseed = 7\n", encoding="utf-8")
+        args = data_args(dict(fixture_files, config=str(cfg))) + ["--out-dir", str(tmp_path)]
+        assert run("eval", *args, "--methods", "avg", "--runs", "3") == 0
+        assert run("cluster", *args, "--method", "avg") == 0
+        assert run("ablate", *args, "--runs", "2", "--combos", "ap:0:raw") == 0
+        report = json.loads((tmp_path / "metrics.json").read_text(encoding="utf-8"))
+        assert report["seeds"] == [7, 8, 9]
+        lines = (tmp_path / "clusters.tsv").read_text(encoding="utf-8").splitlines()[1:]
+        assignments = {phrase: int(c) for phrase, c in (line.split("\t") for line in lines)}
+        gold = load_corpus(fixture_files["corpus"]).gold_groups()
+        row = report["methods"]["avg"]
+        assert purity(assignments, gold, allow_missing=True) == row["purity_runs"][0]
+        assert entropy(assignments, gold, allow_missing=True) == row["entropy_runs"][0]
+        ablation = json.loads((tmp_path / "ablation.json").read_text(encoding="utf-8"))
+        assert ablation["seeds"] == [7, 8]
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert {c: e["seed"] for c, e in manifest["commands"].items()} == {
+            "eval": 7, "cluster": 7, "ablate": 7}
 
     def test_cluster_baseline_method(self, fixture_files, tmp_path):
         args = data_args(fixture_files) + ["--out-dir", str(tmp_path)]
@@ -669,19 +700,26 @@ class TestGuards:
         assert os.listdir(tmp_path) == ["manifest.json"]
         assert {name: len(seen) for name, seen in calls.items()} == dict.fromkeys(calls, 0)
 
-    @pytest.mark.parametrize("command, flags", [
-        ("run-all", []), ("eval", ["--methods", "avg,ap"])], ids=["run-all", "eval"])
+    @pytest.mark.parametrize("command, flags, below", [
+        ("run-all", [], ""), ("eval", ["--methods", "avg,ap"], ""),
+        ("eval", ["--methods", "avg,ap", "--runs", "2"], "sub")],
+        ids=["run-all", "eval", "eval-below-a-file"])
     def test_out_dir_that_is_a_file_rejected_before_parsing(self, fixture_files, tmp_path, capsys,
-                                                             monkeypatch, command, flags):
-        out = tmp_path / "somefile"
-        out.write_text("kept\n", encoding="utf-8")
+                                                             monkeypatch, command, flags, below):
+        somefile = tmp_path / "somefile"
+        somefile.write_text("kept\n", encoding="utf-8")
+        out = somefile / below if below else somefile
         calls = count_calls(monkeypatch, cli, "load_corpus", "load_word_vectors", "load_taxonomy")
+        calls.update(count_calls(monkeypatch, clustering_mod, "kmeans"))
         code = run(command, *data_args(fixture_files), *flags, "--out-dir", str(out))
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
-        assert captured.err == f"error: --out-dir {out} is not a directory\n"
-        assert out.read_text(encoding="utf-8") == "kept\n"
-        assert calls == {"load_corpus": [], "load_word_vectors": [], "load_taxonomy": []}
+        where = f": {somefile}" if below else ""
+        assert captured.err == f"error: --out-dir {out}{where} is not a directory\n"
+        assert somefile.read_text(encoding="utf-8") == "kept\n"
+        assert os.listdir(tmp_path) == ["somefile"]
+        assert calls == {"load_corpus": [], "load_word_vectors": [], "load_taxonomy": [],
+                         "kmeans": []}
 
     @pytest.mark.parametrize("command, message", [
         ("train", "run the pairs command first"),
@@ -739,9 +777,11 @@ class TestGuards:
 
     def test_unknown_config_key(self, fixture_files, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
-        # dropout_rate, finetune_attention and metric were keys until they were removed
+        # dropout_rate, finetune_attention, metric and [evaluation] seed were keys until
+        # they were removed
         for section, key in (("training", "momentum"), ("network", "dropout_rate"),
-                             ("training", "finetune_attention"), ("clustering", "metric")):
+                             ("training", "finetune_attention"), ("clustering", "metric"),
+                             ("evaluation", "seed")):
             cfg.write_text(f"[{section}]\n{key} = 0.5\n", encoding="utf-8")
             code = run("pairs", "--corpus", fixture_files["corpus"],
                        "--taxonomy", fixture_files["taxonomy"],
