@@ -6,12 +6,12 @@ most once. A writing command names its outputs before it reads any input; ``Run`
 then checks ``manifest.json`` and refuses an output that would overwrite an input
 file (--corpus, --vectors, --taxonomy, --config), one of --out-dir's artifacts or
 another output. The files a step reads and writes, with the config hash and seed,
-become its manifest entry. Artifacts embed the config hash; a command that reads
-``pairs.jsonl`` or ``model.json`` from disk rejects one produced under a different
-configuration, while ``run-all`` hands the pairs and network of one step to the
-next in memory. All writes go to a temporary file first and are renamed into
-place, so a failed command never leaves a partial artifact. Reruns with identical
-inputs, configuration and seeds are byte-identical.
+become its manifest entry. Artifacts embed a config hash, ``pairs.jsonl`` and
+``model.json`` that of the sections that make them (MADE_BY): a command that reads
+one from disk rejects it if any of those settings differ, while ``run-all`` hands
+the pairs and network of one step to the next in memory. All writes go to a
+temporary file renamed into place, so a failed command leaves no partial artifact.
+Reruns with identical inputs, configuration and seeds are byte-identical.
 """
 from __future__ import annotations
 
@@ -47,6 +47,8 @@ MANIFEST_FILE = "manifest.json"
 ARTIFACT_FILES = (PAIRS_FILE, MODEL_FILE, CLUSTERS_FILE, METRICS_FILE, ABLATION_FILE,
                   MANIFEST_FILE)
 INPUT_FLAGS = ("corpus", "vectors", "taxonomy", "config")
+# an artifact a later command reads back -> the config sections that make it; it carries their hash
+MADE_BY = {PAIRS_FILE: ("pairs",), MODEL_FILE: ("pairs", "composition", "network", "training")}
 
 
 def _sha256(path):
@@ -203,12 +205,12 @@ class Run:
                 raise error(f"no {name} in {self.args.out_dir}; run the {step} command first")
             value, meta = loader(path)
             embedded = (meta or {}).get("config_hash")
-            if embedded != self.chash:
+            if embedded != (current := config_hash(self.config, MADE_BY[name])):
                 found = ("no config hash" if embedded is None
                          else f"config hash {str(embedded)[:12]}...")
                 raise ArtifactMismatchError(
                     f"{path} carries {found}, current configuration hashes to "
-                    f"{self.chash[:12]}...; regenerate it or restore the original configuration")
+                    f"{current[:12]}...; regenerate it or restore the original configuration")
             self.values[name] = value
         self.reads[name] = path
         return self.values[name]
@@ -328,7 +330,7 @@ def cmd_pairs(run):
     pairs = _draw_pairs(run)
     positives = sum(1 for p in pairs if p.label == 1)
     header = {
-        "config_hash": run.chash,
+        "config_hash": config_hash(run.config, MADE_BY[PAIRS_FILE]),
         "eta": section["eta"],
         "seed": section["seed"],
         "positives": positives,
@@ -357,7 +359,8 @@ def cmd_train(run):
     for epoch, value in enumerate(history, 1):
         print(f"epoch {epoch}: mean objective {value:.6f}")
     path = run.write(MODEL_FILE, lambda tmp: save_model(
-        net, tmp, config_hash=run.chash, extra={"loss_history": history}), net)
+        net, tmp, config_hash=config_hash(run.config, MADE_BY[MODEL_FILE]),
+        extra={"loss_history": history}), net)
     print(f"wrote {path}")
     run.record("train", cfg.seed)
     return 0

@@ -3,16 +3,17 @@
 A run is fully described by one key/value file with sections. Every
 hyperparameter lives in SCHEMA with its parser, default and flag help; a
 command-line flag of the same name overrides each key that has help, and
-``--seed`` overrides the seed of every section at once. The resolved
-configuration hashes to a hex digest that output artifacts embed, so
-downstream commands can reject inputs produced under different settings.
-Data file paths are deliberately not part of the hash; input files are
-checksummed by content in the manifest instead.
+``--seed`` overrides the seed of every section at once. The parsed values of
+the configuration, or of the sections that made an artifact, hash to a hex
+digest the artifact embeds, so downstream commands can reject inputs produced
+under different settings however they are spelled. Data file paths are not
+part of the hash; input files are checksummed by content in the manifest.
 """
 from __future__ import annotations
 
 import configparser
 import hashlib
+import json
 from dataclasses import fields
 
 from .ablation import parse_combos
@@ -140,9 +141,8 @@ def resolve(config_path=None, overrides=None):
     """Merge defaults, an optional INI file and flag overrides.
 
     ``overrides`` maps flag names (see FLAGS, plus "seed") to raw
-    string values. Returns a nested dict of typed values with a "_raw"
-    entry holding the canonical string form used for hashing. Unknown
-    sections or keys are configuration errors.
+    string values. Returns a nested dict, section -> key -> typed value.
+    Unknown sections or keys are configuration errors.
     """
     raw = {section: dict((k, v[1]) for k, v in keys.items())
            for section, keys in SCHEMA.items()}
@@ -187,20 +187,13 @@ def resolve(config_path=None, overrides=None):
                 resolved[section][key] = parse(raw[section][key])
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
-    # however the methods are listed, one report is filed under one configuration
-    raw["evaluation"]["methods"] = ",".join(resolved["evaluation"]["methods"])
-    resolved["_raw"] = raw
     return resolved
 
 
-def config_hash(resolved):
-    """Hex digest of the canonical key=value lines of a resolved config."""
-    lines = []
-    for section in sorted(SCHEMA):
-        for key in sorted(SCHEMA[section]):
-            lines.append(f"{section}.{key}={resolved['_raw'][section][key].strip()}")
-    digest = hashlib.sha256("\n".join(lines).encode("utf-8"))
-    return digest.hexdigest()
+def config_hash(resolved, sections=tuple(SCHEMA)):
+    """Hex digest of the parsed values of ``sections`` (all by default); a combo is its key."""
+    return hashlib.sha256(json.dumps({s: resolved[s] for s in sections}, sort_keys=True,
+                                     default=lambda combo: combo.key).encode()).hexdigest()
 
 
 def train_config_from(resolved):

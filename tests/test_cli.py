@@ -55,6 +55,13 @@ def _src_env(**extra):
     return dict(os.environ, PYTHONPATH=path, **extra)
 
 
+def readme_block(heading, language):
+    """The first ``language`` code block under README.md's ``## heading``."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split(f"## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 @pytest.fixture(scope="module")
 def pipeline_dir(fixture_files, tmp_path_factory):
     """pairs -> train -> cluster -> eval with few epochs, shared by tests."""
@@ -678,6 +685,24 @@ class TestGuards:
         assert code == 1
         assert "config hash" in err
 
+    READ_BACK = [  # (flags that made the artifacts, command reading one back, exit code)
+        ([], ["train", "--learning-rate", ".03"], 0),  # the default 0.03, spelled otherwise
+        ([], ["train", "--epochs", "2"], 0),  # [training] does not make pairs.jsonl
+        (["--epochs", "2"], ["eval", "--epochs", "2", "--runs", "3"], 0),  # nor [evaluation]
+        (["--epochs", "2"], ["eval", "--runs", "3"], 1),  # model.json: 2 epochs, not 30
+    ]
+
+    @pytest.mark.parametrize("made, argv, code", READ_BACK,
+                             ids=["_".join(argv).replace("--", "") for _, argv, _ in READ_BACK])
+    def test_artifact_checked_against_the_settings_that_made_it(
+            self, fixture_files, tmp_path, capsys, made, argv, code):
+        args = data_args(fixture_files) + ["--out-dir", str(tmp_path)]
+        for step in ("pairs",) if argv[0] == "train" else ("pairs", "train"):
+            assert run(step, *args, *made) == 0
+        capsys.readouterr()
+        assert run(*argv, *args) == code
+        assert ("model.json carries config hash" in capsys.readouterr().err) == bool(code)
+
     CORRUPT = [("{not json", "manifest.json is not valid JSON", "not_json"),
                ("[]", 'manifest.json is not a {"commands": {...}} object', "list"),
                ('{"commands": []}', 'manifest.json is not a {"commands": {...}} object',
@@ -829,17 +854,27 @@ class TestGuards:
         assert outcomes == {True, False}
 
     def test_readme_defaults_match_schema(self, tmp_path):
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        section = readme.read_text(encoding="utf-8").split("## Configuration", 1)[1]
-        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
         ini = tmp_path / "readme.ini"
-        ini.write_text(block, encoding="utf-8")
+        ini.write_text(readme_block("Configuration", "ini"), encoding="utf-8")
         resolved = config.resolve(str(ini))  # a key the schema lacks raises ConfigError
         listed = configparser.ConfigParser(interpolation=None)
         listed.read(ini, encoding="utf-8")
         assert {name: set(listed[name]) for name in listed.sections()} == {
             name: set(keys) for name, keys in config.SCHEMA.items()}
-        assert resolved["_raw"] == config.resolve()["_raw"]
+        assert resolved == config.resolve()
+        assert config.config_hash(resolved) == config.config_hash(config.resolve())
+
+    SPELLINGS = [("eta", "0.30", "0.3"), ("learning_rate", ".03", "0.03"), ("k", "05", "5"),
+                 ("hidden_dims", "32, 16", "32,16"),
+                 ("combos", "ap:0:raw, attention :1:trained ,attention:3:trained",
+                  "ap:0:raw,attention:1:trained,attention:3:trained")]
+
+    @pytest.mark.parametrize("flag, spelled, canonical", SPELLINGS,
+                             ids=[flag for flag, _, _ in SPELLINGS])
+    def test_config_hash_takes_parsed_values(self, flag, spelled, canonical):
+        def digest(value):
+            return config.config_hash(config.resolve(overrides={flag: value}))
+        assert digest(spelled) == digest(canonical)
 
     OUT_OF_RANGE = [
         (("eval", "--methods", "foo"), "[evaluation] methods"),
@@ -1389,6 +1424,14 @@ class TestTraceContract:
         metrics = self._layer_metrics(tmp_path, "ablate", *data_args(fixture_files),
                                       "--epochs", "10", "--combos", combos)
         assert {name: metrics[name] for name in self.EXPECTED_ABLATE} == self.EXPECTED_ABLATE
+
+
+def test_readme_library_use_runs_on_the_fixture(tmp_path, monkeypatch):
+    assert run("make-fixture", "--out-dir", str(tmp_path / "data")) == 0
+    monkeypatch.chdir(tmp_path)  # the block reads data/, where the Quick start writes it
+    namespace = {}
+    exec(readme_block("Library use", "python"), namespace)
+    assert namespace["report"]["methods"]["metric"]["purity_mean"] == 1.0
 
 
 def test_module_entry_point(fixture_files):
